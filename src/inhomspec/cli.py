@@ -47,7 +47,10 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
         bmin, bmax = (int(v) for v in b_part.split(".."))
     except ValueError as ex:
         raise ValueError(f"bad --grid {spec!r} (want 'amin..amax,bmin..bmax')") from ex
-    return list(covered_pairs(amin, amax, bmin, bmax))
+    pairs = list(covered_pairs(amin, amax, bmin, bmax))
+    if not pairs:
+        raise ValueError(f"--grid {spec!r} holds no covered (a, b) pair")
+    return pairs
 
 
 def _class_from_args(args) -> ClassId:

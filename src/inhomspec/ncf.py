@@ -86,8 +86,10 @@ def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     beta = QuadNum(Fraction(a, 2), Fraction(-1, 2 * b), N)
     D = eta * beta
     one = QuadNum(1, 0, N)
-    assert eta * a == one + D and beta * b == one + D
-    assert QuadNum(0, 0, N) < beta < eta < one and D < one
+    if not (eta * a == one + D and beta * b == one + D):
+        raise RuntimeError(f"a*eta = b*beta = 1 + D fails at ({a}, {b})")
+    if not (QuadNum(0, 0, N) < beta < eta < one and D < one):
+        raise RuntimeError(f"0 < beta < eta < 1 and D < 1 fail at ({a}, {b})")
     return PeriodTwoAlpha(a=a, b=b, N=N, eta=eta, beta=beta, D=D)
 
 

@@ -8,10 +8,23 @@ Three regimes, split by the smaller quotient a:
 
 Each class S_<name> is a family of targets gamma with a specific periodic
 digit expansion; its value delta_<name> is the normalized minimum M* shared
-by the whole class.  This module provides, per class, the periodic t-sequence
-and the closed-form value, the family limits delta_inf, and the assembled
-catalogue of every spectrum value above the first limit point, ordered by
-exact comparison.  No value ever touches floating point.
+by the whole class.
+
+Every class is one entry of the class table, keyed by (regime, family).  The
+entry holds the side condition on (a, b) and the parameter, the builder of
+the periodic t-sequence, and the closed-form value.  A k-family's closed form
+is written as a function of z = D^k: every k-dependent power in it is
+D^(c*k + d) = D^d * z^c.  Because 0 < D < 1, z -> 0 as k -> infinity, so the
+family limit delta_inf is the same closed form at z = 0 and is not written
+down separately.  A member whose value the family formula does not give
+(even-even Sk4 at k = 0, and at k = 1 for (a, b) = (6, 10)) is an explicit
+override inside its entry.  A k-family's entry also records the direction in
+which its members approach the limit and the first k the catalogue lists.
+
+From the table this module answers, per class, the t-sequence, the value and
+the limit, and assembles the catalogue of every spectrum value above the
+first limit point, ordered by exact comparison.  No value ever touches
+floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .quadfield import QuadNum
 from .ncf import PeriodTwoAlpha
@@ -90,18 +103,6 @@ class ClassId:
         return self.label
 
 
-# family -> parameter kind (None, "k" or "t")
-_FAMILY_PARAM: dict[str, Optional[str]] = {
-    **{f"S{-j}": None for j in range(1, 10)},
-    "S0": None,
-    "Sk": "k",
-    **{f"Sk{i}": "k" for i in range(1, 13)},
-    "S0t": "t",
-    "S2k": "k",
-    "S2k+1": "k",
-}
-
-
 def _class_label(cls: ClassId) -> str:
     f, k = cls.family, cls.k
     if f == "Sk":
@@ -162,509 +163,513 @@ def odd_params(alpha: PeriodTwoAlpha) -> OddParams:
 
 
 # ----------------------------------------------------------------------
-# t-sequences of the classes
+# the class table
 # ----------------------------------------------------------------------
 
 
-def _blocks(alpha: PeriodTwoAlpha, *specs) -> TSequence:
-    return tseq_from_blocks([Block(n, t) for n, t in specs], alpha)
+class _Pair:
+    """What a table entry reads at one alpha besides eta, beta and D.
+
+    For odd a, m, n, s, r and v are those of OddParams.
+    """
+
+    def __init__(self, alpha: PeriodTwoAlpha):
+        self.alpha, self.a, self.b = alpha, alpha.a, alpha.b
+        self.regime = regime(alpha)
+        if self.regime == "odd":
+            p = OddParams.of(alpha)
+            self.m, self.n, self.s, self.r, self.v = p.m, p.n, p.s, p.r, p.v(alpha)
+
+    def blocks(self, *specs) -> TSequence:
+        """The periodic word of the (block name, t) specs, in order."""
+        return tseq_from_blocks([Block(n, t) for n, t in specs], self.alpha)
+
+    def word(self, *ts: int) -> TSequence:
+        """The periodic word of the raw t-values."""
+        return TSequence(ts).validate(self.alpha)
 
 
-def _rep(seq: tuple, k: int) -> tuple:
-    return tuple(seq) * k
+@dataclass(frozen=True)
+class _Class:
+    """One (regime, family) of the class table.
+
+    param is None, "k" or "t".  applies(c, p) is the side condition on
+    (a, b) and the parameter p; period(c, p) builds the periodic t-sequence;
+    value(c, p, z, e, B, D) is the closed form in e = eta, B = beta and D,
+    with z = D^p for a k-family, and with p = None and z = 0 for the family
+    limit.  A k-family's members approach the limit in `direction`, and the
+    catalogue lists them from k = k0.
+    """
+
+    param: Optional[str]
+    applies: Callable[[_Pair, Optional[int]], bool]
+    period: Callable[[_Pair, Optional[int]], TSequence]
+    value: Callable[..., QuadNum]
+    direction: Optional[str]
+    k0: Optional[int]
 
 
-def class_tsequence(cls: ClassId, alpha: PeriodTwoAlpha) -> TSequence:
-    """The periodic t-sequence of the class; raises if not applicable."""
-    _require(cls, alpha)
-    reg = regime(alpha)
-    f, k, t = cls.family, cls.k, cls.t
+# (regime, family) -> entry.  Within a regime, declaration order is the order
+# in which equivalence_cases yields plain classes, k-families and t-classes.
+_CLASSES: dict[tuple[str, str], _Class] = {}
 
-    if reg == "even-odd":
-        if f == "Sk":
-            specs = (("A'", 1), ("A", 1)) + _rep(
-                (("A'", 1), ("A'", 1), ("A", 1), ("A", 1)), k
+
+def _entry(reg: str, family: str, applies, period, listed=None):
+    """Register the decorated closed form as the (regime, family) entry.
+
+    listed = (direction, k0) marks a k-family.
+    """
+
+    def register(value):
+        param = "k" if listed else "t" if family == "S0t" else None
+        direction, k0 = listed or (None, None)
+        _CLASSES[reg, family] = _Class(param, applies, period, value, direction, k0)
+        return value
+
+    return register
+
+
+def _always(c: _Pair, p: Optional[int]) -> bool:
+    return True
+
+
+# ---- a >= 4 even, b odd
+
+
+@_entry("even-odd", "S-1", _always,
+        lambda c, k: c.blocks(("A", 1), ("A", 1), ("A'", 1), ("A'", 1)))
+def _(c, k, z, e, B, D):
+    return (1 - B - B * (1 - D) / (1 + D**2)) * (1 - e - D * (1 - D) / (1 + D**2))
+
+
+@_entry("even-odd", "S-2", _always, lambda c, k: c.blocks(("C", 3)))
+def _(c, k, z, e, B, D):
+    a, b = c.a, c.b
+    hi = b >= max(2 * a - 5, Fraction(3 * a, 2))
+    lo = b <= min(a + 5, Fraction(3 * a, 2))
+    u = (3 * B - 2 * D) / (1 - D)
+    w = (2 * e - 3 * D) / (1 - D)
+    val_hi = (1 - B + u) * (1 - e - w)
+    val_lo = (1 - B - u) * (1 - e + w)
+    if hi and lo:
+        if val_hi != val_lo:
+            raise BranchDisagreement(
+                f"delta_-2 branches disagree at (a,b)=({a},{b})"
             )
-            return _blocks(alpha, *specs)
-        if f == "S-1":
-            return _blocks(alpha, ("A", 1), ("A", 1), ("A'", 1), ("A'", 1))
-        if f == "S-2":
-            return _blocks(alpha, ("C", 3))
+        return val_hi
+    if hi:
+        return val_hi
+    if lo:
+        return val_lo
+    return (1 + B - u) * (1 + e - w)
 
-    if reg == "even-even":
-        if f == "Sk1":
-            return _blocks(alpha, ("A", 0), *_rep((("A", 2), ("A'", 2)), k))
-        if f == "Sk2":
-            return _blocks(
-                alpha,
-                ("A", 2), *_rep((("C", 4),), k), ("C", 2),
-                ("A'", 2), *_rep((("C'", 4),), k), ("C'", 2),
+
+@_entry("even-odd", "Sk", _always,
+        lambda c, k: c.blocks(
+            ("A'", 1), ("A", 1), *(("A'", 1), ("A'", 1), ("A", 1), ("A", 1)) * k
+        ),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    w = 2 * D * z**4 * (1 - D) / ((1 + D**2) * (1 - D**2 * z**4))
+    return (1 - B - B * (1 - D) * (1 + 2 * D**2) / (1 + D**2) - B * D**3 * w) * (
+        1 - e - D * (1 - D) / (1 + D**2) + w
+    )
+
+
+# ---- a >= 4 even, b even
+
+
+@_entry("even-even", "S-1", _always, lambda c, k: c.blocks(("C", 2)))
+def _(c, k, z, e, B, D):
+    return (1 - 3 * e + 2 * D * (1 - e) / (1 - D)) * (
+        1 - B + 2 * B * (1 - e) / (1 - D)
+    )
+
+
+@_entry("even-even", "S-2", lambda c, k: (c.a, c.b) == (4, 6),
+        lambda c, k: c.blocks(("A", 2), ("C", 2)))
+def _(c, k, z, e, B, D):
+    return (1 - e - 2 * D / (1 - D) + 2 * e * D / (1 - D**2)) * (
+        1 - 3 * B - 2 * B * D / (1 - D) + 2 * D / (1 - D**2)
+    )
+
+
+@_entry("even-even", "Sk1",
+        lambda c, k: k == 0 or c.b >= 2 * c.a or (c.a, c.b) == (4, 6),
+        lambda c, k: c.blocks(("A", 0), *(("A", 2), ("A'", 2)) * k),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    w = z**2 * (1 - D) / (1 - D * z**2)
+    return (1 - e + 2 * D**2 * (1 - w) / (1 + D)) * (
+        1 - B - 2 * B * (1 - w) / (1 + D)
+    )
+
+
+@_entry("even-even", "Sk2", lambda c, k: k >= 1 and c.b == 2 * c.a - 2 and c.a >= 8,
+        lambda c, k: c.blocks(
+            ("A", 2), *[("C", 4)] * k, ("C", 2), ("A'", 2), *[("C'", 4)] * k, ("C'", 2)
+        ),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    w = 2 * D * z * (1 + D) * (1 - e + D) / ((1 - D) * (1 + D**2 * z))
+    return (1 - 3 * e + 2 * D * (2 - e) / (1 - D) - w) * (
+        1 + B - 2 * B * D * (1 - e + D) / (1 - D) + B * D * w
+    )
+
+
+@_entry("even-even", "Sk3", lambda c, k: k >= 1 and c.b == 2 * c.a - 4 and c.a >= 10,
+        lambda c, k: c.blocks(("C", 4), *(("C", 2), ("C", 4)) * k),
+        listed=("decreasing", 1))
+def _(c, k, z, e, B, D):
+    w = 2 * D * z**2 / ((1 + D) * (1 - D * z**2))
+    return (
+        1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2) + w
+    ) * (
+        1 - 3 * B + 2 * D / (1 - D) - 2 * B * D * (2 + D) / (1 - D**2) - B * D * w
+    )
+
+
+@_entry("even-even", "Sk4",
+        lambda c, k: (
+            k == 0
+            or (k == 1 and (c.a, c.b) == (6, 10))
+            or c.a + 6 <= c.b <= 2 * c.a - (4 if k == 1 else 6)
+        ),
+        lambda c, k: c.blocks(("C", 4), *[("C", 2)] * k),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    a, b = c.a, c.b
+    # k = 0 has its own closed form, which differs from the family formula
+    if k == 0:
+        x = 2 * D * (1 - 2 * B) / (1 - D)
+        y = 2 * D * (2 - e) / (1 - D)
+        if b >= max(3 * a - 6, 2 * a):
+            return (1 + 3 * B - x) * (1 - 3 * e + y)
+        if b <= min(a + 6, 2 * a - 2):
+            return (1 - 5 * B + x) * (1 + e - y)
+        return (1 - 3 * B + x) * (1 - e + y)
+    if (a, b) == (6, 10) and k == 1:
+        # explicit surd for the one case outside the family formula's range
+        return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
+    w = 2 * D * z / (1 - D * z)
+    return (1 - e + 2 * D * (1 - e) / (1 - D) + w) * (
+        1 - 3 * B + 2 * D * (1 - B) / (1 - D) - B * w
+    )
+
+
+@_entry("even-even", "Sk5",
+        lambda c, k: (
+            k == 0
+            or c.b <= 2 * c.a - 6
+            or (c.a, c.b) == (6, 8)
+            or (k == 1 and c.b == 2 * c.a - 4)
+        ),
+        lambda c, k: c.blocks(("A", 2), *[("C", 2)] * k, ("A'", 2), *[("C'", 2)] * k),
+        listed=("increasing", 0))
+def _(c, k, z, e, B, D):
+    w = 2 * D * z * (1 - 2 * B + D) / ((1 - D) * (1 + D * z))
+    return (1 - e + 2 * D * (1 - e) / (1 - D) + e * w) * (
+        1 - 3 * B + 2 * D * (1 - B) / (1 - D) - w
+    )
+
+
+@_entry("even-even", "Sk6", lambda c, k: (c.a, c.b) == (8, 12),
+        lambda c, k: c.blocks(
+            *(("A'", 2), ("C'", 2), ("A", 2), ("C", 2)) * k,
+            ("A'", 2), ("C'", 2), ("C'", 2), ("A", 2), ("C", 2), ("C", 2),
+        ),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    w = (
+        2 * D**4 * z**4 * (1 - 2 * B + D) * (1 - D**3)
+        / ((1 + D**2) * (1 - D**6 * z**4))
+    )
+    return (
+        1 - 3 * e + 2 * D - 2 * D**2 + 2 * e * D**2
+        - 2 * D**3 * (1 - e + D) / (1 + D**2) - e * D**2 * w
+    ) * (1 + B - 2 * D * (1 - B + B * D) / (1 + D**2) + w)
+
+
+@_entry("even-even", "Sk7", lambda c, k: (c.a, c.b) == (6, 10) and k >= 1,
+        lambda c, k: c.blocks(*(("C", 4), ("C", 2)) * k, ("A'", 2), ("A", 2)),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    # coupling coefficient is eta*D^3, not 2*eta*D^3: derived exactly
+    # from the tail sums of the period, which the printed form misstates
+    w = 2 * z**2 * (1 - 3 * B + D) / (1 - D**2 * z**2)
+    return (
+        1 + e - 2 * D + 2 * D**2 + 2 * e * D**3 / (1 - D)
+        - 2 * D**3 * (1 + 2 * D) / (1 - D**2) - e * D**3 * w
+    ) * (
+        1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D**2) - w
+    )
+
+
+# ---- a >= 3 odd
+
+
+@_entry("odd", "S-1", _always, lambda c, k: c.blocks(("B", c.m), ("B", c.n)))
+def _(c, k, z, e, B, D):
+    a, b, r = c.a, c.b, c.r
+    val_lo = (1 - e * c.v - 2 * D**2 / (1 - D**2)) * (
+        1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
+    )
+    val_hi = (1 - 2 * e + e * c.v + 2 * D / (1 - D**2)) * (
+        1 - B + c.v + 2 * B * D / (1 - D**2)
+    )
+    if r == a + 1:
+        if val_lo != val_hi:
+            raise BranchDisagreement(
+                f"delta_-1 branches disagree at (a,b)=({a},{b})"
             )
-        if f == "Sk3":
-            return _blocks(alpha, ("C", 4), *_rep((("C", 2), ("C", 4)), k))
-        if f == "Sk4":
-            return _blocks(alpha, ("C", 4), *_rep((("C", 2),), k))
-        if f == "Sk5":
-            return _blocks(
-                alpha, ("A", 2), *_rep((("C", 2),), k),
-                ("A'", 2), *_rep((("C'", 2),), k),
-            )
-        if f == "S-1":
-            return _blocks(alpha, ("C", 2))
-        if f == "S-2":
-            return _blocks(alpha, ("A", 2), ("C", 2))
-        if f == "Sk6":
-            body = _rep((("A'", 2), ("C'", 2), ("A", 2), ("C", 2)), k)
-            tail = (("A'", 2), ("C'", 2), ("C'", 2), ("A", 2), ("C", 2), ("C", 2))
-            return _blocks(alpha, *(body + tail))
-        if f == "Sk7":
-            return _blocks(alpha, *(_rep((("C", 4), ("C", 2)), k) + (("A'", 2), ("A", 2))))
-
-    if reg == "odd":
-        p = OddParams.of(alpha)
-        m, n, s = p.m, p.n, p.s
-        if f == "S0":
-            return _blocks(alpha, ("B", m))
-        if f == "S-1":
-            return _blocks(alpha, ("B", m), ("B", n))
-        if f == "S-2":
-            return _blocks(alpha, ("B", n))
-        if f == "S-3":
-            return _blocks(alpha, ("B", n), ("B", s))
-        if f == "S-4":
-            if m == 1:
-                return _blocks(alpha, ("B", s), ("B'", s))
-            return _blocks(alpha, ("B", m), ("B'", m))
-        if f == "S-5":
-            return _blocks(alpha, ("E", 3))
-        if f == "S-6":
-            return _blocks(alpha, ("F", 2))
-        if f == "S-7":
-            return _blocks(alpha, ("F", 1))
-        if f == "Sk1":
-            return _blocks(alpha, *(_rep((("B", n),), k) + (("B", m),)))
-        if f == "Sk2":
-            return _blocks(
-                alpha,
-                *(_rep((("B", n),), k) + (("B", m),)
-                  + _rep((("B'", n),), k) + (("B'", m),)),
-            )
-        if f == "Sk3":
-            return _blocks(alpha, *(_rep((("B", m), ("B", n)), k) + (("B", n),)))
-        if f == "Sk4":
-            return _blocks(
-                alpha, *(_rep((("B", n), ("B", m)), k) + _rep((("B'", n), ("B'", m)), k))
-            )
-        if f == "Sk5":
-            return _blocks(alpha, *(_rep((("B", m),), k) + (("B", n),)))
-        if f == "Sk6":
-            return _blocks(
-                alpha, *(_rep((("B", n), ("B", s)), k) + (("B", n),) + _rep((("B", m),), k))
-            )
-        if f == "Sk7":
-            return _blocks(
-                alpha, *(_rep((("B", n), ("B", s)), k) + _rep((("B'", n), ("B'", s)), k))
-            )
-        if f == "Sk8":
-            return _blocks(alpha, *(_rep((("B", n), ("B", s)), k) + (("B'", m),)))
-        if f == "Sk9":
-            return _blocks(
-                alpha, *(_rep((("B", m),), k) + (("B'", n), ("E'", 3), ("B'", s)))
-            )
-        if f == "S-8":
-            return _blocks(alpha, ("F", 0), ("B", 0))
-        if f == "Sk10":
-            return _blocks(alpha, ("F", 2), *_rep((("F", 2), ("B'", 2)), k))
-        if f == "S-9":
-            return _blocks(alpha, ("H", None), ("G", None), ("H'", None), ("G", None))
-        if f == "Sk11":
-            body = _rep((("H'", None), ("G", None), ("H", None), ("G", None)), k)
-            return _blocks(alpha, *(body + (("H", None), ("G", None))))
-        if f == "Sk12":
-            return _blocks(alpha, ("F", 2), *_rep((("B'", 2),), k + 1))
-
-    if reg == "two":
-        a = alpha.a
-        if f == "S0t":
-            return TSequence((a, -t)).validate(alpha)
-        if alpha.b % 2 == 1:
-            if f == "S-2":
-                return TSequence((a, -3, a, -1)).validate(alpha)
-            if f == "S-1":
-                return TSequence((a, -1) + (a, -3, a, -1) + (a, -1)).validate(alpha)
-            if f == "S2k+1":
-                return TSequence((a, -1, 0, -1) + _rep((a, -3, a, -1), k)).validate(alpha)
-            if f == "S2k":
-                return TSequence((a, -1) + _rep((a, -3, a, -1), k)).validate(alpha)
-        else:
-            if f == "S-1":
-                return TSequence((0, 0)).validate(alpha)
-            if f == "S2k+1":
-                return TSequence((a, -2, 0, 0) + _rep((a, -2), k)).validate(alpha)
-            if f == "S2k":
-                return TSequence((a, -4) + _rep((a, -2), k)).validate(alpha)
-
-    raise ApplicabilityError(f"class {cls} has no sequence in regime {reg}")
+        return val_lo
+    return val_lo if r < a + 1 else val_hi
 
 
-# ----------------------------------------------------------------------
-# closed forms
-# ----------------------------------------------------------------------
+@_entry("odd", "S-2", _always, lambda c, k: c.blocks(("B", c.n)))
+def _(c, k, z, e, B, D):
+    return (1 - e * c.v - 2 * D / (1 - D)) * (1 - 3 * B - c.v - 2 * B * D / (1 - D))
 
 
-def _consts(alpha: PeriodTwoAlpha):
-    return alpha.eta, alpha.beta, alpha.D
+@_entry("odd", "S-3", _always, lambda c, k: c.blocks(("B", c.n), ("B", c.s)))
+def _(c, k, z, e, B, D):
+    return (1 - 2 * e + e * c.v + 2 * e / c.b) * (1 - 3 * B + c.v + 2 * D / c.b)
 
 
-def _delta_even_odd(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    a, b = alpha.a, alpha.b
-    f, k = cls.family, cls.k
-    if f == "Sk":
-        if k == 0:
-            return (1 - B - Fraction(1, b)) * (1 - e + e / b)
-        w = 2 * D ** (4 * k + 1) * (1 - D) / ((1 + D**2) * (1 - D ** (4 * k + 2)))
-        return (1 - B - B * (1 - D) * (1 + 2 * D**2) / (1 + D**2) - B * D**3 * w) * (
-            1 - e - D * (1 - D) / (1 + D**2) + w
-        )
-    if f == "S-1":
-        return (1 - B - B * (1 - D) / (1 + D**2)) * (1 - e - D * (1 - D) / (1 + D**2))
-    if f == "S-2":
-        hi = b >= max(2 * a - 5, Fraction(3 * a, 2))
-        lo = b <= min(a + 5, Fraction(3 * a, 2))
-        u = (3 * B - 2 * D) / (1 - D)
-        w = (2 * e - 3 * D) / (1 - D)
-        val_hi = (1 - B + u) * (1 - e - w)
-        val_lo = (1 - B - u) * (1 - e + w)
-        if hi and lo:
-            if val_hi != val_lo:
-                raise BranchDisagreement(
-                    f"delta_-2 branches disagree at (a,b)=({a},{b})"
-                )
-            return val_hi
-        if hi:
-            return val_hi
-        if lo:
-            return val_lo
-        return (1 + B - u) * (1 + e - w)
-    raise ApplicabilityError(str(cls))
+@_entry("odd", "S-4", _always,
+        lambda c, k: c.blocks(("B", c.s), ("B'", c.s)) if c.m == 1
+        else c.blocks(("B", c.m), ("B'", c.m)))
+def _(c, k, z, e, B, D):
+    return (1 - 2 * e + e * (c.m + e) / c.b) * (1 - B - (c.m - e) / c.b)
 
 
-def _even_even_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    if family == "Sk":  # b odd
-        return (1 - B - B * (1 - D) * (1 + 2 * D**2) / (1 + D**2)) * (
-            1 - e - D * (1 - D) / (1 + D**2)
-        )
-    if family == "Sk1":
-        return (1 - e + 2 * D**2 / (1 + D)) * (1 - B - 2 * B / (1 + D))
-    if family == "Sk2":
-        return (1 - 3 * e + 2 * D * (2 - e) / (1 - D)) * (
-            1 + B - 2 * B * D * (1 - e + D) / (1 - D)
-        )
-    if family == "Sk3":
-        return (1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2)) * (
-            1 - 3 * B + 2 * D / (1 - D) - 2 * B * D * (2 + D) / (1 - D**2)
-        )
-    if family in ("Sk4", "Sk5"):
-        return (1 - e + 2 * D * (1 - e) / (1 - D)) * (
-            1 - 3 * B + 2 * D * (1 - B) / (1 - D)
-        )
-    if family == "Sk6":
-        return (
-            1 - 3 * e + 2 * D - 2 * D**2 + 2 * e * D**2
-            - 2 * D**3 * (1 - e + D) / (1 + D**2)
-        ) * (1 + B - 2 * D * (1 - B + B * D) / (1 + D**2))
-    if family == "Sk7":
-        return (
-            1 + e - 2 * D + 2 * D**2 + 2 * e * D**3 / (1 - D)
-            - 2 * D**3 * (1 + 2 * D) / (1 - D**2)
-        ) * (1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D**2))
-    raise ApplicabilityError(family)
+@_entry("odd", "S-5", lambda c, k: c.m == 1 and c.a >= 5,
+        lambda c, k: c.blocks(("E", 3)))
+def _(c, k, z, e, B, D):
+    x = 3 * D * (1 - e) / (1 - D)
+    y = 3 * D * (1 - B) / (1 - D)
+    if c.r >= c.a - 7:
+        return (1 - 4 * e + x) * (1 + 2 * B - y)
+    return (1 - 2 * e + x) * (1 - 2 * B + y)
 
 
-def _delta_even_even(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    a, b = alpha.a, alpha.b
-    f, k = cls.family, cls.k
-    if f == "Sk1":
-        w = D ** (2 * k) * (1 - D) / (1 - D ** (2 * k + 1))
-        return (1 - e + 2 * D**2 * (1 - w) / (1 + D)) * (
-            1 - B - 2 * B * (1 - w) / (1 + D)
-        )
-    if f == "Sk2":
-        w = 2 * D ** (k + 1) * (1 + D) * (1 - e + D) / ((1 - D) * (1 + D ** (k + 2)))
-        return (1 - 3 * e + 2 * D * (2 - e) / (1 - D) - w) * (
-            1 + B - 2 * B * D * (1 - e + D) / (1 - D) + B * D * w
-        )
-    if f == "Sk3":
-        w = 2 * D ** (2 * k + 1) / ((1 + D) * (1 - D ** (2 * k + 1)))
-        return (
-            1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2) + w
-        ) * (
-            1 - 3 * B + 2 * D / (1 - D) - 2 * B * D * (2 + D) / (1 - D**2) - B * D * w
-        )
-    if f == "Sk4":
-        if k == 0:
-            hi = b >= max(3 * a - 6, 2 * a)
-            lo = b <= min(a + 6, 2 * a - 2)
-            if hi:
-                return (1 + 3 * B - 2 * D * (1 - 2 * B) / (1 - D)) * (
-                    1 - 3 * e + 2 * D * (2 - e) / (1 - D)
-                )
-            if lo:
-                return (1 - 5 * B + 2 * D * (1 - 2 * B) / (1 - D)) * (
-                    1 + e - 2 * D * (2 - e) / (1 - D)
-                )
-            return (1 - 3 * B + 2 * D * (1 - 2 * B) / (1 - D)) * (
-                1 - e + 2 * D * (2 - e) / (1 - D)
-            )
-        if (a, b) == (6, 10) and k == 1:
-            # explicit surd for the one case outside the family formula's range
-            return QuadNum(Fraction(703, 40), Fraction(-703, 2400), alpha.N)
-        w = 2 * D ** (k + 1) / (1 - D ** (k + 1))
-        return (1 - e + 2 * D * (1 - e) / (1 - D) + w) * (
-            1 - 3 * B + 2 * D * (1 - B) / (1 - D) - B * w
-        )
-    if f == "Sk5":
-        w = 2 * D ** (k + 1) * (1 - 2 * B + D) / ((1 - D) * (1 + D ** (k + 1)))
-        return (1 - e + 2 * D * (1 - e) / (1 - D) + e * w) * (
-            1 - 3 * B + 2 * D * (1 - B) / (1 - D) - w
-        )
-    if f == "S-1":
-        return (1 - 3 * e + 2 * D * (1 - e) / (1 - D)) * (
-            1 - B + 2 * B * (1 - e) / (1 - D)
-        )
-    if f == "S-2":
-        return (1 - e - 2 * D / (1 - D) + 2 * e * D / (1 - D**2)) * (
-            1 - 3 * B - 2 * B * D / (1 - D) + 2 * D / (1 - D**2)
-        )
-    if f == "Sk6":
-        w = (
-            2 * D ** (4 * k + 4) * (1 - 2 * B + D) * (1 - D**3)
-            / ((1 + D**2) * (1 - D ** (4 * k + 6)))
-        )
-        return (
-            1 - 3 * e + 2 * D - 2 * D**2 + 2 * e * D**2
-            - 2 * D**3 * (1 - e + D) / (1 + D**2) - e * D**2 * w
-        ) * (1 + B - 2 * D * (1 - B + B * D) / (1 + D**2) + w)
-    if f == "Sk7":
-        # coupling coefficient is eta*D^3, not 2*eta*D^3: derived exactly
-        # from the tail sums of the period, which the printed form misstates
-        w = 2 * D ** (2 * k) * (1 - 3 * B + D) / (1 - D ** (2 * k + 2))
-        return (
-            1 + e - 2 * D + 2 * D**2 + 2 * e * D**3 / (1 - D)
-            - 2 * D**3 * (1 + 2 * D) / (1 - D**2) - e * D**3 * w
-        ) * (
-            1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D**2) - w
-        )
-    raise ApplicabilityError(str(cls))
+@_entry("odd", "S-6", lambda c, k: c.b % 2 == 0, lambda c, k: c.blocks(("F", 2)))
+def _(c, k, z, e, B, D):
+    return e
 
 
-def _odd_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    b = alpha.b
-    p = OddParams.of(alpha)
-    v = p.v(alpha)
-    if family == "Sk1":
-        return (1 - 2 * e + e * v + 2 * D / (1 - D)) * (
-            1 - B + v + 2 * B * D / (1 - D)
-        )
-    if family == "Sk2":
-        return (1 - 2 * e + D * (2 - e) / (1 - D)) * (
-            1 - B + D * (1 - 2 * B) / (1 - D)
-        )
-    if family == "Sk3":
-        return (1 - e * v - 2 * D / (1 - D**2)) * (
-            1 - 3 * B - v - 2 * B * D**2 / (1 - D**2)
-        )
-    if family == "Sk4":
-        return (1 - e * D / (1 - D) + 2 * D**2 / (1 - D**2)) * (
-            1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2)
-        )
-    if family == "Sk5":
-        return (1 - e * v) * (1 - 3 * B - v)
-    if family == "Sk6":
-        return (1 - e * v) * (1 - 3 * B - v + 2 * D / b)
-    if family == "Sk7":
-        return (1 - e * D / (1 - D) + 4 * D**2 / (1 - D**2)) * (
-            1 - B + D / (1 - D) - 4 * B / (1 - D**2)
-        )
-    if family == "Sk8":
-        return (
-            1 + D * (1 + D - 4 * D**2) / (1 - D**2) - e * D * (1 - 2 * D) / (1 - D)
-        ) * (1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2))
-    if family == "Sk9":
-        return (
-            1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - e * D**2
-            - e * D**2 * (B - D) / (1 - D)
-        ) * (1 - 2 * B + D * (1 - B) / (1 - D))
-    if family == "Sk10":
-        x = B * (1 - e + D) / (1 - D**2)
-        return e * (1 - x) * (1 + D * x)
-    if family == "Sk11":
-        y = D**3 * (1 - 2 * B - 2 * B * D + D**2) / (1 + D**4)
-        return e * (1 - 2 * B + D - y) * (1 + 2 * B - D - y)
-    if family == "Sk12":
-        x = B * (1 - e + D) / (1 - D)
-        return e * (1 - x * x)
-    raise ApplicabilityError(family)
+@_entry("odd", "S-7", lambda c, k: c.b % 2 == 1, lambda c, k: c.blocks(("F", 1)))
+def _(c, k, z, e, B, D):
+    return e * (1 - (B / (1 - D)) ** 2)
 
 
-def _delta_odd(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    a, b = alpha.a, alpha.b
-    p = OddParams.of(alpha)
-    m, r = p.m, p.r
-    v = p.v(alpha)
-    f, k = cls.family, cls.k
-    if f == "S0":
-        return (1 - 2 * e + e * v) * (1 - B + v)
-    if f == "S-1":
-        val_lo = (1 - e * v - 2 * D**2 / (1 - D**2)) * (
-            1 - 3 * B - v - 2 * B * D**2 / (1 - D**2)
-        )
-        val_hi = (1 - 2 * e + e * v + 2 * D / (1 - D**2)) * (
-            1 - B + v + 2 * B * D / (1 - D**2)
-        )
-        if r == a + 1:
-            if val_lo != val_hi:
-                raise BranchDisagreement(
-                    f"delta_-1 branches disagree at (a,b)=({a},{b})"
-                )
-            return val_lo
-        return val_lo if r < a + 1 else val_hi
-    if f == "S-2":
-        return (1 - e * v - 2 * D / (1 - D)) * (1 - 3 * B - v - 2 * B * D / (1 - D))
-    if f == "S-3":
-        return (1 - 2 * e + e * v + 2 * e / b) * (1 - 3 * B + v + 2 * D / b)
-    if f == "S-4":
-        return (1 - 2 * e + e * (m + e) / b) * (1 - B - (m - e) / b)
-    if f == "S-5":
-        if r >= a - 7:
-            return (1 - 4 * e + 3 * D * (1 - e) / (1 - D)) * (
-                1 + 2 * B - 3 * D * (1 - B) / (1 - D)
-            )
-        return (1 - 2 * e + 3 * D * (1 - e) / (1 - D)) * (
-            1 - 2 * B + 3 * D * (1 - B) / (1 - D)
-        )
-    if f == "S-6":
-        return e
-    if f == "S-7":
-        return e * (1 - (B / (1 - D)) ** 2)
-    if f == "Sk1":
-        tail = 2 * D ** (k + 1) / (1 - D ** (k + 1))
-        return (1 - 2 * e + e * v + 2 * D / (1 - D) - tail) * (
-            1 - B + v + 2 * B * D / (1 - D) - B * tail
-        )
-    if f == "Sk2":
-        eps = 2 * D**k * (B * (1 + D) - D) / ((1 - D) * (1 + D ** (k + 1)))
-        return (1 - 2 * e + D * (2 - e) / (1 - D) - e * eps) * (
-            1 - B + D * (1 - 2 * B) / (1 - D) + D * eps
-        )
-    if f == "Sk3":
-        eps = 2 * B * D ** (2 * k + 1) / ((1 + D) * (1 - D ** (2 * k + 1)))
-        return (1 - e * v - 2 * D / (1 - D**2) - e * eps) * (
-            1 - 3 * B - v - 2 * B * D**2 / (1 - D**2) - eps
-        )
-    if f == "Sk4":
-        eps = 2 * D ** (2 * k) * (1 - Fraction(2, b)) / ((1 - D) * (1 + D ** (2 * k)))
-        return (1 - e * D / (1 - D) + 2 * D**2 / (1 - D**2) + e * D * eps) * (
-            1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2) - eps
-        )
-    if f == "Sk5":
-        tail = 2 * D ** (k + 1) / (1 - D ** (k + 1))
-        return (1 - e * v - tail) * (1 - 3 * B - v - B * tail)
-    if f == "Sk6":
-        den = (1 + D) * (1 - D ** (3 * k + 1))
-        return (1 - e * v - 2 * D ** (k + 1) * (1 + D ** (2 * k + 1)) / den) * (
-            1 - 3 * B - v + 2 * D / b
-            - 2 * B * D ** (2 * k + 1) * (1 + D**k) / den
-        )
-    if f == "Sk7":
-        eps = 2 * D ** (2 * k) * (1 - Fraction(4, b)) / ((1 - D) * (1 + D ** (2 * k)))
-        return (1 - e * D / (1 - D) + 4 * D**2 / (1 - D**2) + e * D * eps) * (
-            1 - B + D / (1 - D) - 4 * B / (1 - D**2) - eps
-        )
-    if f == "Sk8":
-        eps = 2 * D ** (2 * k) * (1 - Fraction(2, b)) / (1 - D ** (2 * k + 1))
-        return (
-            1 + D * (1 + D - 4 * D**2) / (1 - D**2)
-            - e * D * (1 - 2 * D) / (1 - D) - e * D**2 * eps
-        ) * (1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2) - eps)
-    if f == "Sk9":
-        eps = 2 * D ** (k + 1) * (1 - 2 * B + 2 * D - 2 * B * D + D**2) / (
-            1 - D ** (k + 3)
-        )
-        return (
-            1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - e * D**2
-            - e * D**2 * (B - D) / (1 - D) - e * D**2 * eps
-        ) * (1 - 2 * B + D * (1 - B) / (1 - D) - eps)
-    if f == "S-8":
-        return e * (1 - (B * (1 - e + D) / (1 - D**2)) ** 2)
-    if f == "Sk10":
-        eps = B * D ** (2 * k) * (1 - e + D) / ((1 + D) * (1 - D ** (2 * k + 1)))
-        x = B * (1 - e + D) / (1 - D**2)
-        return e * (1 - x + eps) * (1 + D * x - D * eps)
-    if f == "S-9":
-        return e * (1 - ((2 * B - D + D**3 - 2 * B * D**3) / (1 + D**4)) ** 2)
-    if f == "Sk11":
-        eps = 2 * D ** (8 * k) / (1 - D ** (8 * k + 4))
-        q = 1 - 2 * B - 2 * B * D + D**2
-        return e * (1 - 2 * B + D - D**3 * q * (1 - eps) / (1 + D**4)) * (
-            1 + 2 * B - D - D**3 * q * (1 + D**4 * eps) / (1 + D**4)
-        )
-    if f == "Sk12":
-        x = B * (1 - e + D) * (1 - D ** (k + 1)) / ((1 - D) * (1 - D ** (k + 2)))
-        return e * (1 - x * x)
-    raise ApplicabilityError(str(cls))
+@_entry("odd", "S-8", lambda c, k: (c.a, c.b) == (3, 4),
+        lambda c, k: c.blocks(("F", 0), ("B", 0)))
+def _(c, k, z, e, B, D):
+    return e * (1 - (B * (1 - e + D) / (1 - D**2)) ** 2)
 
 
-def _two_limit(alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, _ = _consts(alpha)
-    if alpha.b % 2 == 0:
-        return e * ((1 - B) ** 2 - B**2)
-    return e * ((1 - B) ** 2 - B**4 / 4)
+@_entry("odd", "S-9", lambda c, k: (c.a, c.b) == (3, 5),
+        lambda c, k: c.blocks(("H", None), ("G", None), ("H'", None), ("G", None)))
+def _(c, k, z, e, B, D):
+    return e * (1 - ((2 * B - D + D**3 - 2 * B * D**3) / (1 + D**4)) ** 2)
 
 
-def _delta_two(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
-    e, B, D = _consts(alpha)
-    b = alpha.b
-    f, k, t = cls.family, cls.k, cls.t
-    if f == "S0t":
-        w = (t - 2) * B / (1 - D)
-        # t <= b - sqrt(2b-4)  <=>  (b-t)^2 >= 2b-4  (both sides positive)
-        if (b - t) ** 2 >= 2 * b - 4:
-            return e * (1 - w) * (1 + w)
-        return e * ((2 - 2 * B - w) ** 2 - 1)
-    if b % 2 == 0:
-        if f == "S-1":
-            return e * (1 - B) ** 2
-        if f == "S2k":
-            den = 1 - D ** (k + 1)
-            return e * (1 - 2 * B - 2 * B * D ** (k + 1) / den) * (
-                1 + 2 * B * D**k / den
-            )
-        if f == "S2k+1":
-            q = (1 - D ** (k + 1)) / (1 - D ** (k + 2))
-            return e * ((1 - B) ** 2 - B**2 * q**2)
-    else:
-        if f == "S-2":
-            return e * (1 - B + B * D / (1 + D)) ** 2
-        if f == "S-1":
-            return e * (
-                (1 - B + B * (1 - D) * D**3 / (1 - D**4)) ** 2
-                - (B * (1 + D) * D / (1 - D**4)) ** 2
-            )
-        if f == "S2k":
-            den = (1 + D) * (1 - D ** (2 * k + 1))
-            return e * (1 - B - B**2 / 2 - 2 * B * D ** (2 * k + 2) / den) * (
-                1 - B + B**2 / 2 + 2 * B * D ** (2 * k) / den
-            )
-        if f == "S2k+1":
-            q = (1 - D ** (2 * k)) / (1 - D ** (2 * k + 2))
-            return e * ((1 - B) ** 2 - (B**4 / 4) * q**2)
-    raise ApplicabilityError(str(cls))
+@_entry("odd", "S0", _always, lambda c, k: c.blocks(("B", c.m)))
+def _(c, k, z, e, B, D):
+    return (1 - 2 * e + e * c.v) * (1 - B + c.v)
+
+
+@_entry("odd", "Sk1", lambda c, k: c.r >= c.a + 3,
+        lambda c, k: c.blocks(*[("B", c.n)] * k, ("B", c.m)),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    tail = 2 * D * z / (1 - D * z)
+    return (1 - 2 * e + e * c.v + 2 * D / (1 - D) - tail) * (
+        1 - B + c.v + 2 * B * D / (1 - D) - B * tail
+    )
+
+
+@_entry("odd", "Sk2", lambda c, k: k >= 1 and c.m == 0 and c.r >= c.a + 3,
+        lambda c, k: c.blocks(
+            *[("B", c.n)] * k, ("B", c.m), *[("B'", c.n)] * k, ("B'", c.m)
+        ),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    eps = 2 * z * (B * (1 + D) - D) / ((1 - D) * (1 + D * z))
+    return (1 - 2 * e + D * (2 - e) / (1 - D) - e * eps) * (
+        1 - B + D * (1 - 2 * B) / (1 - D) + D * eps
+    )
+
+
+@_entry("odd", "Sk3", lambda c, k: c.r <= c.a + 1 and c.b >= 6,
+        lambda c, k: c.blocks(*(("B", c.m), ("B", c.n)) * k, ("B", c.n)),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    eps = 2 * B * D * z**2 / ((1 + D) * (1 - D * z**2))
+    return (1 - e * c.v - 2 * D / (1 - D**2) - e * eps) * (
+        1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2) - eps
+    )
+
+
+@_entry("odd", "Sk4", lambda c, k: k >= 1 and c.b == c.a + 1 and c.b >= 6,
+        lambda c, k: c.blocks(
+            *(("B", c.n), ("B", c.m)) * k, *(("B'", c.n), ("B'", c.m)) * k
+        ),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    eps = 2 * z**2 * (1 - Fraction(2, c.b)) / ((1 - D) * (1 + z**2))
+    return (1 - e * D / (1 - D) + 2 * D**2 / (1 - D**2) + e * D * eps) * (
+        1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2) - eps
+    )
+
+
+@_entry("odd", "Sk5", lambda c, k: c.r <= c.a - 1,
+        lambda c, k: c.blocks(*[("B", c.m)] * k, ("B", c.n)),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    tail = 2 * D * z / (1 - D * z)
+    return (1 - e * c.v - tail) * (1 - 3 * B - c.v - B * tail)
+
+
+@_entry("odd", "Sk6", lambda c, k: c.r == 2 and c.b >= 7,
+        lambda c, k: c.blocks(
+            *(("B", c.n), ("B", c.s)) * k, ("B", c.n), *[("B", c.m)] * k
+        ),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    den = (1 + D) * (1 - D * z**3)
+    return (1 - e * c.v - 2 * D * z * (1 + D * z**2) / den) * (
+        1 - 3 * B - c.v + 2 * D / c.b - 2 * B * D * z**2 * (1 + z) / den
+    )
+
+
+@_entry("odd", "Sk7", lambda c, k: k >= 1 and c.b == 2 * c.a + 2,
+        lambda c, k: c.blocks(
+            *(("B", c.n), ("B", c.s)) * k, *(("B'", c.n), ("B'", c.s)) * k
+        ),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    eps = 2 * z**2 * (1 - Fraction(4, c.b)) / ((1 - D) * (1 + z**2))
+    return (1 - e * D / (1 - D) + 4 * D**2 / (1 - D**2) + e * D * eps) * (
+        1 - B + D / (1 - D) - 4 * B / (1 - D**2) - eps
+    )
+
+
+@_entry("odd", "Sk8", lambda c, k: k >= 1 and c.b == c.a + 2 and c.b >= 7,
+        lambda c, k: c.blocks(*(("B", c.n), ("B", c.s)) * k, ("B'", c.m)),
+        listed=("increasing", 1))
+def _(c, k, z, e, B, D):
+    eps = 2 * z**2 * (1 - Fraction(2, c.b)) / (1 - D * z**2)
+    return (
+        1 + D * (1 + D - 4 * D**2) / (1 - D**2)
+        - e * D * (1 - 2 * D) / (1 - D) - e * D**2 * eps
+    ) * (1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2) - eps)
+
+
+@_entry("odd", "Sk9", lambda c, k: c.b == c.a + 2 and c.b >= 11,
+        lambda c, k: c.blocks(*[("B", c.m)] * k, ("B'", c.n), ("E'", 3), ("B'", c.s)),
+        listed=("increasing", 0))
+def _(c, k, z, e, B, D):
+    eps = 2 * D * z * (1 - 2 * B + 2 * D - 2 * B * D + D**2) / (1 - D**3 * z)
+    return (
+        1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - e * D**2
+        - e * D**2 * (B - D) / (1 - D) - e * D**2 * eps
+    ) * (1 - 2 * B + D * (1 - B) / (1 - D) - eps)
+
+
+@_entry("odd", "Sk10", lambda c, k: (c.a, c.b) == (3, 4) and k >= 1,
+        lambda c, k: c.blocks(("F", 2), *(("F", 2), ("B'", 2)) * k),
+        listed=("decreasing", 1))
+def _(c, k, z, e, B, D):
+    eps = B * z**2 * (1 - e + D) / ((1 + D) * (1 - D * z**2))
+    x = B * (1 - e + D) / (1 - D**2)
+    return e * (1 - x + eps) * (1 + D * x - D * eps)
+
+
+@_entry("odd", "Sk11", lambda c, k: (c.a, c.b) == (3, 5),
+        lambda c, k: c.blocks(
+            *(("H'", None), ("G", None), ("H", None), ("G", None)) * k,
+            ("H", None), ("G", None),
+        ),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    eps = 2 * z**8 / (1 - D**4 * z**8)
+    q = 1 - 2 * B - 2 * B * D + D**2
+    return e * (1 - 2 * B + D - D**3 * q * (1 - eps) / (1 + D**4)) * (
+        1 + 2 * B - D - D**3 * q * (1 + D**4 * eps) / (1 + D**4)
+    )
+
+
+@_entry("odd", "Sk12", lambda c, k: (c.a, c.b) == (3, 6),
+        lambda c, k: c.blocks(("F", 2), *[("B'", 2)] * (k + 1)),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    x = B * (1 - e + D) * (1 - D * z) / ((1 - D) * (1 - D**2 * z))
+    return e * (1 - x * x)
+
+
+# ---- a = 2: the words and values depend on the parity of b
+
+
+@_entry("two", "S-1", _always,
+        lambda c, k: c.word(0, 0) if c.b % 2 == 0
+        else c.word(c.a, -1, c.a, -3, c.a, -1, c.a, -1))
+def _(c, k, z, e, B, D):
+    if c.b % 2 == 0:
+        return e * (1 - B) ** 2
+    return e * (
+        (1 - B + B * (1 - D) * D**3 / (1 - D**4)) ** 2
+        - (B * (1 + D) * D / (1 - D**4)) ** 2
+    )
+
+
+@_entry("two", "S-2", lambda c, k: c.b % 2 == 1,
+        lambda c, k: c.word(c.a, -3, c.a, -1))
+def _(c, k, z, e, B, D):
+    return e * (1 - B + B * D / (1 + D)) ** 2
+
+
+@_entry("two", "S2k", lambda c, k: k >= 1,
+        lambda c, k: c.word(c.a, -4, *(c.a, -2) * k) if c.b % 2 == 0
+        else c.word(c.a, -1, *(c.a, -3, c.a, -1) * k),
+        listed=("decreasing", 1))
+def _(c, k, z, e, B, D):
+    if c.b % 2 == 0:
+        den = 1 - D * z
+        return e * (1 - 2 * B - 2 * B * D * z / den) * (1 + 2 * B * z / den)
+    den = (1 + D) * (1 - D * z**2)
+    return e * (1 - B - B**2 / 2 - 2 * B * D**2 * z**2 / den) * (
+        1 - B + B**2 / 2 + 2 * B * z**2 / den
+    )
+
+
+@_entry("two", "S2k+1", _always,
+        lambda c, k: c.word(c.a, -2, 0, 0, *(c.a, -2) * k) if c.b % 2 == 0
+        else c.word(c.a, -1, 0, -1, *(c.a, -3, c.a, -1) * k),
+        listed=("decreasing", 0))
+def _(c, k, z, e, B, D):
+    if c.b % 2 == 0:
+        q = (1 - D * z) / (1 - D**2 * z)
+        return e * ((1 - B) ** 2 - B**2 * q**2)
+    q = (1 - z**2) / (1 - D**2 * z**2)
+    return e * ((1 - B) ** 2 - (B**4 / 4) * q**2)
+
+
+@_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
+        lambda c, t: c.word(c.a, -t))
+def _(c, t, z, e, B, D):
+    w = (t - 2) * B / (1 - D)
+    # t <= b - sqrt(2b-4)  <=>  (b-t)^2 >= 2b-4  (both sides positive)
+    if (c.b - t) ** 2 >= 2 * c.b - 4:
+        return e * (1 - w) * (1 + w)
+    return e * ((2 - 2 * B - w) ** 2 - 1)
+
+
+# family -> parameter kind (None, "k" or "t")
+_FAMILY_PARAM: dict[str, Optional[str]] = {
+    family: entry.param for (_, family), entry in _CLASSES.items()
+}
 
 
 # ----------------------------------------------------------------------
@@ -672,142 +677,55 @@ def _delta_two(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
 # ----------------------------------------------------------------------
 
 
-def _applies(cls: ClassId, alpha: PeriodTwoAlpha) -> bool:
-    reg = regime(alpha)
-    a, b = alpha.a, alpha.b
-    f, k, t = cls.family, cls.k, cls.t
-    if reg == "even-odd":
-        if f == "Sk":
-            return k >= 0
-        return f in ("S-1", "S-2")
-    if reg == "even-even":
-        if f == "Sk1":
-            return k == 0 or b >= 2 * a or (a, b) == (4, 6)
-        if f == "Sk2":
-            return k >= 1 and b == 2 * a - 2 and a >= 8
-        if f == "Sk3":
-            return k >= 1 and b == 2 * a - 4 and a >= 10
-        if f == "Sk4":
-            if k == 0:
-                return True
-            if k == 1:
-                return (a + 6 <= b <= 2 * a - 4) or (a, b) == (6, 10)
-            return a + 6 <= b <= 2 * a - 6
-        if f == "Sk5":
-            if k == 0:
-                return True
-            if b <= 2 * a - 6 or (a, b) == (6, 8):
-                return True
-            return k == 1 and b == 2 * a - 4
-        if f == "S-1":
-            return True
-        if f == "S-2":
-            return (a, b) == (4, 6)
-        if f == "Sk6":
-            return (a, b) == (8, 12) and k >= 0
-        if f == "Sk7":
-            return (a, b) == (6, 10) and k >= 1
-        return False
-    if reg == "odd":
-        p = OddParams.of(alpha)
-        m, r = p.m, p.r
-        if f == "S0":
-            return True
-        if f == "S-1":
-            return True
-        if f == "S-2":
-            return True
-        if f == "S-3":
-            return True
-        if f == "S-4":
-            return True
-        if f == "S-5":
-            return m == 1 and a >= 5
-        if f == "S-6":
-            return b % 2 == 0
-        if f == "S-7":
-            return b % 2 == 1
-        if f == "Sk1":
-            return k >= 0 and r >= a + 3
-        if f == "Sk2":
-            return k >= 1 and m == 0 and r >= a + 3
-        if f == "Sk3":
-            return k >= 0 and r <= a + 1 and b >= 6
-        if f == "Sk4":
-            return k >= 1 and b == a + 1 and b >= 6
-        if f == "Sk5":
-            return k >= 0 and r <= a - 1
-        if f == "Sk6":
-            return k >= 0 and r == 2 and b >= 7
-        if f == "Sk7":
-            return k >= 1 and b == 2 * a + 2
-        if f == "Sk8":
-            return k >= 1 and b == a + 2 and b >= 7
-        if f == "Sk9":
-            return k >= 0 and b == a + 2 and b >= 11
-        if f == "S-8":
-            return (a, b) == (3, 4)
-        if f == "Sk10":
-            return (a, b) == (3, 4) and k >= 1
-        if f == "S-9":
-            return (a, b) == (3, 5)
-        if f == "Sk11":
-            return (a, b) == (3, 5) and k >= 0
-        if f == "Sk12":
-            return (a, b) == (3, 6) and k >= 0
-        return False
-    # a = 2
-    if f == "S0t":
-        return t is not None and 2 <= t <= b - 2 and (t - b) % 2 == 0
-    if b % 2 == 0:
-        return (f == "S-1") or (f == "S2k" and k >= 1) or (f == "S2k+1" and k >= 0)
-    return (
-        f in ("S-1", "S-2")
-        or (f == "S2k" and k >= 1)
-        or (f == "S2k+1" and k >= 0)
-    )
+def _param(cls: ClassId) -> Optional[int]:
+    return cls.t if cls.family == "S0t" else cls.k
 
 
-def _require(cls: ClassId, alpha: PeriodTwoAlpha) -> None:
+def _applies(cls: ClassId, c: _Pair) -> bool:
+    entry = _CLASSES.get((c.regime, cls.family))
+    if entry is None or (entry.param == "k" and cls.k < 0):
+        return False
+    return entry.applies(c, _param(cls))
+
+
+def _require(cls: ClassId, alpha: PeriodTwoAlpha) -> tuple[_Class, _Pair]:
+    """The table entry of an applicable class, with its pair; raises otherwise."""
     if _FAMILY_PARAM[cls.family] == "k" and cls.k is None:
         raise ApplicabilityError(
             f"{cls} designates a family limit; use family_limit()"
         )
-    if not _applies(cls, alpha):
+    c = _Pair(alpha)
+    if not _applies(cls, c):
         raise ApplicabilityError(
             f"class {cls} is not applicable at (a,b)=({alpha.a},{alpha.b})"
         )
+    return _CLASSES[c.regime, cls.family], c
+
+
+def class_tsequence(cls: ClassId, alpha: PeriodTwoAlpha) -> TSequence:
+    """The periodic t-sequence of the class; raises if not applicable."""
+    entry, c = _require(cls, alpha)
+    return entry.period(c, _param(cls))
 
 
 def delta_closed_form(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
     """Exact value of the class, from its closed form."""
-    _require(cls, alpha)
-    reg = regime(alpha)
-    if reg == "even-odd":
-        return _delta_even_odd(cls, alpha)
-    if reg == "even-even":
-        return _delta_even_even(cls, alpha)
-    if reg == "odd":
-        return _delta_odd(cls, alpha)
-    return _delta_two(cls, alpha)
+    entry, c = _require(cls, alpha)
+    z = alpha.D ** cls.k if entry.param == "k" else None
+    return entry.value(c, _param(cls), z, alpha.eta, alpha.beta, alpha.D)
 
 
 def family_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
-    """delta_inf of the family: the closed form with its k-term sent to zero."""
-    reg = regime(alpha)
-    if reg == "even-odd":
-        if family != "Sk":
-            raise ApplicabilityError(family)
-        return _even_even_limit("Sk", alpha)
-    if reg == "even-even":
-        if family not in ("Sk1", "Sk2", "Sk3", "Sk4", "Sk5", "Sk6", "Sk7"):
-            raise ApplicabilityError(family)
-        return _even_even_limit(family, alpha)
-    if reg == "odd":
-        return _odd_limit(family, alpha)
-    if family not in ("S2k", "S2k+1"):
-        raise ApplicabilityError(family)
-    return _two_limit(alpha)
+    """delta_inf of the family: its closed form at z = D^k = 0.
+
+    0 < D < 1, so z = 0 is the k -> infinity limit.
+    """
+    c = _Pair(alpha)
+    entry = _CLASSES.get((c.regime, family))
+    if entry is None or entry.param != "k":
+        raise ApplicabilityError(f"{family} is not a family in regime {c.regime}")
+    zero = QuadNum(0, 0, alpha.N)
+    return entry.value(c, None, zero, alpha.eta, alpha.beta, alpha.D)
 
 
 # ----------------------------------------------------------------------
@@ -860,7 +778,7 @@ class SpectrumCatalog:
             "points": [
                 {
                     "label": p.label,
-                    "k": p.cls.t if p.cls.family == "S0t" else p.cls.k,
+                    "k": _param(p.cls),
                     "m_star": p.m_star.to_json(digits),
                     "m": p.m.to_json(digits),
                     "kind": p.kind,
@@ -874,7 +792,7 @@ class SpectrumCatalog:
     def to_csv_rows(self, digits: int = 15) -> list[list[str]]:
         rows = [["label", "k", "kind", "direction", "m_star", "m"]]
         for p in self.points:
-            param = p.cls.t if p.cls.family == "S0t" else p.cls.k
+            param = _param(p.cls)
             rows.append(
                 [
                     p.label,
@@ -911,18 +829,16 @@ def _expected_rho(alpha: PeriodTwoAlpha) -> ClassId:
     return ClassId("S0t", t=2 if b % 2 == 0 else 3)
 
 
-def _build_points(alpha, entries, kmax):
-    """entries: list of (ClassId, kind, direction). Returns sorted points."""
+def _build_points(alpha, entries, limit):
+    """entries: list of (ClassId, kind, direction); the limit point has value
+    `limit`.  Returns sorted points."""
     pts = []
     for cls, kind, direction in entries:
-        if kind == "limit_point":
-            ms = family_limit(cls.family, alpha)
-        else:
-            ms = delta_closed_form(cls, alpha)
+        ms = limit if kind == "limit_point" else delta_closed_form(cls, alpha)
         pts.append(
             SpectrumPoint(cls, ms, m_value(ms, alpha), kind, direction)
         )
-    pts.sort(key=_SortKey)
+    pts.sort(key=lambda p: p.m_star, reverse=True)
     # distinct classes can share a value (observed once, at (2,10) where the
     # first-branch delta_{0,6} collapses onto delta_{-1}); keep one point
     out = [pts[0]]
@@ -937,58 +853,41 @@ def _build_points(alpha, entries, kmax):
     return tuple(out)
 
 
-class _SortKey:
-    """Descending exact order for SpectrumPoints."""
-
-    def __init__(self, point: SpectrumPoint):
-        self.v = point.m_star
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.v > other.v
-
-
 def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     """All spectrum values above the first limit point, exactly ordered.
 
     Members of decreasing families sit above the limit point and are listed
     for k <= kmax (truncation recorded via kmax); members of increasing
     families accumulate at the limit from below and are listed below it.
-    The limit point itself appears as the final value of kind 'limit_point'.
+    The limit point itself appears as the final value of kind 'limit_point';
+    it is the limit of the first listed family.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     reg = regime(alpha)
     a, b = alpha.a, alpha.b
-    iso: list[ClassId] = []
-    fams: list[tuple[str, str, range]] = []  # family, direction, k range
-
     if reg == "even-odd":
         iso = [ClassId("S-1")]
         if a + 3 <= b <= 2 * a - 3:
             iso.append(ClassId("S-2"))
-        fams = [("Sk", "decreasing", range(0, kmax + 1))]
-        limit_family = "Sk"
+        fams = ["Sk"]
     elif reg == "even-even":
         if (a, b) == (8, 12):
             iso = [ClassId("Sk1", k=0), ClassId("Sk5", k=1)]
-            fams = [("Sk6", "decreasing", range(0, kmax + 1))]
-            limit_family = "Sk6"
+            fams = ["Sk6"]
         elif (a, b) == (6, 10):
             iso = [ClassId("Sk1", k=0), ClassId("Sk5", k=0), ClassId("Sk4", k=1)]
-            fams = [("Sk7", "increasing", range(1, kmax + 1))]
-            limit_family = "Sk7"
+            fams = ["Sk7"]
         elif b >= 2 * a or (a, b) == (4, 6):
             iso = [ClassId("Sk5", k=0)]
             if 2 * a <= b <= 3 * a - 6:
                 iso.append(ClassId("Sk4", k=0))
             if (a, b) == (4, 6):
                 iso.append(ClassId("S-2"))
-            fams = [("Sk1", "decreasing", range(0, kmax + 1))]
-            limit_family = "Sk1"
+            fams = ["Sk1"]
         elif b == 2 * a - 2 and a >= 8:
             iso = [ClassId("Sk1", k=0), ClassId("Sk4", k=0)]
-            fams = [("Sk2", "increasing", range(1, kmax + 1))]
-            limit_family = "Sk2"
+            fams = ["Sk2"]
         elif b == 2 * a - 4 and a >= 10:
             iso = [
                 ClassId("Sk1", k=0),
@@ -996,69 +895,49 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
                 ClassId("Sk4", k=1),
                 ClassId("Sk5", k=1),
             ]
-            fams = [("Sk3", "decreasing", range(1, kmax + 1))]
-            limit_family = "Sk3"
+            fams = ["Sk3"]
         else:  # b <= 2a-6, or (6,8)
             iso = [ClassId("Sk1", k=0), ClassId("S-1")]
-            fams = [("Sk5", "increasing", range(0, kmax + 1))]
+            fams = ["Sk5"]
             if a + 6 <= b <= 2 * a - 6:
-                fams.append(("Sk4", "decreasing", range(0, kmax + 1)))
-            limit_family = "Sk5"
+                fams.append("Sk4")
     elif reg == "odd":
         p = OddParams.of(alpha)
         m, r = p.m, p.r
         if (a, b) == (3, 4):
             iso = [ClassId("S-6"), ClassId("S-8")]
-            fams = [("Sk10", "decreasing", range(1, kmax + 1))]
-            limit_family = "Sk10"
+            fams = ["Sk10"]
         elif (a, b) == (3, 5):
             iso = [ClassId("S-7"), ClassId("S-9")]
-            fams = [("Sk11", "decreasing", range(0, kmax + 1))]
-            limit_family = "Sk11"
+            fams = ["Sk11"]
         elif (a, b) == (3, 6):
             iso = [ClassId("S-2"), ClassId("S-6")]
-            fams = [("Sk12", "decreasing", range(0, kmax + 1))]
-            limit_family = "Sk12"
+            fams = ["Sk12"]
         elif (a, b) in ((5, 7), (7, 9)):
             iso = [ClassId("S0"), ClassId("S-3"), ClassId("S-4")]
-            fams = [("Sk8", "increasing", range(1, kmax + 1))]
-            limit_family = "Sk8"
+            fams = ["Sk8"]
         elif r >= a + 3:
             iso = [ClassId("S-2")]
-            if m >= 1:
-                fams = [("Sk1", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk1"
-            else:
-                fams = [("Sk2", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk2"
+            fams = ["Sk1" if m >= 1 else "Sk2"]
         elif r == a + 1:
             iso = [ClassId("S-1")]
-            if m >= 1:
-                fams = [("Sk3", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk3"
-            else:
-                fams = [("Sk4", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk4"
+            fams = ["Sk3" if m >= 1 else "Sk4"]
         elif 4 <= r <= a - 1:
             iso = [ClassId("S0")]
             if b == a + 4 and b >= 17:
                 iso.append(ClassId("S-5"))
-            fams = [("Sk5", "increasing", range(1, kmax + 1))]
-            limit_family = "Sk5"
+            fams = ["Sk5"]
         else:  # r == 2
             iso = [ClassId("S0")]
             if m >= 3:
                 iso.append(ClassId("S-3"))
-                fams = [("Sk6", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk6"
+                fams = ["Sk6"]
             elif m == 2:
                 iso.append(ClassId("S-3"))
-                fams = [("Sk7", "increasing", range(1, kmax + 1))]
-                limit_family = "Sk7"
+                fams = ["Sk7"]
             else:  # m == 1, a >= 9 (a in (5,7) handled as specials)
                 iso.append(ClassId("S-5"))
-                fams = [("Sk9", "increasing", range(0, kmax + 1))]
-                limit_family = "Sk9"
+                fams = ["Sk9"]
     else:  # a == 2
         if b % 2 == 0:
             iso = [ClassId("S0t", t=2), ClassId("S-1")]
@@ -1068,32 +947,27 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
             tmax = 2 + math.isqrt(2 * b - 4)
             start = 4 if b % 2 == 0 else 5
             for tt in range(start, tmax + 1, 2):
-                if (b, tt) in ((6, 4), (7, 5)):
-                    continue  # known numerical exceptions below the limit
                 iso.append(ClassId("S0t", t=tt))
-        fams = [
-            ("S2k+1", "decreasing", range(0, kmax + 1)),
-            ("S2k", "decreasing", range(1, kmax + 1)),
-        ]
-        limit_family = "S2k"
+        # both families have the same limit, delta_inf
+        fams = ["S2k+1", "S2k"]
 
     entries = [(c, "isolated", "none") for c in iso]
     fam_infos = []
-    for fam, direction, krange in fams:
-        ks = tuple(krange)
+    for fam in fams:
+        spec = _CLASSES[reg, fam]
+        ks = tuple(range(spec.k0, kmax + 1))
         fam_infos.append(
-            FamilyInfo(fam, direction, family_limit(fam, alpha), ks)
+            FamilyInfo(fam, spec.direction, family_limit(fam, alpha), ks)
         )
         entries.extend(
-            (ClassId(fam, k=k), "family_member", direction) for k in ks
+            (ClassId(fam, k=k), "family_member", spec.direction) for k in ks
         )
-    entries.append((ClassId(limit_family, k=None), "limit_point", "none"))
+    entries.append((ClassId(fams[0]), "limit_point", "none"))
+    limit = fam_infos[0].limit
 
-    points = _build_points(alpha, entries, kmax)
+    points = _build_points(alpha, entries, limit)
     expected = _expected_rho(alpha)
-    if points[0].cls != expected and not (
-        points[0].kind == "family_member" and points[0].cls == expected
-    ):
+    if points[0].cls != expected:
         raise RuntimeError(
             f"catalogue maximum {points[0].cls} does not match the expected "
             f"top class {expected} at (a,b)=({a},{b})"
@@ -1102,7 +976,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         alpha=alpha,
         kmax=kmax,
         points=points,
-        first_limit_point=family_limit(limit_family, alpha),
+        first_limit_point=limit,
         rho_star_class=expected,
         families=tuple(fam_infos),
         odd_parameters=OddParams.of(alpha) if reg == "odd" else None,
@@ -1132,28 +1006,23 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
     period and printed value are provably inconsistent (the period's exact
     minimum falls below the printed limit value); only k = 0, where both
     sides agree, is checked.
+
+    Plain classes come first, then k-families for k = 0..kmax, then the
+    t-classes, each in class-table order.
     """
-    reg = regime(alpha)
-    b = alpha.b
-    plain = [f"S{-j}" for j in range(1, 10)] + ["S0"]
-    kfams = ["Sk"] + [f"Sk{i}" for i in range(1, 13)] + ["S2k", "S2k+1"]
-    for f in plain:
-        if f in _FAMILY_PARAM:
-            cls = ClassId(f)
-            if _applies(cls, alpha):
-                yield cls
-    for f in kfams:
-        for k in range(0, kmax + 1):
-            if f == "Sk6" and reg == "even-even" and k >= 1:
+    c = _Pair(alpha)
+    params = {None: [None], "k": range(kmax + 1), "t": range(2, alpha.b - 1)}
+    table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
+    for kind in params:
+        for f, entry in table:
+            if entry.param != kind:
                 continue
-            cls = ClassId(f, k=k)
-            if _applies(cls, alpha):
-                yield cls
-    if reg == "two":
-        for t in range(2, b - 1):
-            cls = ClassId("S0t", t=t)
-            if _applies(cls, alpha):
-                yield cls
+            for p in params[kind]:
+                if f == "Sk6" and c.regime == "even-even" and p >= 1:
+                    continue
+                cls = ClassId(f, **{kind: p}) if kind else ClassId(f)
+                if _applies(cls, c):
+                    yield cls
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,15 @@ def test_verify_grid(capsys):
     assert "PASS (5,8)" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("grid", ["2..2,3..4", "5..4,3..9"])
+def test_empty_grid_is_usage_error(capsys, command, grid):
+    code, out, err = run(capsys, command, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no covered" in err
+
+
 def test_oracle_class(capsys):
     code, out, _ = run(capsys, "oracle", "--a", "4", "--b", "8",
                        "--class", "Sk1", "--k", "0",

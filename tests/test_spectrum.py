@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +98,19 @@ def test_inapplicable_class_raises():
         delta_closed_form(ClassId("S-5"), make_alpha(3, 8))  # needs a >= 5, m = 1
     with pytest.raises(ApplicabilityError):
         delta_closed_form(ClassId("Sk2", k=2), make_alpha(7, 16))  # m != 0
+    with pytest.raises(ApplicabilityError):
+        class_tsequence(ClassId("Sk1", k=-1), make_alpha(4, 8))  # k < 0
+
+
+@pytest.mark.parametrize("family, ab", [
+    ("Sk", (5, 7)),     # odd
+    ("Sk8", (4, 8)),    # even-even
+    ("Sk1", (2, 6)),    # a = 2
+    ("Sk1", (4, 7)),    # even-odd
+])
+def test_family_limit_outside_its_regime_raises(family, ab):
+    with pytest.raises(ApplicabilityError):
+        family_limit(family, make_alpha(*ab))
 
 
 # ------------------------------------------------------- closed forms
@@ -172,6 +186,22 @@ def test_equivalence_spot_pairs():
     for ab in ((4, 7), (4, 8), (5, 7), (5, 10), (2, 6), (3, 5), (6, 10)):
         for res in verify_equivalence(make_alpha(*ab), kmax=3):
             assert res.ok, (ab, res.cls)
+
+
+def test_equivalence_case_order_is_pinned():
+    # bench/workloads.py shuffles and samples these cases with a seeded RNG,
+    # so the yield order is part of what the benchmark measures
+    for kmax, count, digest in (
+        (1, 587, "052fcccb0b335ca16b0085703cf751aaf0d1ffb29e68b819605a54b41a201389"),
+        (4, 977, "db149448d926905b4eb8ebf72f537bac46776ff0c9a9f091abe7d9d46190c165"),
+    ):
+        h = hashlib.sha256()
+        n = 0
+        for a, b in covered_pairs():
+            for cls in equivalence_cases(make_alpha(a, b), kmax):
+                h.update(f"{a},{b},{cls.family},{cls.k},{cls.t};".encode())
+                n += 1
+        assert (n, h.hexdigest()) == (count, digest), kmax
 
 
 def test_equivalence_counts_something():
