@@ -189,25 +189,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_ab=True):
+    def common(sp, need_ab=True, kmax=8, fmt=False):
         if need_ab:
             sp.add_argument("--a", type=int, required=False)
             sp.add_argument("--b", type=int, required=False)
-        sp.add_argument("--kmax", type=int, default=8)
-        sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        if kmax is not None:
+            sp.add_argument("--kmax", type=int, default=kmax)
+        if fmt:
+            sp.add_argument("--format", choices=("json", "csv", "table"),
+                            default="json")
         sp.add_argument("--digits", type=int, default=15)
 
     sp = sub.add_parser("catalog", help="spectrum values above the first limit point")
-    common(sp)
+    common(sp, fmt=True)
     sp.set_defaults(fn=_cmd_catalog, need_ab=True)
 
     sp = sub.add_parser("verify", help="closed forms vs. the exact evaluator")
-    common(sp)
+    common(sp, kmax=4)
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
-    sp.set_defaults(fn=_cmd_verify, kmax=4, need_ab=False)
+    sp.set_defaults(fn=_cmd_verify, need_ab=False)
 
     sp = sub.add_parser("oracle", help="brute-force window minima for a class")
-    common(sp)
+    common(sp, kmax=None)
     sp.add_argument("--class", dest="cls", help="class family, e.g. S0, S-2, Sk1, S0t")
     sp.add_argument("--k", type=int)
     sp.add_argument("--t", type=int)
@@ -219,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_oracle, need_ab=True)
 
     sp = sub.add_parser("sweep", help="summary rows over an (a,b) grid")
-    common(sp, need_ab=False)
+    common(sp, need_ab=False, fmt=True)
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
     sp.set_defaults(fn=_cmd_sweep, need_ab=False)
 

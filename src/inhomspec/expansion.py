@@ -8,7 +8,7 @@ digits.
 
 For an eventually periodic sequence the machinery below produces, all exactly:
 
-* gamma itself (geometric series in D),
+* gamma itself, as gamma = (1 - eta + d_0^+)/2,
 * the forward/backward tail sums d_i^+ and d_i^-,
 * the four products s_1*(i) ... s_4*(i) built from the tails,
 * the normalized approximation constant as the minimum of the applicable
@@ -271,45 +271,57 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
 
 
 # ----------------------------------------------------------------------
-# exact series machinery
+# exact tail machinery
 # ----------------------------------------------------------------------
 
 
+def _tails(ts: Sequence[int], alpha: PeriodTwoAlpha, d: QuadNum) -> list[QuadNum]:
+    """Forward tails [d_0^+, ..., d_n^+] over the word ts = (t_1, ..., t_n).
+
+    Walks d_{i-1}^+ = alpha_{i-1} (t_i + d_i^+) back from d_n^+ = d.
+    """
+    out = [d]
+    for i in range(len(ts), 0, -1):
+        d = alpha.alpha_at(i - 1) * (ts[i - 1] + d)
+        out.append(d)
+    out.reverse()
+    return out
+
+
+def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> QuadNum:
+    """d_0^+ = d_L^+ of the bi-infinite period.
+
+    A walk round the period from 0 ends at c = (1 - D^(L/2)) d_0^+.
+    """
+    c = _tails(period, alpha, QuadNum(0, 0, alpha.N))[0]
+    return c / (1 - alpha.D ** (len(period) // 2))
+
+
+def _period_tails(
+    period: tuple[int, ...], alpha: PeriodTwoAlpha
+) -> tuple[list[QuadNum], list[QuadNum]]:
+    """(d^-, d^+) of the bi-infinite period, each a list read at i mod L.
+
+    The backward recurrence d_i^- = alpha_{i-1} (t_i + d_{i-1}^-) is the
+    forward one on the reversed word u_k = t_{L+2-k}, read at k = L+1-i;
+    alpha_k = alpha_{i-1} because L is even.
+    """
+    L = len(period)
+    rev = period[:1] + period[:0:-1]
+    back = _tails(rev, alpha, _cycle_tail(rev, alpha))
+    plus = _tails(period, alpha, _cycle_tail(period, alpha))
+    return [back[(1 - i) % L] for i in range(L)], plus[:L]
+
+
 def gamma_value(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
-    """gamma = sum_i (b_{2i-1} eta + b_{2i} D) D^(i-1), summed exactly."""
+    """gamma = sum_i (b_{2i-1} eta + b_{2i} D) D^(i-1) = (1 - eta + d_0^+)/2.
+
+    With b_i = (a_i - 2 + t_i)/2 the constant part of the series sums to
+    1 - eta, and the t part is the forward tail d_0^+ (alpha_0 = eta).
+    """
     tseq.validate(alpha)
-    pre, per = tseq.digits(alpha)
-    eta, D = alpha.eta, alpha.D
-    total = QuadNum(0, 0, alpha.N)
-    w = QuadNum(1, 0, alpha.N)
-    for j in range(0, len(pre), 2):
-        total = total + (pre[j] * eta + pre[j + 1] * D) * w
-        w = w * D
-    head = QuadNum(0, 0, alpha.N)
-    u = QuadNum(1, 0, alpha.N)
-    for j in range(0, len(per), 2):
-        head = head + (per[j] * eta + per[j + 1] * D) * u
-        u = u * D
-    # u is now D^(period pairs); w is D^(preperiod pairs)
-    return total + w * head / (1 - u)
-
-
-def _tails(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> tuple[QuadNum, QuadNum]:
-    """(d_i^-, d_i^+) at index i of the bi-infinite periodic part."""
-    D = alpha.D
-    L = len(tseq.period)
-    half = L // 2
-    denom = 1 - D**half
-    a_i = alpha.alpha_at(i)
-    a_prev = alpha.alpha_at(i - 1)
-    plus = QuadNum(0, 0, alpha.N)
-    minus = QuadNum(0, 0, alpha.N)
-    w = QuadNum(1, 0, alpha.N)
-    for j in range(half):
-        plus = plus + (tseq.period_t(i + 2 * j + 1) * a_i + tseq.period_t(i + 2 * j + 2) * D) * w
-        minus = minus + (tseq.period_t(i - 2 * j) * a_prev + tseq.period_t(i - 2 * j - 1) * D) * w
-        w = w * D
-    return minus / denom, plus / denom
+    d0 = _tails(tseq.preperiod, alpha, _cycle_tail(tseq.period, alpha))[0]
+    return (1 - alpha.eta + d0) / 2
 
 
 def d_plus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
@@ -320,16 +332,11 @@ def d_plus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
     preperiod address the bi-infinite periodic extension.
     """
     tseq.validate(alpha)
-    n = len(tseq.preperiod)
-    if i > n:
-        return _tails(tseq, i - n, alpha)[1]
     if i < 1:
         raise UndefinedTailError("preperiod indices start at 1")
-    # d_i^+ = alpha_i (t_{i+1} + d_{i+1}^+), walked back from the period
-    d = _tails(tseq, 1, alpha)[1]
-    for j in range(n, i - 1, -1):
-        d = alpha.alpha_at(j) * (tseq.t_at(j + 1) + d)
-    return d
+    n = len(tseq.preperiod)
+    tails = _tails(tseq.preperiod + tseq.period, alpha, _cycle_tail(tseq.period, alpha))
+    return tails[i if i <= n else n + (i - n) % len(tseq.period)]
 
 
 def d_minus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
@@ -341,7 +348,7 @@ def d_minus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
             f"d^- is undefined at preperiod index {i}; the sequence is not "
             "two-sidedly determined there"
         )
-    return _tails(tseq, i - n, alpha)[0]
+    return _period_tails(tseq.period, alpha)[0][(i - n) % len(tseq.period)]
 
 
 def s_star(
@@ -349,8 +356,9 @@ def s_star(
 ) -> tuple[QuadNum, QuadNum, QuadNum, QuadNum]:
     """(s1*, s2*, s3*, s4*) at index i of the bi-infinite periodic part."""
     tseq.validate(alpha)
-    dm, dp = _tails(TSequence(tseq.period), i, alpha)
-    return _s_products(alpha, i, dm, dp)
+    minus, plus = _period_tails(tseq.period, alpha)
+    j = i % len(tseq.period)
+    return _s_products(alpha, i, minus[j], plus[j])
 
 
 def _s_products(alpha, i, dm, dp):
@@ -371,13 +379,14 @@ def _has_max_digit(period: Sequence[int], alpha: PeriodTwoAlpha) -> bool:
 
 
 def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
-    """Digit sequence of 1 - alpha - gamma.
+    """Digit sequence of 1 - alpha - gamma, up to a vector of Z + alpha Z.
 
-    Away from maximal digits this is plain negation of the t_i.  A maximal
-    digit t_i = a_i stays maximal, and each neighbour adjacent to a maximal
-    position picks up an extra -2 (the carry produced by reflecting the
-    maximal digit).  Raises DigitRangeError if the carry pushes a digit out
-    of range; that cannot happen for the catalogue sequences.
+    That vector leaves M unchanged.  Away from maximal digits this is plain
+    negation of the t_i.  A maximal digit t_i = a_i stays maximal, and each
+    neighbour adjacent to a maximal position picks up an extra -2 (the carry
+    produced by reflecting the maximal digit).  Raises DigitRangeError if the
+    carry pushes a digit out of range; that cannot happen for the catalogue
+    sequences.
     """
     tseq.validate(alpha)
 
@@ -432,15 +441,11 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
         variants = (period,)
         picks = (0, 1, 2, 3)
     for seq in variants:
-        for i in range(1, len(seq.period) + 1):
-            dm, dp = _tails(seq, i, alpha)
-            s = _s_products(alpha, i, dm, dp)
+        minus, plus = _period_tails(seq.period, alpha)
+        for i in range(len(seq.period)):
+            s = _s_products(alpha, i, minus[i], plus[i])
             candidates.extend(s[j] for j in picks)
-    best = candidates[0]
-    for c in candidates[1:]:
-        if c < best:
-            best = c
-    return best
+    return min(candidates)
 
 
 def m_value(mstar: QuadNum, alpha: PeriodTwoAlpha) -> QuadNum:

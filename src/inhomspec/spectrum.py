@@ -88,8 +88,9 @@ class ClassId:
         # k may stay None for a k-family: that denotes the family limit
         if want == "t" and self.t is None:
             raise ApplicabilityError(f"family {self.family} needs t")
-        if want is None and (self.k is not None or self.t is not None):
-            raise ApplicabilityError(f"class {self.family} takes no parameter")
+        for kind, value in (("k", self.k), ("t", self.t)):
+            if value is not None and want != kind:
+                raise ApplicabilityError(f"class {self.family} takes no {kind}")
 
     @property
     def label(self) -> str:

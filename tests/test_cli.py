@@ -152,3 +152,24 @@ def test_sweep_and_euclid_byte_stable(capsys):
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--kmax", "3"),
+    ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--format", "csv"),
+    ("verify", "--a", "4", "--b", "7", "--format", "json"),
+    ("euclid", "--a", "4", "--b", "7", "--format", "json"),
+])
+def test_unread_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as ex:
+        main(list(argv))
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracle_class_with_wrong_parameter_kind(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "2", "--b", "8", "--class", "S0t",
+                         "--t", "4", "--k", "9", "--nmin", "1000", "--nmax", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -4,6 +4,7 @@ import pytest
 
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
+from inhomspec.spectrum import ClassId, class_tsequence
 from inhomspec.expansion import (
     AlignmentError,
     Block,
@@ -179,7 +180,8 @@ def test_tail_value_from_quadruple_word():
 
 
 def test_tail_recurrence():
-    # d_i^+ = t_{i+1} alpha_i + t_{i+2} D + D d_{i+2}^+ over whole periods
+    # d_i^+ = t_{i+1} alpha_i + t_{i+2} D + D d_{i+2}^+ over whole periods,
+    # and d_i^- = alpha_{i-1} (t_i + d_{i-1}^-)
     for al, word in (
         (A47, TSequence((0, 1, 0, 1, 0, -1, 0, -1))),
         (A48, TSequence((0, 2, -2, 2, 0, -2, 2, -2))),
@@ -195,6 +197,79 @@ def test_tail_recurrence():
                 + al.D * d_plus(word, i + 2 if i + 2 <= L else i + 2 - L, al)
             )
             assert lhs == rhs
+            back = al.alpha_at(i - 1) * (
+                word.period_t(i) + d_minus(word, i - 1 if i > 1 else L, al)
+            )
+            assert d_minus(word, i, al) == back
+
+
+def reference_tails(tseq, i, al):
+    """(d_i^-, d_i^+) at global index i >= 1 from the defining series.
+
+    d_i^+ = sum_j (t_{i+2j+1} alpha_i + t_{i+2j+2} D) D^j and
+    d_i^- = sum_j (t_{i-2j} alpha_{i-1} + t_{i-2j-1} D) D^j.  The terms that
+    reach into the preperiod are summed one by one; from periodic index k on,
+    one period of L/2 terms is summed and divided by 1 - D^(L/2).  d_i^- is
+    None inside the preperiod.
+    """
+    D, n = al.D, len(tseq.preperiod)
+    half = len(tseq.period) // 2
+    m = (n - i) // 2 + 1 if i <= n else 0
+    head = qnum(0, 0, al.N)
+    for j in range(m):
+        head = head + (tseq.t_at(i + 2 * j + 1) * al.alpha_at(i)
+                       + tseq.t_at(i + 2 * j + 2) * D) * D**j
+    k = i + 2 * m - n
+    plus = minus = qnum(0, 0, al.N)
+    for j in range(half):
+        plus = plus + (tseq.period_t(k + 2 * j + 1) * al.alpha_at(k)
+                       + tseq.period_t(k + 2 * j + 2) * D) * D**j
+        minus = minus + (tseq.period_t(k - 2 * j) * al.alpha_at(k - 1)
+                         + tseq.period_t(k - 2 * j - 1) * D) * D**j
+    denom = 1 - D**half
+    return (minus / denom if i > n else None), head + D**m * plus / denom
+
+
+def reference_gamma(tseq, al):
+    """gamma = sum_i (b_{2i-1} eta + b_{2i} D) D^(i-1), one pair at a time."""
+    pre, per = tseq.digits(al)
+    D = al.D
+    total = qnum(0, 0, al.N)
+    for j in range(0, len(pre), 2):
+        total = total + (pre[j] * al.eta + pre[j + 1] * D) * D**(j // 2)
+    head = qnum(0, 0, al.N)
+    for j in range(0, len(per), 2):
+        head = head + (per[j] * al.eta + per[j + 1] * D) * D**(j // 2)
+    return total + D**(len(pre) // 2) * head / (1 - D**(len(per) // 2))
+
+
+def _reference_words():
+    al27 = make_alpha(2, 7)
+    maximal = TSequence((2, -3, 2, -1, 0, -1))
+    yield A47, TSequence((0, 1, 0, 1, 0, -1, 0, -1))  # no maximal digit
+    yield al27, maximal
+    yield al27, reflect(maximal, al27)
+    yield A48, class_tsequence(ClassId("Sk1", k=4), A48)  # a kmax = 4 period
+    yield A48, TSequence((0, 2, 0, -2), preperiod=(2, -2, 0, 2))
+
+
+def test_tails_match_defining_series():
+    for al, seq in _reference_words():
+        n, L = len(seq.preperiod), len(seq.period)
+        assert gamma_value(seq, al) == reference_gamma(seq, al)
+        for i in range(1, n + L + 1):
+            minus, plus = reference_tails(seq, i, al)
+            assert d_plus(seq, i, al) == plus
+            if i <= n:
+                continue
+            assert d_minus(seq, i, al) == minus
+            ai, ap = al.alpha_at(i), al.alpha_at(i - 1)
+            assert s_star(seq, i - n, al) == (
+                (1 - ai + plus) * (1 - ap + minus),
+                (1 + ai - plus) * (1 + ap + minus),
+                (1 - ai - plus) * (1 - ap - minus),
+                (1 + ai + plus) * (1 + ap - minus),
+            )
 
 
 def test_d_minus_undefined_in_preperiod():

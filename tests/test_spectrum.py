@@ -5,7 +5,7 @@ import pytest
 
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
-from inhomspec.expansion import m_star, reflect
+from inhomspec.expansion import gamma_value, m_star, reflect
 from inhomspec.spectrum import (
     ApplicabilityError,
     ClassId,
@@ -85,6 +85,20 @@ def test_a2_alternate_periods_are_reflections():
     assert reflect(s, al).period == (2, 0, 2, -2)
 
 
+def test_reflect_gives_one_minus_alpha_minus_gamma():
+    # gamma(reflect(s)) = 1 - eta - gamma(s) up to Z + eta Z, and exactly
+    # when no digit is maximal
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 2):
+            s = class_tsequence(cls, al)
+            diff = gamma_value(reflect(s, al), al) + gamma_value(s, al) - (1 - al.eta)
+            n = diff.q / al.eta.q
+            assert n.denominator == 1 and (diff.p - n * al.eta.p).denominator == 1
+            if all(t != al.partial_quotient(i) for i, t in enumerate(s.period, 1)):
+                assert diff == 0, (a, b, cls)
+
+
 def test_s_minus4_uses_s_blocks_at_m1():
     # at m = 1 the class switches to B_s B'_s
     assert class_tsequence(ClassId("S-4"), make_alpha(5, 7)).period == (-1, -1, 1, 1)
@@ -100,6 +114,10 @@ def test_inapplicable_class_raises():
         delta_closed_form(ClassId("Sk2", k=2), make_alpha(7, 16))  # m != 0
     with pytest.raises(ApplicabilityError):
         class_tsequence(ClassId("Sk1", k=-1), make_alpha(4, 8))  # k < 0
+    with pytest.raises(ApplicabilityError):
+        ClassId("S0t", t=4, k=2)  # a t-class given k
+    with pytest.raises(ApplicabilityError):
+        ClassId("Sk1", t=3)  # a k-family given t
 
 
 @pytest.mark.parametrize("family, ab", [
