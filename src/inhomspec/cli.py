@@ -9,7 +9,10 @@ Subcommands:
 * ncf      -- minus continued fraction expansion of p/q + r/s * sqrt(N)
 * euclid   -- norm-Euclidean criterion for one (a, b)
 
-Exit status: 0 on success, 1 when a verification fails, 2 on bad usage.
+Exit status: 0 on success; 1 when a verification fails or a catalogue
+self-check fails (a RuntimeError such as BranchDisagreement, printed as
+"error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
+period within --max-terms.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.
 """
@@ -24,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .quadfield import QuadNum
-from .ncf import make_alpha, ncf_expand
+from .ncf import PeriodNotFoundError, make_alpha, ncf_expand
 from .expansion import gamma_value, m_star, m_value, parse_period
 from .oracle import DEFAULT_WINDOWS, brute_force_min, liminf_estimate
 from .spectrum import (
@@ -114,8 +117,8 @@ def _cmd_oracle(args) -> int:
     gamma = gamma_value(tseq, alpha)
     target = m_value(m_star(tseq, alpha), alpha)
     if args.nmin is not None or args.nmax is not None:
-        lo = args.nmin or 10**3
-        hi = args.nmax or 10**6
+        lo = 10**3 if args.nmin is None else args.nmin
+        hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target,
                               exact=args.exact, two_sided=True)
         out = {"a": args.a, "b": args.b, "class": label,
@@ -247,9 +250,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as ex:
+    except (ValueError, ZeroDivisionError, PeriodNotFoundError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except RuntimeError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,13 @@
 
 A target gamma is encoded by its digit sequence b_i relative to the period-two
 quotients (a at odd indices, b at even indices), stored here in the centered
-form t_i = 2*b_i - (a_i - 2).  Named blocks (A_t, B_t, ..., F'_t and the three
-long blocks G, H, H' used at (a,b) = (3,5)) are templates of one or more
-digits.
+form t_i = 2*b_i - (a_i - 2).  A digit is valid when t_i has the parity of a_i
+and lies in [-(a_i - 2), a_i]; t_i = a_i is the maximal digit.  Named blocks
+are constant centered words in which only the maximal digit a depends on the
+pair: X_t = (-o, t) and X'_t = (o, -t) with o = 0, 1, 2, 3 for X = A, B, C, E,
+F_t = (a, -t), F'_t = (a, t - 4), and the three long blocks used at
+(a,b) = (3,5), G = (-1, a, -1) (starting on an even position),
+H = (1, -3, a, -3, 1) and H' = (-1, 1, a, 1, -1).
 
 For an eventually periodic sequence the machinery below produces, all exactly:
 
@@ -30,7 +34,6 @@ The brute-force oracle exposes such cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
@@ -60,7 +63,7 @@ __all__ = [
 
 
 class InvalidBlockError(ValueError):
-    """Block digit is not an integer for this (a, b) (parity mismatch)."""
+    """Unknown block, or a digit t_i of the wrong parity for a_i."""
 
 
 class DigitRangeError(ValueError):
@@ -77,7 +80,7 @@ class UndefinedTailError(ValueError):
 
 @dataclass(frozen=True)
 class Block:
-    """A named digit template; t parametrizes the even-position digit."""
+    """A named block of centered digits; t parametrizes the even-position digit."""
 
     name: str
     t: int | None = None
@@ -90,65 +93,54 @@ class Block:
         return f"{self.name}{self.t}"
 
 
-# template rows: (parity, numerator expression) with parity "a" (odd index)
-# or "b" (even index); digit = numer/2 except where marked whole.
-def _template(block: Block, a: int, b: int) -> list[tuple[str, Fraction]]:
-    t = block.t
-    name = block.name
-    if name in ("A", "B", "C", "E"):
-        off = {"A": 0, "B": 1, "C": 2, "E": 3}[name]
-        return [("a", Fraction(a - 2 - off, 2)), ("b", Fraction(b - 2 + t, 2))]
-    if name in ("A'", "B'", "C'", "E'"):
-        off = {"A'": 0, "B'": 1, "C'": 2, "E'": 3}[name]
-        return [("a", Fraction(a - 2 + off, 2)), ("b", Fraction(b - 2 - t, 2))]
-    if name == "F":
-        return [("a", Fraction(a - 1)), ("b", Fraction(b - 2 - t, 2))]
-    if name == "F'":
-        return [("a", Fraction(a - 1)), ("b", Fraction(b - 2 + (t - 4), 2))]
-    if name == "G":
-        return [
-            ("b", Fraction(b - 3, 2)),
-            ("a", Fraction(a - 1)),
-            ("b", Fraction(b - 3, 2)),
-        ]
-    if name == "H":
-        half = [("a", Fraction(a - 1, 2)), ("b", Fraction(b - 5, 2))]
-        return half + [("a", Fraction(a - 1))] + half[::-1]
-    if name == "H'":
-        half = [("a", Fraction(a - 3, 2)), ("b", Fraction(b - 1, 2))]
-        return half + [("a", Fraction(a - 1))] + half[::-1]
-    raise InvalidBlockError(f"unknown block {name!r}")
+def _digit(t: int, q: int) -> int:
+    """Plain digit b = (q - 2 + t)/2 of the centered digit t under quotient q."""
+    return (q - 2 + t) // 2
 
 
-def block_digits(block: Block, alpha: PeriodTwoAlpha) -> list[tuple[str, int]]:
-    """Digits of the block as (parity, b_i) pairs, validated for (a, b)."""
-    a, b = alpha.a, alpha.b
-    if block.name in ("A", "B", "C", "E", "A'", "B'", "C'", "E'", "F", "F'"):
-        if block.t is None:
-            raise InvalidBlockError(f"block {block.name} needs a t parameter")
-    out = []
-    for parity, digit in _template(block, a, b):
-        if digit.denominator != 1:
-            raise InvalidBlockError(
-                f"{block} has non-integer digit {digit} at (a,b)=({a},{b})"
-            )
-        d = int(digit)
-        quot = a if parity == "a" else b
-        if not 0 <= d <= quot - 1:
-            raise DigitRangeError(
-                f"{block} digit {d} outside [0, {quot - 1}] at (a,b)=({a},{b})"
-            )
-        out.append((parity, d))
-    return out
+def _check_digit(t: int, q: int, where: str) -> None:
+    """t must have the parity of q and lie in [-(q-2), q], i.e. b in [0, q-1]."""
+    if (t - q) % 2 != 0:
+        raise InvalidBlockError(f"{where}: t={t} has wrong parity for quotient {q}")
+    if not -(q - 2) <= t <= q:
+        raise DigitRangeError(f"{where}: t={t} outside [-(q-2), q] for quotient {q}")
+
+
+# Centered words of the named blocks as functions of (t, a); see the module
+# docstring.  G starts on an even position, every other block on an odd one.
+_OFFSETS = {"A": 0, "B": 1, "C": 2, "E": 3}
+_WORDS = {
+    **{x: lambda t, a, o=o: (-o, t) for x, o in _OFFSETS.items()},
+    **{x + "'": lambda t, a, o=o: (o, -t) for x, o in _OFFSETS.items()},
+    "F": lambda t, a: (a, -t),
+    "F'": lambda t, a: (a, t - 4),
+    "G": lambda t, a: (-1, a, -1),
+    "H": lambda t, a: (1, -3, a, -3, 1),
+    "H'": lambda t, a: (-1, 1, a, 1, -1),
+}
 
 
 def block_tvalues(block: Block, alpha: PeriodTwoAlpha) -> list[tuple[str, int]]:
     """Digits of the block in centered t form, as (parity, t_i) pairs."""
+    word = _WORDS.get(block.name)
+    if word is None:
+        raise InvalidBlockError(f"unknown block {block.name!r}")
+    if block.t is None and block.name not in ("G", "H", "H'"):
+        raise InvalidBlockError(f"block {block.name} needs a t parameter")
+    where = f"{block} at (a,b)=({alpha.a},{alpha.b})"
     out = []
-    for parity, d in block_digits(block, alpha):
-        quot = alpha.a if parity == "a" else alpha.b
-        out.append((parity, 2 * d - (quot - 2)))
+    for i, t in enumerate(word(block.t, alpha.a), start=1 + (block.name == "G")):
+        _check_digit(t, alpha.partial_quotient(i), where)
+        out.append(("ba"[i % 2], t))
     return out
+
+
+def block_digits(block: Block, alpha: PeriodTwoAlpha) -> list[tuple[str, int]]:
+    """Digits of the block as (parity, b_i) pairs, validated for (a, b)."""
+    return [
+        (parity, _digit(t, alpha.a if parity == "a" else alpha.b))
+        for parity, t in block_tvalues(block, alpha)
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,16 +172,8 @@ class TSequence:
         return self.period[(i - 1) % len(self.period)]
 
     def validate(self, alpha: PeriodTwoAlpha) -> "TSequence":
-        for idx, t in enumerate(self.preperiod + self.period, start=1):
-            quot = alpha.partial_quotient(idx)
-            if (t - quot) % 2 != 0:
-                raise InvalidBlockError(
-                    f"t_{idx}={t} has wrong parity for quotient {quot}"
-                )
-            if not -(quot - 2) <= t <= quot:
-                raise DigitRangeError(
-                    f"t_{idx}={t} outside [-(q-2), q] for quotient {quot}"
-                )
+        for i, t in enumerate(self.preperiod + self.period, start=1):
+            _check_digit(t, alpha.partial_quotient(i), f"t_{i}")
         return self
 
     def rotated(self, pairs: int) -> "TSequence":
@@ -202,8 +186,8 @@ class TSequence:
         """(preperiod, period) as plain digits b_i = (a_i - 2 + t_i)/2."""
         def conv(ts: tuple[int, ...], offset: int) -> tuple[int, ...]:
             return tuple(
-                (alpha.partial_quotient(offset + j + 1) - 2 + t) // 2
-                for j, t in enumerate(ts)
+                _digit(t, alpha.partial_quotient(i))
+                for i, t in enumerate(ts, start=offset + 1)
             )
 
         return conv(self.preperiod, 0), conv(self.period, len(self.preperiod))
@@ -214,6 +198,22 @@ class TSequence:
         return f"t:[{pre}|({per})*]" if pre else f"t:({per})"
 
 
+def _start_shift(start: str) -> int:
+    """Parity of the first position: 0 for 'odd', 1 for 'even'."""
+    if start not in ("odd", "even"):
+        raise ValueError("start must be 'odd' or 'even'")
+    return int(start == "even")
+
+
+def _odd_start(ts: list[int], shift: int, alpha: PeriodTwoAlpha) -> TSequence:
+    """Validated period of a word whose first digit sits at parity `shift`.
+
+    An even-start word is rotated by one digit into the canonical odd-start
+    form, which leaves the bi-infinite sequence unchanged.
+    """
+    return TSequence(tuple(ts[shift:] + ts[:shift])).validate(alpha)
+
+
 def tseq_from_blocks(
     blocks: Iterable[Block],
     alpha: PeriodTwoAlpha,
@@ -221,31 +221,21 @@ def tseq_from_blocks(
 ) -> TSequence:
     """Concatenate blocks into a periodic TSequence.
 
-    Each block must land on the parity its template starts with (G starts on
-    an even position, everything else on odd).  `start` gives the parity of
-    the first position; an even-start word is rotated into the canonical
-    odd-start form, which leaves the bi-infinite sequence unchanged.
+    Each block must land on the parity its word starts with (G starts on an
+    even position, everything else on odd).  `start` gives the parity of the
+    first position; an even-start word is rotated into odd-start form.
     """
-    if start not in ("odd", "even"):
-        raise ValueError("start must be 'odd' or 'even'")
-    parity = "a" if start == "odd" else "b"
+    shift = _start_shift(start)
     ts: list[int] = []
     for blk in blocks:
         vals = block_tvalues(blk, alpha)
+        parity = "ab"[(len(ts) + shift) % 2]
         if vals[0][0] != parity:
             raise AlignmentError(
                 f"block {blk} starts on parity {vals[0][0]!r}, cursor is at {parity!r}"
             )
-        for par, t in vals:
-            if par != parity:
-                raise AlignmentError(f"parity drift inside block {blk}")
-            ts.append(t)
-            parity = "b" if parity == "a" else "a"
-    if len(ts) % 2 != 0:
-        raise AlignmentError("blocks give an odd total period length")
-    if start == "even":
-        ts = ts[1:] + ts[:1]
-    return TSequence(tuple(ts)).validate(alpha)
+        ts.extend(t for _, t in vals)
+    return _odd_start(ts, shift, alpha)
 
 
 def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSequence:
@@ -253,11 +243,8 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
     text = text.strip()
     if text.startswith("t:"):
         body = text[2:].strip().strip("()")
-        ts = tuple(int(v) for v in body.split(",") if v.strip())
-        seq = TSequence(ts)
-        if start == "even":
-            seq = TSequence(seq.period[1:] + seq.period[:1])
-        return seq.validate(alpha)
+        ts = [int(v) for v in body.split(",") if v.strip()]
+        return _odd_start(ts, _start_shift(start), alpha)
     blocks = []
     for tok in text.split():
         name = tok
@@ -372,10 +359,13 @@ def _s_products(alpha, i, dm, dp):
     )
 
 
+def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
+    """t is the maximal digit t = a_i at index i."""
+    return t == alpha.partial_quotient(i)
+
+
 def _has_max_digit(period: Sequence[int], alpha: PeriodTwoAlpha) -> bool:
-    return any(
-        t == alpha.partial_quotient(i + 1) for i, t in enumerate(period)
-    )
+    return any(_is_max(t, i, alpha) for i, t in enumerate(period, start=1))
 
 
 def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
@@ -390,35 +380,20 @@ def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
     """
     tseq.validate(alpha)
 
-    def refl(ts: tuple[int, ...], offset: int, cyclic: bool) -> tuple[int, ...]:
-        n = len(ts)
+    def in_period(i: int) -> bool:  # read cyclically
+        return _is_max(tseq.period_t(i), i, alpha)
 
-        def is_max(j: int) -> bool:  # j: 0-based within ts
-            if cyclic:
-                j %= n
-            elif not 0 <= j < n:
-                # linear boundary: look across into the period on the right,
-                # treat the unknown far left as non-maximal
-                if j == n:
-                    per = tseq.period
-                    return per[0] == alpha.partial_quotient(offset + n + 1)
-                return False
-            q = alpha.partial_quotient(offset + j + 1)
-            return ts[j] == q
+    def in_preperiod(i: int) -> bool:  # the left edge counts as non-maximal
+        return i >= 1 and _is_max(tseq.t_at(i), i, alpha)
 
-        out = []
-        for j, t in enumerate(ts):
-            if is_max(j):
-                out.append(t)
-            else:
-                carry = 2 * (is_max(j - 1) + is_max(j + 1))
-                out.append(-t - carry)
-        return tuple(out)
+    def refl(ts: tuple[int, ...], is_max) -> tuple[int, ...]:
+        return tuple(
+            t if is_max(i) else -t - 2 * (is_max(i - 1) + is_max(i + 1))
+            for i, t in enumerate(ts, start=1)
+        )
 
-    n = len(tseq.preperiod)
     return TSequence(
-        refl(tseq.period, n, cyclic=True),
-        refl(tseq.preperiod, 0, cyclic=False),
+        refl(tseq.period, in_period), refl(tseq.preperiod, in_preperiod)
     ).validate(alpha)
 
 

@@ -3,9 +3,11 @@
 The constant being checked is the lim inf over n of |n| * ||n*alpha - gamma||
 (distance to the nearest integer).  A windowed minimum over n in [n_lo, n_hi]
 with n_lo >= 10^3 approximates it from above; small n must be cut off because
-the lim inf ignores finitely many terms.  Only positive n are swept: the
-negative half equals the positive sweep against the reflected target, which
-the symmetry tests cover.
+the lim inf ignores finitely many terms.  By default only positive n are
+swept.  With two_sided=True (what the CLI always uses) the negative half is
+swept too, as positive n against -gamma, and the smaller side wins; a
+negative argmin_n marks a minimum from the n < 0 side.  Some classes attain
+their constant on one side only.
 
 The sweep runs in scaled integer arithmetic: alpha and gamma are rounded to
 64-bit fixed point and n*A - G is walked with exact wraparound (numpy uint64),

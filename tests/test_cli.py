@@ -3,6 +3,7 @@ import json
 import pytest
 
 from inhomspec.cli import main
+from inhomspec.spectrum import BranchDisagreement
 
 
 def run(capsys, *argv):
@@ -173,3 +174,40 @@ def test_oracle_class_with_wrong_parameter_kind(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bound", [("--nmin", "0"), ("--nmax", "0")])
+def test_oracle_zero_window_bound_is_usage_error(capsys, bound):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                         "--nmin", "1000", "--nmax", "2000", *bound)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need 1 <= n_lo <= n_hi\n"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("spectrum_catalog", ("catalog", "--a", "4", "--b", "8")),
+    ("spectrum_catalog", ("sweep", "--grid", "4..4,5..6")),
+    ("euclidean_test", ("euclid", "--a", "4", "--b", "8")),
+])
+@pytest.mark.parametrize("exc", [
+    BranchDisagreement("Sk1 branches disagree"),
+    RuntimeError("family did not cross the threshold"),
+])
+def test_catalogue_self_check_failure_exits_1(capsys, monkeypatch, target, argv, exc):
+    import inhomspec.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_ncf_period_limit_is_usage_error(capsys):
+    # PeriodNotFoundError is a RuntimeError, but the limit is the user's
+    code, out, err = run(capsys, "ncf", "0", "1", "14", "--max-terms", "1")
+    assert (code, out, err) == (2, "", "error: no period within 1 terms\n")

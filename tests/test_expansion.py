@@ -54,6 +54,17 @@ def test_block_range_error():
         block_digits(Block("C", 2), make_alpha(2, 6))
 
 
+@pytest.mark.parametrize("word, error", [
+    ((0, 9), DigitRangeError),   # t_2 = b + 2
+    ((6, 1), DigitRangeError),   # t_1 = a + 2
+    ((0, -7), DigitRangeError),  # t_2 = -b
+    ((1, 1), InvalidBlockError),  # t_1 odd under a = 4
+])
+def test_validate_rejects_bad_digits(word, error):
+    with pytest.raises(error):
+        TSequence(word).validate(A47)
+
+
 def test_block_tvalues():
     assert [t for _, t in block_tvalues(Block("C", 3), make_alpha(8, 13))] == [-2, 3]
     assert [t for _, t in block_tvalues(Block("F", 2), make_alpha(5, 8))] == [5, -2]
@@ -64,6 +75,71 @@ def test_long_blocks_at_3_5():
     assert [t for _, t in block_tvalues(Block("H", None), al)] == [1, -3, 3, -3, 1]
     assert [t for _, t in block_tvalues(Block("H'", None), al)] == [-1, 1, 3, 1, -1]
     assert [t for _, t in block_tvalues(Block("G", None), al)] == [-1, 3, -1]
+
+
+def reference_block_digits(block, a, b):
+    """Plain digits (parity, b_i) of a block from its defining formulas.
+
+    Each digit is a fraction with denominator 2; a non-integer digit raises
+    InvalidBlockError and one outside [0, q - 1] raises DigitRangeError, the
+    first offending digit deciding.
+    """
+    t, name = block.t, block.name
+    offsets = {"A": 0, "B": 1, "C": 2, "E": 3}
+    if name.rstrip("'") in offsets or name in ("F", "F'"):
+        if t is None:
+            raise InvalidBlockError(f"block {name} needs a t parameter")
+    if name in offsets:
+        rows = [("a", F(a - 2 - offsets[name], 2)), ("b", F(b - 2 + t, 2))]
+    elif name.rstrip("'") in offsets:
+        rows = [("a", F(a - 2 + offsets[name[:-1]], 2)), ("b", F(b - 2 - t, 2))]
+    elif name == "F":
+        rows = [("a", F(a - 1)), ("b", F(b - 2 - t, 2))]
+    elif name == "F'":
+        rows = [("a", F(a - 1)), ("b", F(b - 2 + (t - 4), 2))]
+    elif name == "G":
+        rows = [("b", F(b - 3, 2)), ("a", F(a - 1)), ("b", F(b - 3, 2))]
+    elif name in ("H", "H'"):
+        half = [("a", F(a - 1, 2)), ("b", F(b - 5, 2))] if name == "H" else [
+            ("a", F(a - 3, 2)), ("b", F(b - 1, 2))]
+        rows = half + [("a", F(a - 1))] + half[::-1]
+    else:
+        raise InvalidBlockError(f"unknown block {name!r}")
+    out = []
+    for parity, digit in rows:
+        q = a if parity == "a" else b
+        if digit.denominator != 1:
+            raise InvalidBlockError(f"{block} digit {digit}")
+        if not 0 <= digit <= q - 1:
+            raise DigitRangeError(f"{block} digit {digit}")
+        out.append((parity, int(digit)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidBlockError, DigitRangeError) as ex:
+        return type(ex)
+
+
+def test_blocks_match_defining_formulas():
+    names = ("A", "B", "C", "E", "A'", "B'", "C'", "E'", "F", "F'", "G", "H", "H'", "Z")
+    seen = set()
+    for a in range(2, 14):
+        for b in range(a + 1, 15):
+            al = make_alpha(a, b)
+            for name in names:
+                for t in (None, *range(-3, b + 3)):
+                    blk = Block(name, t)
+                    want = _outcome(reference_block_digits, blk, a, b)
+                    assert _outcome(block_digits, blk, al) == want
+                    if isinstance(want, list):
+                        want = [(p, 2 * d - ((a if p == "a" else b) - 2))
+                                for p, d in want]
+                    assert _outcome(block_tvalues, blk, al) == want
+                    seen.add(want if isinstance(want, type) else list)
+    assert seen == {list, InvalidBlockError, DigitRangeError}
 
 
 def test_tseq_from_blocks():
@@ -88,6 +164,10 @@ def test_tseq_alignment_errors():
 def test_parse_period():
     assert parse_period("A1 A1 A1' A1'", A47).period == (0, 1, 0, 1, 0, -1, 0, -1)
     assert parse_period("t:(2,-3)", make_alpha(2, 7)).period == (2, -3)
+    assert parse_period("t:(-3,2)", make_alpha(2, 7), start="even").period == (2, -3)
+    for text in ("A1 A1'", "t:(0,1,0,-1)"):
+        with pytest.raises(ValueError, match="start must be"):
+            parse_period(text, A47, start="bogus")
 
 
 def test_even_start_rotation():
@@ -315,6 +395,33 @@ def test_reflect_maximal_digits():
     assert reflect(TSequence((2, -3, 2, -1)), al).period == (2, -1, 2, -3)
     # F_t partner: (a,-t) <-> (a,t-4)
     assert reflect(TSequence((2, -3)), al).period == (2, -1)
+
+
+def test_reflect_with_preperiod():
+    al = make_alpha(2, 7)
+    # the first period digit is maximal: the last preperiod digit takes the carry
+    r = reflect(TSequence((2, -3, 2, -1), preperiod=(0, -1)), al)
+    assert (r.preperiod, r.period) == ((0, -1), (2, -1, 2, -3))
+    # a maximal digit at the left edge of the preperiod
+    r = reflect(TSequence((0, -1, 0, 1), preperiod=(2, -3)), al)
+    assert (r.preperiod, r.period) == ((2, 1), (0, 1, 0, -1))
+    # the period wraps round: its last digit b carries into its first
+    assert reflect(TSequence((0, 1, 0, 7)), A47).period == (-2, -1, -2, 7)
+    # left of the preperiod counts as non-maximal, though the period ends on b
+    r = reflect(TSequence((4, 7), preperiod=(0, 1)), A47)
+    assert (r.preperiod, r.period) == ((0, -3), (4, 7))
+    # the period reads cyclically, so a maximal last preperiod digit carries
+    # only into its left neighbour, here out of range
+    r = reflect(TSequence((0, -1), preperiod=(2, 7)), al)
+    assert (r.preperiod, r.period) == ((2, 7), (0, 1))
+    with pytest.raises(DigitRangeError):
+        reflect(TSequence((0, -1), preperiod=(0, 7)), al)
+    # H G H' G at (3,5) with its one-pair rotation as preperiod
+    al = make_alpha(3, 5)
+    seq = parse_period("H G H' G", al)
+    r = reflect(TSequence(seq.period, seq.rotated(1).period), al)
+    assert r.preperiod == (3, 1, -1, -1, 3, -1, 1, -3, 3, -3, 1, -1, 3, -1, -1, 3)
+    assert r.period == (-1, 1, 3, 1, -1, -1, 3, -1, 1, -3, 3, -3, 1, -1, 3, -1)
 
 
 def test_reflect_involution():
