@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -185,7 +186,13 @@ def _cmd_euclid(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged.
+
+    Handlers are bound as functions, and each reads the module's globals
+    when it runs.
+    """
     p = argparse.ArgumentParser(
         prog="inhomspec",
         description="Exact inhomogeneous spectra of period-two quadratics.",

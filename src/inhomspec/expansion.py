@@ -8,7 +8,7 @@ are constant centered words in which only the maximal digit a depends on the
 pair: X_t = (-o, t) and X'_t = (o, -t) with o = 0, 1, 2, 3 for X = A, B, C, E,
 F_t = (a, -t), F'_t = (a, t - 4), and the three long blocks used at
 (a,b) = (3,5), G = (-1, a, -1) (starting on an even position),
-H = (1, -3, a, -3, 1) and H' = (-1, 1, a, 1, -1).
+H = (1, -3, a, -3, 1) and H' = (-1, 1, a, 1, -1), which take no t.
 
 For an eventually periodic sequence the machinery below produces, all exactly:
 
@@ -125,7 +125,10 @@ def block_tvalues(block: Block, alpha: PeriodTwoAlpha) -> list[tuple[str, int]]:
     word = _WORDS.get(block.name)
     if word is None:
         raise InvalidBlockError(f"unknown block {block.name!r}")
-    if block.t is None and block.name not in ("G", "H", "H'"):
+    if block.name in ("G", "H", "H'"):
+        if block.t is not None:
+            raise InvalidBlockError(f"block {block.name} takes no t parameter")
+    elif block.t is None:
         raise InvalidBlockError(f"block {block.name} needs a t parameter")
     where = f"{block} at (a,b)=({alpha.a},{alpha.b})"
     out = []

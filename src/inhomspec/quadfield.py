@@ -1,21 +1,39 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(N)).
 
-A :class:`QuadNum` is the real number p + q*sqrt(N) with p, q rational
-(arbitrary-precision, via :class:`fractions.Fraction`) and N a fixed positive
-non-square integer.  All comparisons, floors and printed digits are derived
-from integer arithmetic only; hardware floats never enter any decision.
+A :class:`QuadNum` is the real number (x + y*sqrt(N))/z, stored as three
+arbitrary-precision ints in lowest terms -- gcd(x, y, z) = 1 and z > 0 --
+plus N, a fixed positive non-square integer.  This is the integral
+representation of quadratic-field elements (Cohen, *A Course in
+Computational Algebraic Number Theory*, ch. 5); it is unique, so equality is
+equality of the four ints.  The rational coefficients p = x/z and q = y/z of
+p + q*sqrt(N) are read-only :class:`fractions.Fraction` properties.
+
+Two constructors:
+
+* ``QuadNum(p, q, N)`` and :func:`qnum` take ints or Fractions, type-check
+  them and check that N is a positive non-square int;
+* ``_make(x, y, z, N)`` is for the results of arithmetic on values that are
+  already valid: it normalises the sign of z and the common gcd and checks
+  nothing, since N comes from an operand that passed the public checks.
+
+All comparisons, floors and printed digits are derived from integer
+arithmetic only; hardware floats never enter any decision.  The sign of
+x + y*sqrt(N) with x, y of opposite signs compares x^2 with y^2 N.  The
+floor takes one integer square root: for y != 0 let s = isqrt(y^2 N); since
+sqrt(y^2 N) is irrational it lies strictly between s and s + 1, so the floor
+of (x + y*sqrt(N))/z is (x + s)//z when y > 0 and (x - s - 1)//z when y < 0.
 
 N is *not* required to be squarefree.  Values living in different fields may
-only be mixed when one of them is rational (q == 0); anything else raises
+only be mixed when one of them is rational (y == 0); anything else raises
 :class:`ContextMismatchError`.  :meth:`QuadNum.reduced` pulls the square part
 out of N when a canonical squarefree representative is wanted.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Union
+from math import gcd, isqrt, lcm
+from typing import Optional, Union
 
 __all__ = [
     "QuadNum",
@@ -45,7 +63,7 @@ def _check_field(N: int) -> int:
         raise InvalidFieldError(f"field constant must be an int, got {N!r}")
     if N <= 0:
         raise InvalidFieldError(f"field constant must be positive, got {N}")
-    r = math.isqrt(N)
+    r = isqrt(N)
     if r * r == N:
         raise InvalidFieldError(f"field constant must not be a perfect square, got {N}")
     return N
@@ -59,137 +77,208 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _sign(x: int, y: int, N: int) -> int:
+    """Exact sign of x + y*sqrt(N) for ints x, y and non-square N."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    s = 1 if y > 0 else -1
+    if x == 0 or (x > 0) == (y > 0):
+        return s
+    # opposite signs: the larger square wins (never equal, N is no square)
+    return s if y * y * N > x * x else -s
+
+
+def _floor(x: int, y: int, z: int, N: int) -> int:
+    """floor((x + y*sqrt(N))/z) for ints x, y, z > 0 and non-square N."""
+    if y == 0:
+        return x // z
+    s = isqrt(y * y * N)  # s < |y| sqrt(N) < s + 1
+    return (x + s) // z if y > 0 else (x - s - 1) // z
+
+
+_new = object.__new__
+
+
+def _make(x: int, y: int, z: int, N: int) -> "QuadNum":
+    """(x + y*sqrt(N))/z in lowest terms, for z != 0 and an already checked N."""
+    if z < 0:
+        x, y, z = -x, -y, -z
+    g = gcd(x, y, z)
+    if g != 1:
+        x //= g
+        y //= g
+        z //= g
+    new = _new(QuadNum)
+    new._x = x
+    new._y = y
+    new._z = z
+    new._N = N
+    return new
+
+
+def _sum(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
+    """(x1 + y1*sqrt(N))/z1 plus (x2 + y2*sqrt(N))/z2."""
+    if z1 == z2:
+        return _make(x1 + x2, y1 + y2, z1, N)
+    return _make(x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2, N)
+
+
+def _div(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
+    """(x1 + y1*sqrt(N))/z1 divided by (x2 + y2*sqrt(N))/z2."""
+    if y2 == 0:
+        if x2 == 0:
+            raise ZeroDivisionError("inverse of exact zero")
+        return _make(x1 * z2, y1 * z2, z1 * x2, N)
+    # multiply through by the conjugate x2 - y2*sqrt(N); the norm is not 0
+    n = x2 * x2 - y2 * y2 * N
+    return _make(z2 * (x1 * x2 - y1 * y2 * N), z2 * (y1 * x2 - x1 * y2), z1 * n, N)
+
+
 class QuadNum:
-    """Immutable exact element p + q*sqrt(N) of Q(sqrt(N))."""
+    """Immutable exact element (x + y*sqrt(N))/z of Q(sqrt(N))."""
 
-    __slots__ = ("p", "q", "N")
-
-    p: Fraction
-    q: Fraction
-    N: int
+    __slots__ = ("_x", "_y", "_z", "_N")
 
     def __init__(self, p: RationalLike, q: RationalLike = 0, N: int = 2):
-        object.__setattr__(self, "p", _frac(p))
-        object.__setattr__(self, "q", _frac(q))
-        object.__setattr__(self, "N", _check_field(N))
+        p, q = _frac(p), _frac(q)
+        N = _check_field(N)
+        # z = lcm of the reduced denominators leaves gcd(x, y, z) = 1
+        z = lcm(p.denominator, q.denominator)
+        self._x = p.numerator * (z // p.denominator)
+        self._y = q.numerator * (z // q.denominator)
+        self._z = z
+        self._N = N
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("QuadNum is immutable")
+    @property
+    def p(self) -> Fraction:
+        """Rational part x/z."""
+        return Fraction(self._x, self._z)
+
+    @property
+    def q(self) -> Fraction:
+        """Coefficient y/z of sqrt(N)."""
+        return Fraction(self._y, self._z)
+
+    @property
+    def N(self) -> int:
+        return self._N
 
     # ------------------------------------------------------------------
     # context handling
     # ------------------------------------------------------------------
 
+    def _parts(self, other) -> Optional[tuple[int, int, int]]:
+        """(x, y, z) of `other` in this value's field, or raise.
+
+        None means this value is rational and `other` is an irrational of
+        another field, which then holds the result.
+        """
+        if type(other) is int:
+            return other, 0, 1
+        if isinstance(other, QuadNum):
+            if other._N == self._N or other._y == 0:
+                return other._x, other._y, other._z
+            if self._y == 0:
+                return None
+            raise ContextMismatchError(
+                f"cannot mix sqrt({self._N}) and sqrt({other._N}) values"
+            )
+        f = _frac(other)
+        return f.numerator, 0, f.denominator
+
     def _coerce(self, other) -> "QuadNum":
         """Bring `other` into this value's field, or raise."""
-        if isinstance(other, QuadNum):
-            if other.N == self.N or other.q == 0:
-                return QuadNum(other.p, other.q, self.N)
-            if self.q == 0:
-                return other
-            raise ContextMismatchError(
-                f"cannot mix sqrt({self.N}) and sqrt({other.N}) values"
-            )
-        return QuadNum(_frac(other), 0, self.N)
+        t = self._parts(other)
+        return other if t is None else _make(*t, self._N)
 
     def is_rational(self) -> bool:
-        return self.q == 0
+        return self._y == 0
 
     # ------------------------------------------------------------------
     # ring / field operations
     # ------------------------------------------------------------------
 
     def __add__(self, other) -> "QuadNum":
-        o = self._coerce(other)
-        if o.N != self.N:  # self rational, other irrational
-            return o + self.p
-        return QuadNum(self.p + o.p, self.q + o.q, o.N)
+        t = self._parts(other)
+        if t is None:
+            return other + self
+        return _sum(self._x, self._y, self._z, *t, self._N)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.p, -self.q, self.N)
+        return _make(-self._x, -self._y, self._z, self._N)
 
     def __sub__(self, other) -> "QuadNum":
-        return self + (-self._coerce(other))
+        t = self._parts(other)
+        if t is None:
+            return -other + self
+        x2, y2, z2 = t
+        return _sum(self._x, self._y, self._z, -x2, -y2, z2, self._N)
 
     def __rsub__(self, other) -> "QuadNum":
-        return (-self) + self._coerce(other)
+        return _sum(*self._parts(other), -self._x, -self._y, self._z, self._N)
 
     def __mul__(self, other) -> "QuadNum":
-        o = self._coerce(other)
-        if o.N != self.N:
-            return o * self.p
-        return QuadNum(
-            self.p * o.p + self.q * o.q * self.N,
-            self.p * o.q + self.q * o.p,
-            o.N,
-        )
+        t = self._parts(other)
+        if t is None:
+            return other * self
+        x2, y2, z2 = t
+        x1, y1, N = self._x, self._y, self._N
+        return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * z2, N)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of exact zero")
-        # (p + q*sqrt(N))^-1 = (p - q*sqrt(N)) / (p^2 - q^2 N)
-        return QuadNum(self.p / n, -self.q / n, self.N)
+        return _div(1, 0, 1, self._x, self._y, self._z, self._N)
 
     def __truediv__(self, other) -> "QuadNum":
-        o = self._coerce(other)
-        if o.N != self.N:  # self is rational; lift it into the divisor's field
-            return QuadNum(self.p, 0, o.N) * o.inverse()
-        return self * o.inverse()
+        t = self._parts(other)
+        if t is None:  # self is rational; the divisor's field holds the result
+            return other.__rtruediv__(self)
+        return _div(self._x, self._y, self._z, *t, self._N)
 
     def __rtruediv__(self, other) -> "QuadNum":
-        return self._coerce(other) / self
+        return _div(*self._parts(other), self._x, self._y, self._z, self._N)
 
     def __pow__(self, k: int) -> "QuadNum":
         if not isinstance(k, int):
             raise TypeError("exponent must be an int")
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadNum(1, 0, self.N)
-        base = self
+        x, y, z, N = self._x, self._y, self._z, self._N
+        ox, oy, oz = 1, 0, 1
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                ox, oy, oz = ox * x + oy * y * N, ox * y + oy * x, oz * z
             k >>= 1
-        return out
+            if k:
+                x, y, z = x * x + y * y * N, 2 * x * y, z * z
+        return _make(ox, oy, oz, N)
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.p, -self.q, self.N)
+        return _make(self._x, -self._y, self._z, self._N)
 
     def norm(self) -> Fraction:
         """Field norm p^2 - q^2 N (zero iff the value is zero)."""
-        return self.p * self.p - self.q * self.q * self.N
+        x, y, z = self._x, self._y, self._z
+        return Fraction(x * x - y * y * self._N, z * z)
 
     # ------------------------------------------------------------------
     # exact ordering
     # ------------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, by rational comparisons only."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare |p| with |q|*sqrt(N) via squares
-        lhs = p * p
-        rhs = q * q * self.N
-        if lhs == rhs:  # impossible for non-square N, kept for safety
-            return 0
-        big_is_p = lhs > rhs
-        return (1 if big_is_p else -1) if p > 0 else (-1 if big_is_p else 1)
+        """Exact sign in {-1, 0, +1}, by integer comparisons only."""
+        return _sign(self._x, self._y, self._N)
 
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        t = self._parts(other)
+        if t is None:
+            return -other._cmp(self)
+        x2, y2, z2 = t
+        z1 = self._z
+        return _sign(self._x * z2 - x2 * z1, self._y * z2 - y2 * z1, self._N)
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -205,51 +294,32 @@ class QuadNum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p == other
+            return (self._y == 0 and self._x == other.numerator
+                    and self._z == other.denominator)
         if not isinstance(other, QuadNum):
             return NotImplemented
-        if self.q == 0 and other.q == 0:
-            return self.p == other.p
-        return self.N == other.N and self.p == other.p and self.q == other.q
+        if self._y == 0 and other._y == 0:
+            return self._x == other._x and self._z == other._z
+        return (self._N == other._N and self._x == other._x
+                and self._y == other._y and self._z == other._z)
 
     def __hash__(self):
-        if self.q == 0:
+        if self._y == 0:
             return hash(self.p)
-        return hash((self.p, self.q, self.N))
+        return hash((self.p, self.q, self._N))
 
     def __bool__(self) -> bool:
-        return self.sign() != 0
+        return self._x != 0 or self._y != 0
 
     # ------------------------------------------------------------------
     # floor / ceil / decimal digits
     # ------------------------------------------------------------------
 
-    def _estimate(self, extra_bits: int = 32) -> Fraction:
-        """Rational estimate within 2^-extra_bits of the true value."""
-        q = self.q
-        if q == 0:
-            return self.p
-        bits = (
-            abs(q.numerator).bit_length()
-            + q.denominator.bit_length()
-            + extra_bits
-        )
-        s = math.isqrt(self.N << (2 * bits))  # floor(sqrt(N) * 2^bits)
-        return self.p + q * Fraction(s, 1 << bits)
-
     def floor(self) -> int:
-        if self.q == 0:
-            return self.p.numerator // self.p.denominator
-        n = math.floor(self._estimate())
-        # estimate is within 2^-32 of the value; still certify exactly
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        return _floor(self._x, self._y, self._z, self._N)
 
     def ceil(self) -> int:
-        return -((-self).floor())
+        return -_floor(-self._x, -self._y, self._z, self._N)
 
     __floor__ = floor
     __ceil__ = ceil
@@ -264,13 +334,21 @@ class QuadNum:
         if digits < 1:
             raise ValueError("digits must be >= 1")
         scale = 10**digits
-        v = (self * scale + Fraction(1, 2)).floor()
+        # floor(self * scale + 1/2), over the common denominator 2z
+        v = _floor(2 * scale * self._x + self._z, 2 * scale * self._y,
+                   2 * self._z, self._N)
         sign = "-" if v < 0 else ""
         whole, frac = divmod(abs(v), scale)
         return f"{sign}{whole}.{frac:0{digits}d}"
 
     def __float__(self) -> float:
-        return float(self._estimate(96))
+        # a rational estimate within 2^-96 of the value, rounded once
+        p, q = self.p, self.q
+        if q == 0:
+            return float(p)
+        bits = abs(q.numerator).bit_length() + q.denominator.bit_length() + 96
+        s = isqrt(self._N << (2 * bits))  # floor(sqrt(N) * 2^bits)
+        return float(p + q * Fraction(s, 1 << bits))
 
     # ------------------------------------------------------------------
     # normalization / serialization
@@ -282,7 +360,7 @@ class QuadNum:
         Uses trial division; intended for the modest N arising here, not as
         a general factorization service.
         """
-        n = self.N
+        n = self._N
         s = 1
         d = 2
         while d * d <= n:
@@ -292,20 +370,18 @@ class QuadNum:
             d += 1
         if s == 1:
             return self
-        return QuadNum(self.p, self.q * s, n)
+        return _make(self._x, self._y * s, self._z, n)
 
     def same_value(self, other: "QuadNum") -> bool:
         """Equality as real numbers, across field contexts."""
-        a, b = self.reduced(), other.reduced()
-        if a.q == 0 and b.q == 0:
-            return a.p == b.p
-        return a.N == b.N and a.p == b.p and a.q == b.q
+        return self.reduced() == other.reduced()
 
     def to_json(self, digits: int = 18) -> dict:
+        p, q = self.p, self.q
         return {
-            "p": f"{self.p.numerator}/{self.p.denominator}",
-            "q": f"{self.q.numerator}/{self.q.denominator}",
-            "N": self.N,
+            "p": f"{p.numerator}/{p.denominator}",
+            "q": f"{q.numerator}/{q.denominator}",
+            "N": self._N,
             "approx": self.decimal(digits),
         }
 
@@ -314,17 +390,18 @@ class QuadNum:
         return QuadNum(Fraction(obj["p"]), Fraction(obj["q"]), obj["N"])
 
     def __repr__(self) -> str:
-        return f"QuadNum({self.p!r}, {self.q!r}, {self.N})"
+        return f"QuadNum({self.p!r}, {self.q!r}, {self._N})"
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        qs = f"{self.q}*sqrt({self.N})"
-        if self.p == 0:
+        p, q = self.p, self.q
+        if q == 0:
+            return str(p)
+        qs = f"{q}*sqrt({self._N})"
+        if p == 0:
             return qs
-        op = "+" if self.q > 0 else "-"
-        mag = f"{abs(self.q)}*sqrt({self.N})"
-        return f"{self.p} {op} {mag}"
+        op = "+" if q > 0 else "-"
+        mag = f"{abs(q)}*sqrt({self._N})"
+        return f"{p} {op} {mag}"
 
 
 def qnum(p: RationalLike, q: RationalLike, N: int) -> QuadNum:

@@ -176,6 +176,13 @@ def test_oracle_class_with_wrong_parameter_kind(capsys):
     assert err.startswith("error:")
 
 
+def test_oracle_period_with_t_on_a_fixed_block(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "3", "--b", "5", "--period",
+                         "H7 G9 H'2 G", "--nmin", "1000", "--nmax", "2000")
+    assert (code, out) == (2, "")
+    assert err == "error: block H takes no t parameter\n"
+
+
 @pytest.mark.parametrize("bound", [("--nmin", "0"), ("--nmax", "0")])
 def test_oracle_zero_window_bound_is_usage_error(capsys, bound):
     code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
@@ -211,3 +218,18 @@ def test_ncf_period_limit_is_usage_error(capsys):
     # PeriodNotFoundError is a RuntimeError, but the limit is the user's
     code, out, err = run(capsys, "ncf", "0", "1", "14", "--max-terms", "1")
     assert (code, out, err) == (2, "", "error: no period within 1 terms\n")
+
+
+def test_main_reuses_one_parser_across_subcommands(capsys):
+    import inhomspec.cli as cli_mod
+
+    cli_mod._build_parser.cache_clear()
+    code, out, _ = run(capsys, "catalog", "--a", "4", "--b", "8", "--kmax", "2",
+                       "--format", "csv")
+    assert code == 0 and out.startswith("label,")
+    code, out, _ = run(capsys, "verify", "--a", "4", "--b", "7", "--kmax", "1")
+    assert code == 0 and out.endswith("OK: 0 mismatches\n")
+    # the csv choice of the first call does not stick to the shared parser
+    code, out, _ = run(capsys, "catalog", "--a", "4", "--b", "8", "--kmax", "2")
+    assert code == 0 and json.loads(out)["a"] == 4
+    assert cli_mod._build_parser.cache_info().misses == 1

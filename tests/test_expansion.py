@@ -89,6 +89,8 @@ def reference_block_digits(block, a, b):
     if name.rstrip("'") in offsets or name in ("F", "F'"):
         if t is None:
             raise InvalidBlockError(f"block {name} needs a t parameter")
+    elif name in ("G", "H", "H'") and t is not None:
+        raise InvalidBlockError(f"block {name} takes no t parameter")
     if name in offsets:
         rows = [("a", F(a - 2 - offsets[name], 2)), ("b", F(b - 2 + t, 2))]
     elif name.rstrip("'") in offsets:
@@ -142,6 +144,14 @@ def test_blocks_match_defining_formulas():
     assert seen == {list, InvalidBlockError, DigitRangeError}
 
 
+@pytest.mark.parametrize("name", ["G", "H", "H'"])
+def test_fixed_blocks_reject_a_t(name):
+    al = make_alpha(3, 5)
+    for fn in (block_tvalues, block_digits):
+        with pytest.raises(InvalidBlockError, match="takes no t parameter"):
+            fn(Block(name, 4), al)
+
+
 def test_tseq_from_blocks():
     seq = tseq_from_blocks(
         [Block("A", 1), Block("A", 1), Block("A'", 1), Block("A'", 1)], A47
@@ -168,6 +178,10 @@ def test_parse_period():
     for text in ("A1 A1'", "t:(0,1,0,-1)"):
         with pytest.raises(ValueError, match="start must be"):
             parse_period(text, A47, start="bogus")
+    al = make_alpha(3, 5)
+    for text in ("H7 G9 H'2 G", "H G1 H' G", "H G H'0 G", "H G H2' G"):
+        with pytest.raises(InvalidBlockError, match="takes no t parameter"):
+            parse_period(text, al)
 
 
 def test_even_start_rotation():

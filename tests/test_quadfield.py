@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,8 @@ from inhomspec.quadfield import (
     QuadNum,
     ContextMismatchError,
     InvalidFieldError,
+    _check_field,
+    _frac,
     qnum,
 )
 
@@ -205,3 +208,383 @@ def test_rational_divided_by_foreign_irrational():
     # regression: the divisor must not be clobbered during coercion
     x = qnum(3, 0, 5) / qnum(0, 1, 2)  # 3/sqrt(2) = (3/2) sqrt(2)
     assert x == qnum(0, F(3, 2), 2)
+
+
+# ----------------------------------------------------------------------
+# canonical form
+# ----------------------------------------------------------------------
+
+N_GRID = 32 * 28  # a b (a b - 4) at (4, 8), not squarefree
+
+
+def test_equal_values_built_differently_are_equal():
+    x, y = qnum(F(2, 4), F(2, 4), N_GRID), qnum(F(1, 2), F(1, 2), N_GRID)
+    assert x == y and hash(x) == hash(y)
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=1, max_value=10**30),
+       st.sampled_from([2, 12, 50, 15, N_GRID]))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_results_are_canonical(x, y, z, N):
+    v = qnum(F(x, z), F(y, z), N)
+    w = qnum(F(y, z), F(abs(x) + 1, 3), N)  # irrational, so not zero
+    for got, want in ((v * w / w, v), (v - v, 0), (v + w - w, v),
+                      ((v * w) ** 2 / (w * w), v * v)):
+        assert got == want and hash(got) == hash(want)
+        # a non-canonical result would differ from its public rebuild
+        assert got == qnum(got.p, got.q, got.N)
+
+
+def test_rational_hashes_as_its_fraction():
+    assert hash(qnum(F(1, 2), 0, 5)) == hash(F(1, 2))
+    assert hash(qnum(7, 0, 5)) == hash(7)
+    assert hash(qnum(F(1, 2), 1, 5) - qnum(0, 1, 5)) == hash(F(1, 2))
+
+
+@pytest.mark.parametrize("args, error", [
+    ((1, 1, 0), InvalidFieldError),
+    ((1, 1, -3), InvalidFieldError),
+    ((1, 1, 50 * 50), InvalidFieldError),
+    ((1, 1, 5.0), InvalidFieldError),
+    ((1, 1, True), InvalidFieldError),
+    ((1, 1, "5"), InvalidFieldError),
+    ((1.5, 1, 5), TypeError),
+    ((1, "1", 5), TypeError),
+    ((True, 1, 5), TypeError),
+    ((1, None, 5), TypeError),
+])
+def test_public_constructor_checks(args, error):
+    with pytest.raises(error):
+        qnum(*args)
+    with pytest.raises(error):
+        QuadNum(*args)
+
+
+def test_coefficients_are_read_only():
+    x = qnum(F(1, 2), F(3, 4), 5)
+    for name in ("p", "q", "N"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+
+
+# ----------------------------------------------------------------------
+# reference: the Fraction-pair arithmetic the integer kernel replaced
+# ----------------------------------------------------------------------
+
+
+class RefQuadNum:
+    """p + q*sqrt(N) with Fraction p, q, as QuadNum computed it before."""
+
+    __slots__ = ("p", "q", "N")
+
+    def __init__(self, p, q=0, N=2):
+        self.p = _frac(p)
+        self.q = _frac(q)
+        self.N = _check_field(N)
+
+    def _coerce(self, other):
+        if isinstance(other, RefQuadNum):
+            if other.N == self.N or other.q == 0:
+                return RefQuadNum(other.p, other.q, self.N)
+            if self.q == 0:
+                return other
+            raise ContextMismatchError(
+                f"cannot mix sqrt({self.N}) and sqrt({other.N}) values"
+            )
+        return RefQuadNum(_frac(other), 0, self.N)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o.N != self.N:
+            return o + self.p
+        return RefQuadNum(self.p + o.p, self.q + o.q, o.N)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefQuadNum(-self.p, -self.q, self.N)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._coerce(other)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o.N != self.N:
+            return o * self.p
+        return RefQuadNum(
+            self.p * o.p + self.q * o.q * self.N,
+            self.p * o.q + self.q * o.p,
+            o.N,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of exact zero")
+        return RefQuadNum(self.p / n, -self.q / n, self.N)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.N != self.N:
+            return RefQuadNum(self.p, 0, o.N) * o.inverse()
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("exponent must be an int")
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = RefQuadNum(1, 0, self.N)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conjugate(self):
+        return RefQuadNum(self.p, -self.q, self.N)
+
+    def norm(self):
+        return self.p * self.p - self.q * self.q * self.N
+
+    def is_rational(self):
+        return self.q == 0
+
+    def sign(self):
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0:
+            return 1 if q > 0 else -1
+        if p > 0 and q > 0:
+            return 1
+        if p < 0 and q < 0:
+            return -1
+        lhs = p * p
+        rhs = q * q * self.N
+        big_is_p = lhs > rhs
+        return (1 if big_is_p else -1) if p > 0 else (-1 if big_is_p else 1)
+
+    def _cmp(self, other):
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, F)):
+            return self.q == 0 and self.p == other
+        if not isinstance(other, RefQuadNum):
+            return NotImplemented
+        if self.q == 0 and other.q == 0:
+            return self.p == other.p
+        return self.N == other.N and self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        if self.q == 0:
+            return hash(self.p)
+        return hash((self.p, self.q, self.N))
+
+    def __bool__(self):
+        return self.sign() != 0
+
+    def _estimate(self, extra_bits=32):
+        q = self.q
+        if q == 0:
+            return self.p
+        bits = abs(q.numerator).bit_length() + q.denominator.bit_length() + extra_bits
+        s = math.isqrt(self.N << (2 * bits))
+        return self.p + q * F(s, 1 << bits)
+
+    def floor(self):
+        if self.q == 0:
+            return self.p.numerator // self.p.denominator
+        n = math.floor(self._estimate())
+        while (self - n).sign() < 0:
+            n -= 1
+        while (self - (n + 1)).sign() >= 0:
+            n += 1
+        return n
+
+    def ceil(self):
+        return -((-self).floor())
+
+    __floor__ = floor
+    __ceil__ = ceil
+
+    def decimal(self, digits):
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        scale = 10**digits
+        v = (self * scale + F(1, 2)).floor()
+        sign = "-" if v < 0 else ""
+        whole, frac = divmod(abs(v), scale)
+        return f"{sign}{whole}.{frac:0{digits}d}"
+
+    def __float__(self):
+        return float(self._estimate(96))
+
+    def __repr__(self):
+        return f"QuadNum({self.p!r}, {self.q!r}, {self.N})"
+
+
+def outcome(fn, *args):
+    """A comparable record of fn(*args): values as (p, q, N), errors by class."""
+    try:
+        v = fn(*args)
+    except (ArithmeticError, ValueError, TypeError) as ex:
+        return type(ex)
+    if isinstance(v, (QuadNum, RefQuadNum)):
+        return ("value", v.p, v.q, v.N)
+    return v
+
+
+GRID_N = sorted({a * b * (a * b - 4) for a in range(2, 14) for b in range(a + 1, 15)})
+FIELDS = st.sampled_from(GRID_N[:20] + GRID_N[-5:] + [2, 5, 12, 50])
+BIG = 2**200
+big_rationals = st.builds(
+    F, st.integers(min_value=-BIG, max_value=BIG), st.integers(min_value=1, max_value=BIG)
+)
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+coefficients = st.one_of(st.just(F(0)), small_rationals, big_rationals)
+
+
+@st.composite
+def near_integer(draw, N):
+    """(p, q): p + q*sqrt(N) within 2^-60 of an integer, on either side."""
+    q = draw(st.one_of(small_rationals, big_rationals).filter(lambda v: v != 0))
+    k = draw(st.integers(min_value=60, max_value=120))
+    s = math.isqrt(q.numerator**2 * N << (2 * k))  # s < |q| sqrt(N) q.den 2^k < s + 1
+    a = F(s, q.denominator << k)
+    n = draw(st.integers(min_value=-10**6, max_value=10**6))
+    return (n - a if q > 0 else n + a), q
+
+
+@st.composite
+def specs(draw, N=None):
+    """(p, q, N) of a value: general, rational, zero or near an integer."""
+    if N is None:
+        N = draw(FIELDS)
+    kind = draw(st.sampled_from(["general", "rational", "zero", "near"]))
+    if kind == "near":
+        return (*draw(near_integer(N)), N)
+    if kind == "zero":
+        return F(0), F(0), N
+    p = draw(coefficients)
+    return p, (F(0) if kind == "rational" else draw(coefficients)), N
+
+
+@st.composite
+def operands(draw, N):
+    """Right operands: same field, another field, an int or a Fraction."""
+    kind = draw(st.sampled_from(["same", "same", "foreign", "int", "fraction"]))
+    if kind == "same":
+        return draw(specs(N))
+    if kind == "foreign":
+        return draw(specs(draw(FIELDS.filter(lambda M: M != N))))
+    if kind == "int":
+        return draw(st.integers(min_value=-BIG, max_value=BIG))
+    return draw(coefficients)
+
+
+def both(spec):
+    """The spec as (QuadNum, RefQuadNum); ints and Fractions pass as they are."""
+    if isinstance(spec, tuple):
+        return QuadNum(*spec), RefQuadNum(*spec)
+    return spec, spec
+
+
+BINARY = {
+    "add": lambda u, v: u + v,
+    "radd": lambda u, v: v + u,
+    "sub": lambda u, v: u - v,
+    "rsub": lambda u, v: v - u,
+    "mul": lambda u, v: u * v,
+    "rmul": lambda u, v: v * u,
+    "div": lambda u, v: u / v,
+    "rdiv": lambda u, v: v / u,
+    "eq": lambda u, v: u == v,
+    "ne": lambda u, v: u != v,
+    "lt": lambda u, v: u < v,
+    "le": lambda u, v: u <= v,
+    "gt": lambda u, v: u > v,
+    "ge": lambda u, v: u >= v,
+    "coerce": lambda u, v: u._coerce(v),
+}
+
+UNARY = {
+    "neg": lambda u: -u,
+    "inverse": lambda u: u.inverse(),
+    "conjugate": lambda u: u.conjugate(),
+    "norm": lambda u: u.norm(),
+    "sign": lambda u: u.sign(),
+    "bool": lambda u: bool(u),
+    "is_rational": lambda u: u.is_rational(),
+    "floor": lambda u: u.floor(),
+    "ceil": lambda u: u.ceil(),
+    "math.floor": math.floor,
+    "math.ceil": math.ceil,
+    "hash": hash,
+    "repr": repr,
+    "float": float,
+    "eq self": lambda u: u == u,
+    "lt zero": lambda u: u < 0,
+}
+
+
+@given(specs(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_binary_ops_match_reference(spec, data):
+    x, rx = both(spec)
+    y, ry = both(data.draw(operands(spec[2])))
+    for name, op in BINARY.items():
+        assert outcome(op, x, y) == outcome(op, rx, ry), name
+
+
+@given(specs(), st.integers(min_value=-4, max_value=6),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=400, deadline=None)
+def test_unary_ops_match_reference(spec, k, digits):
+    x, rx = both(spec)
+    for name, op in UNARY.items():
+        assert outcome(op, x) == outcome(op, rx), name
+    assert outcome(pow, x, k) == outcome(pow, rx, k)
+    assert outcome(x.decimal, digits) == outcome(rx.decimal, digits)
+
+
+@given(specs(), specs())
+@settings(max_examples=200, deadline=None)
+def test_results_of_arithmetic_match_reference(s1, s2):
+    # second-generation values: the kernel's own results as inputs
+    x, rx = both(s1)
+    y, ry = both((s2[0], s2[1], s1[2]))
+    for name, op in BINARY.items():
+        if outcome(op, x, y) is ZeroDivisionError:
+            continue
+        u, ru = op(x, y), op(rx, ry)
+        if isinstance(u, QuadNum):
+            for uname, uop in UNARY.items():
+                assert outcome(uop, u) == outcome(uop, ru), (name, uname)
+            assert outcome(BINARY["eq"], u, x) == outcome(BINARY["eq"], ru, rx)
+            assert u.decimal(25) == ru.decimal(25)
