@@ -3,8 +3,8 @@
 
 For gamma with a catalogued periodic expansion, the minimum of
 n * ||n*alpha - gamma|| over a window [10^3, 10^6] should land within a
-percent of the exact constant.  The sweep uses exact 64-bit wraparound
-arithmetic with an exact recheck, so the window minimum itself is exact.
+percent of the exact constant.  The oracle walks the distance records of
+the window in exact arithmetic, so the window minimum itself is exact.
 """
 
 import time
@@ -39,7 +39,7 @@ for ab, cls in samples:
     mins = "  ".join(w.window_min.decimal(8) for w in tab.windows)
     print(f"({ab[0]},{ab[1]:2d}) {cls.delta_label:10s} {M.decimal(8)}   {mins}"
           f"   stabilized={tab.stabilized}")
-print(f"\nall windows swept in {time.time() - t0:.2f} s")
+print(f"\nall windows searched in {time.time() - t0:.2f} s")
 
 print("\nA lattice point for contrast: gamma = 5*alpha dips to an exact zero")
 al = make_alpha(4, 8)

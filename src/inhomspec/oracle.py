@@ -4,34 +4,38 @@ The constant being checked is the lim inf over n of |n| * ||n*alpha - gamma||
 (distance to the nearest integer).  A windowed minimum over n in [n_lo, n_hi]
 with n_lo >= 10^3 approximates it from above; small n must be cut off because
 the lim inf ignores finitely many terms.  By default only positive n are
-swept.  With two_sided=True (what the CLI always uses) the negative half is
-swept too, as positive n against -gamma, and the smaller side wins; a
+searched.  With two_sided=True (what the CLI always uses) the negative half is
+searched too, as positive n against -gamma, and the smaller side wins; a
 negative argmin_n marks a minimum from the n < 0 side.  Some classes attain
 their constant on one side only.
 
-The sweep runs in scaled integer arithmetic: alpha and gamma are rounded to
-64-bit fixed point and n*A - G is walked with exact wraparound (numpy uint64),
-so the only error is the initial rounding, bounded by (n_hi + 1) * 2^-64 in
-the residue and by n_hi^2 * 2^-64 + a few ulps in the objective.  Every
-candidate within that certified slack of the apparent minimum is then
-re-evaluated in exact QuadNum arithmetic, so the reported window minimum is
-exact.  A pure QuadNum loop is available via exact=True for small windows.
+The window minimum is found by a record walk in exact QuadNum arithmetic on
+eta = alpha.eta, in O(log n_hi) steps per side (Cassels, *An Introduction to
+Diophantine Approximation*, ch. III; Sos 1958).  Let n* be the smallest n
+attaining the minimum.  Every m in [n_lo, n*) has
+||m*eta - gamma|| > ||n*eta - gamma||, or m would give a strictly smaller
+product, so n* is a strict distance record counted from n_lo, and the walk
+visits only those records.  From a record n with signed residue e
+(n*eta - gamma minus its nearest integer), the next record is n + m for the
+least m >= 1 whose signed error m*eta - p lies in (-2e, 0), or in (0, 2|e|)
+when e < 0.  That is a first return of the rotation by eta into a one-sided
+interval, so m is a semiconvergent q_i + j*q_{i+1} of eta's regular
+continued fraction, with one exact floor for j.  The table of convergents is
+built once per (eta, bit length of n_hi).  A pure QuadNum loop over every n
+is available via exact=True; the tests use it as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .quadfield import QuadNum
 from .ncf import PeriodTwoAlpha
 
 __all__ = ["OracleReport", "ConvergenceTable", "brute_force_min", "liminf_estimate"]
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class OracleReport:
     n_hi: int
     window_min: QuadNum
     argmin_n: int  # negative: the minimum came from the n < 0 side
+    records: int  # distance records visited, summed over the sides searched
     target_m: Optional[QuadNum] = None
     relative_gap: Optional[float] = None
 
@@ -49,6 +54,7 @@ class OracleReport:
             "n_hi": self.n_hi,
             "window_min": self.window_min.to_json(digits),
             "argmin_n": self.argmin_n,
+            "records": self.records,
         }
         if self.target_m is not None:
             out["target_m"] = self.target_m.to_json(digits)
@@ -56,15 +62,72 @@ class OracleReport:
         return out
 
 
-def _nearest_distance(x: QuadNum) -> QuadNum:
-    """||x||, the exact distance to the nearest integer."""
-    d = x - (x + Fraction(1, 2)).floor()
-    return -d if d.sign() < 0 else d
+def _abs(x: QuadNum) -> QuadNum:
+    return -x if x.sign() < 0 else x
 
 
-def _exact_term(alpha: PeriodTwoAlpha, gamma: QuadNum, n: int) -> QuadNum:
-    """n * ||n*alpha - gamma||, every step exact."""
-    return _nearest_distance(alpha.eta * n - gamma) * n
+def _residue(x: QuadNum) -> QuadNum:
+    """x minus its nearest integer, in [-1/2, 1/2)."""
+    return x - (x + Fraction(1, 2)).floor()
+
+
+@lru_cache(maxsize=256)
+def _convergents(eta: QuadNum, bits: int) -> tuple[tuple[int, QuadNum, QuadNum], ...]:
+    """(q_k, e_k, |e_k|) for k = -1, 0, 1, ... of eta's regular continued fraction.
+
+    e_k = q_k*eta - p_k is the signed error, with q_{-1} = 0, e_{-1} = -1,
+    q_0 = 1 and e_0 = eta - floor(eta); signs alternate, so the entry at
+    tuple index t has e < 0 for even t.  The tuple runs until two
+    denominators reach 2^bits, so every q_t < 2^bits has entries t + 1 and
+    t + 2 after it.
+    """
+    e0 = eta - eta.floor()
+    table = [(0, eta._coerce(-1), eta._coerce(1)), (1, e0, e0)]
+    while table[-2][0] >> bits == 0:
+        (q1, e1, a1), (q2, e2, a2) = table[-2], table[-1]
+        c = (a1 / a2).floor()  # the next partial quotient
+        e = e1 + e2 * c
+        table.append((q1 + c * q2, e, _abs(e)))
+    return tuple(table)
+
+
+def _walk(eta: QuadNum, gamma: QuadNum, n_lo: int, n_hi: int):
+    """(min, argmin, records) of n*||n*eta - gamma|| over n in [n_lo, n_hi].
+
+    Visits the strict distance records from n_lo in order, so the smallest
+    n attaining the minimum wins a tie.
+    """
+    table = _convergents(eta, n_hi.bit_length())
+    n = n_lo
+    e = _residue(eta * n - gamma)
+    d = _abs(e)
+    best, best_n, records = d * n, n, 1
+    # per side of the error sought: the tuple index t of the one-sided
+    # semiconvergents q_t + j*q_{t+1}; it only moves forward, as 2|e| shrinks
+    start = {-1: 0, 1: 1}
+    while d:
+        side = -e.sign()
+        width = d * 2
+        t = start[side]
+        while not table[t + 2][2] < width:
+            t += 2
+            if table[t][0] > n_hi - n:  # the next record lies past n_hi
+                return best, best_n, records
+        start[side] = t
+        q0, e0, a0 = table[t]
+        q1, e1, a1 = table[t + 1]
+        j = max(0, ((a0 - width) / a1).floor() + 1)
+        m = q0 + j * q1
+        if m > n_hi - n:
+            break
+        n += m
+        e = e + e0 + e1 * j
+        d = _abs(e)
+        records += 1
+        v = d * n
+        if v < best:
+            best, best_n = v, n
+    return best, best_n, records
 
 
 def brute_force_min(
@@ -78,10 +141,11 @@ def brute_force_min(
 ) -> OracleReport:
     """Exact minimum of n * ||n*alpha - gamma|| over n in [n_lo, n_hi].
 
-    With two_sided=True the sweep honors the |n| in the defining lim inf:
+    With two_sided=True the search honors the |n| in the defining lim inf:
     negative n against gamma equal positive n against -gamma, so both
-    targets are swept and the smaller side wins (argmin_n < 0 marks it).
-    Some classes attain their constant on one side only.
+    targets are searched and the smaller side wins (argmin_n < 0 marks it).
+    Some classes attain their constant on one side only.  exact=True checks
+    every n in the window instead of walking the records.
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
@@ -89,71 +153,30 @@ def brute_force_min(
     if two_sided:
         pos = brute_force_min(alpha, gamma, n_lo, n_hi, target_m=target_m, exact=exact)
         neg = brute_force_min(alpha, -gamma, n_lo, n_hi, target_m=target_m, exact=exact)
+        records = pos.records + neg.records
         if neg.window_min < pos.window_min:
-            return OracleReport(
-                n_lo=n_lo, n_hi=n_hi, window_min=neg.window_min,
-                argmin_n=-neg.argmin_n, target_m=neg.target_m,
-                relative_gap=neg.relative_gap,
-            )
-        return pos
+            return replace(neg, argmin_n=-neg.argmin_n, records=records)
+        return replace(pos, records=records)
     if exact:
         # incremental: n*alpha - gamma advances by one addition per step
         x = alpha.eta * n_lo - gamma
-        best_n, best = n_lo, _nearest_distance(x) * n_lo
+        dist = _abs(_residue(x))
+        best_n, best, records = n_lo, dist * n_lo, 1
         for n in range(n_lo + 1, n_hi + 1):
             x = x + alpha.eta
-            v = _nearest_distance(x) * n
+            d = _abs(_residue(x))
+            if d < dist:
+                dist, records = d, records + 1
+            v = d * n
             if v < best:
                 best_n, best = n, v
-        return _finish(alpha, gamma, n_lo, n_hi, best, best_n, target_m)
-
-    scale = 1 << 64
-    A = int(((alpha.eta * scale) + Fraction(1, 2)).floor()) % scale
-    G = int(((gamma * scale) + Fraction(1, 2)).floor()) % scale
-    a_u = np.uint64(A)
-    g_u = np.uint64(G)
-    # certified slack: rounding of A, G contributes <= (n+1)/2 scaled units to
-    # the residue, hence <= n*(n+1)/2 * 2^-64 to the objective; float rounding
-    # of the product adds a few ulps.  The true argmin's approximation can sit
-    # up to twice that above the apparent minimum, so candidates keep 2*slack.
-    slack = 2 * ((n_hi * (n_hi + 1) / 2 + n_hi) / scale + 1e-9)
-
-    best_val = np.inf
-    cand_ns: list[int] = []
-    for lo in range(n_lo, n_hi + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, n_hi)
-        ns = np.arange(lo, hi + 1, dtype=np.uint64)
-        r = ns * a_u - g_u  # exact mod 2^64
-        dist = np.minimum(r, np.uint64(0) - r).astype(np.float64) / scale
-        vals = dist * ns.astype(np.float64)
-        m = float(vals.min())
-        best_val = min(best_val, m)
-        keep = vals <= best_val + slack
-        cand_ns.extend(int(v) for v in ns[keep])
-        if len(cand_ns) > 200000:  # re-tighten against the running minimum
-            cand_ns = [n for n in cand_ns if _approx(n, A, G, scale) <= best_val + slack]
-
-    cand_ns = [n for n in cand_ns if _approx(n, A, G, scale) <= best_val + slack]
-    best = None
-    best_n = None
-    for n in cand_ns:
-        v = _exact_term(alpha, gamma, n)
-        if best is None or v < best:
-            best, best_n = v, n
-    return _finish(alpha, gamma, n_lo, n_hi, best, best_n, target_m)
-
-
-def _approx(n: int, A: int, G: int, scale: int) -> float:
-    r = (n * A - G) % scale
-    return min(r, scale - r) / scale * n
-
-
-def _finish(alpha, gamma, n_lo, n_hi, best, best_n, target_m):
+    else:
+        best, best_n, records = _walk(alpha.eta, gamma, n_lo, n_hi)
     rel = None
     if target_m is not None and target_m.sign() != 0:
         rel = abs(float((best - target_m) / target_m))
     return OracleReport(
-        n_lo=n_lo, n_hi=n_hi, window_min=best, argmin_n=best_n,
+        n_lo=n_lo, n_hi=n_hi, window_min=best, argmin_n=best_n, records=records,
         target_m=target_m, relative_gap=rel,
     )
 
@@ -184,15 +207,16 @@ def liminf_estimate(
     gamma: QuadNum,
     windows: Sequence[tuple[int, int]] = DEFAULT_WINDOWS,
     target_m: Optional[QuadNum] = None,
-    rel_tol: float = 1e-3,
+    rel_tol: Fraction = Fraction(1, 1000),
     two_sided: bool = False,
 ) -> ConvergenceTable:
     """Window minima plus a stabilization verdict.
 
     Windows must be increasing and non-overlapping (shared endpoints are
     fine).  The estimate is declared stable when the last two window minima
-    agree to rel_tol; the lim inf is then read off as the last window's
-    minimum.
+    u, v satisfy |u - v| <= rel_tol * max(u, v), decided exactly (rel_tol is
+    an int or a Fraction); the lim inf is then read off as the last window's
+    minimum, rendered as a float.
     """
     prev_hi = 0
     for lo, hi in windows:
@@ -204,13 +228,8 @@ def liminf_estimate(
         for lo, hi in windows
     )
     stabilized = False
-    value = None
     if len(reports) >= 2:
-        u, v = float(reports[-2].window_min), float(reports[-1].window_min)
-        if v == u == 0:
-            stabilized = True
-        elif max(abs(u), abs(v)) > 0:
-            stabilized = abs(u - v) <= rel_tol * max(abs(u), abs(v))
-    if stabilized:
-        value = float(reports[-1].window_min)
+        u, v = reports[-2].window_min, reports[-1].window_min
+        stabilized = _abs(u - v) <= max(u, v) * rel_tol
+    value = float(reports[-1].window_min) if stabilized else None
     return ConvergenceTable(reports, stabilized, value)

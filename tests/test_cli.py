@@ -192,6 +192,14 @@ def test_oracle_zero_window_bound_is_usage_error(capsys, bound):
     assert err == "error: need 1 <= n_lo <= n_hi\n"
 
 
+def test_oracle_wide_window(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                         "--nmin", str(10**20), "--nmax", str(10**30))
+    assert code == 0
+    assert "error:" not in err
+    assert json.loads(out)["report"]["relative_gap"] < 1e-20
+
+
 @pytest.mark.parametrize("target, argv", [
     ("spectrum_catalog", ("catalog", "--a", "4", "--b", "8")),
     ("spectrum_catalog", ("sweep", "--grid", "4..4,5..6")),

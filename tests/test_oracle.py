@@ -95,7 +95,8 @@ def test_report_json():
     g = _gamma_of(ClassId("Sk1", k=0), A48)
     rep = brute_force_min(A48, g, 10**3, 10**4, target_m=g)
     d = rep.to_json_dict(10)
-    assert {"n_lo", "n_hi", "window_min", "argmin_n", "target_m", "relative_gap"} <= set(d)
+    assert {"n_lo", "n_hi", "window_min", "argmin_n", "records", "target_m",
+            "relative_gap"} <= set(d)
 
 
 def test_hybrid_matches_exact_on_random_gammas():
@@ -137,3 +138,130 @@ def test_two_sided_window_catches_one_sided_classes():
     assert one.relative_gap > 1e-1      # positive side alone misses
     assert two.relative_gap < 1e-2      # |n| sweep corroborates
     assert two.argmin_n < 0             # and reports the side
+
+
+# ---------------------------------------------------------------------------
+# the record walk against the exact loop over every n (the reference)
+# ---------------------------------------------------------------------------
+
+def _walk_and_loop(alpha, gamma, lo, hi, two_sided):
+    walk = brute_force_min(alpha, gamma, lo, hi, two_sided=two_sided)
+    loop = brute_force_min(alpha, gamma, lo, hi, exact=True, two_sided=two_sided)
+    assert (walk.window_min, walk.argmin_n, walk.records) == (
+        loop.window_min, loop.argmin_n, loop.records)
+    return walk
+
+
+def test_walk_matches_exact_loop_on_random_windows():
+    import random
+    from fractions import Fraction as F
+    from inhomspec.quadfield import QuadNum
+    from inhomspec.spectrum import covered_pairs, equivalence_cases
+
+    rng = random.Random(20161)
+    pairs = list(covered_pairs())
+    for _ in range(300):
+        al = make_alpha(*rng.choice(pairs))
+        kind = rng.randrange(3)
+        if kind == 0:  # a catalogued target
+            g = _gamma_of(rng.choice(list(equivalence_cases(al, 1))), al)
+        elif kind == 1:  # a random element of Q(sqrt(N))
+            g = QuadNum(F(rng.randint(-999, 999), rng.randint(1, 999)),
+                        F(rng.randint(-99, 99), rng.randint(1, 999)), al.N)
+        else:  # a lattice point c*eta + d, its zero anywhere or nowhere
+            g = al.eta * rng.randint(-50, 3000) + rng.randint(-3, 3)
+        lo = rng.choice((1, rng.randint(1, 50), rng.randint(1, 4000)))
+        hi = lo + rng.choice((0, 1, rng.randint(0, 1500)))
+        _walk_and_loop(al, g, lo, hi, rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2000), (1, 1), (1234, 1234), (7, 7)])
+def test_walk_edge_windows(lo, hi):
+    g = _gamma_of(ClassId("Sk1", k=0), A48)
+    _walk_and_loop(A48, g, lo, hi, two_sided=True)
+
+
+def test_walk_lattice_zero_inside_window():
+    g = A48.eta * 37 + 2
+    rep = _walk_and_loop(A48, g, 10, 400, two_sided=False)
+    assert rep.window_min == 0 and rep.argmin_n == 37
+
+
+def test_walk_lattice_zero_before_window():
+    g = A48.eta * 5
+    rep = _walk_and_loop(A48, g, 100, 3000, two_sided=True)
+    assert rep.window_min > 0
+
+
+@pytest.mark.parametrize("lo", [1, 7])
+def test_walk_residue_exactly_one_half(lo):
+    # 7*eta - gamma = -1/2: from n_lo = 7 the first record's interval is all
+    # of (0, 1), so every n > 7 improves on it
+    from fractions import Fraction as F
+
+    g = A48.eta * 7 + F(1, 2)
+    _walk_and_loop(A48, g, lo, 900, two_sided=True)
+
+
+def test_walk_far_window():
+    al = make_alpha(5, 7)
+    g = _gamma_of(ClassId("S0"), al)
+    _walk_and_loop(al, g, 10**12, 10**12 + 2 * 10**4, two_sided=True)
+
+
+def test_walk_negative_argmin():
+    al = make_alpha(5, 8)
+    g = _gamma_of(ClassId("S-2"), al)
+    rep = _walk_and_loop(al, g, 1000, 5000, two_sided=True)
+    assert rep.argmin_n < 0
+
+
+@pytest.mark.parametrize("ab, cls", [
+    ((5, 7), ClassId("S0")),
+    ((4, 8), ClassId("Sk1", k=2)),
+    ((3, 5), ClassId("S-9")),
+])
+def test_wide_window_corroborates(ab, cls):
+    al = make_alpha(*ab)
+    g = _gamma_of(cls, al)
+    M = m_value(delta_closed_form(cls, al), al)
+    rep = brute_force_min(al, g, 10**20, 10**30, target_m=M, two_sided=True)
+    assert rep.relative_gap < 1e-20
+
+
+def test_report_records_pinned():
+    al = make_alpha(5, 7)
+    g = _gamma_of(ClassId("S0"), al)
+    rep = brute_force_min(al, g, 10**3, 10**6, two_sided=True)
+    assert rep.records == 28
+    assert list(rep.to_json_dict()) == ["n_lo", "n_hi", "window_min", "argmin_n", "records"]
+
+
+def test_stabilization_verdict_is_exact():
+    from fractions import Fraction as F
+
+    al = make_alpha(5, 7)
+    g = _gamma_of(ClassId("S0"), al)
+    windows = ((10**3, 10**4), (10**4, 10**5))
+    assert not liminf_estimate(al, g, windows, rel_tol=0).stabilized
+    assert liminf_estimate(al, g, windows, rel_tol=1).stabilized
+    assert liminf_estimate(al, g, windows, rel_tol=F(1, 10)).stabilized
+    with pytest.raises(TypeError):
+        liminf_estimate(al, g, windows, rel_tol=1e-3)
+
+
+def test_oracle_does_not_import_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, inhomspec\n"
+        "al = inhomspec.make_alpha(5, 7)\n"
+        "inhomspec.brute_force_min(al, al.eta / 3, 1000, 10**6, two_sided=True)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
