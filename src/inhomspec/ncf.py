@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .quadfield import QuadNum
 
@@ -63,10 +63,14 @@ class PeriodTwoAlpha:
     def one(self) -> QuadNum:
         return QuadNum(1, 0, self.N)
 
-    @property
+    @cached_property
     def norm_factor(self) -> QuadNum:
-        """4(1 - D), the bridge between normalized and plain minima."""
-        return (QuadNum(1, 0, self.N) - self.D) * 4
+        """4(1 - D), the bridge between normalized and plain minima.
+
+        Computed on first use and kept on the instance, like D a constant of
+        alpha; threads racing on the first use compute the same value.
+        """
+        return (1 - self.D) * 4
 
     def __str__(self) -> str:
         return f"alpha(a={self.a}, b={self.b})"

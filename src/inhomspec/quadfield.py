@@ -377,10 +377,11 @@ class QuadNum:
         return self.reduced() == other.reduced()
 
     def to_json(self, digits: int = 18) -> dict:
-        p, q = self.p, self.q
+        x, y, z = self._x, self._y, self._z
+        g, h = gcd(x, z), gcd(y, z)  # p = x/z and q = y/z in lowest terms
         return {
-            "p": f"{p.numerator}/{p.denominator}",
-            "q": f"{q.numerator}/{q.denominator}",
+            "p": f"{x // g}/{z // g}",
+            "q": f"{y // h}/{z // h}",
             "N": self._N,
             "approx": self.decimal(digits),
         }

@@ -12,19 +12,25 @@ by the whole class.
 
 Every class is one entry of the class table, keyed by (regime, family).  The
 entry holds the side condition on (a, b) and the parameter, the builder of
-the periodic t-sequence, and the closed-form value.  A k-family's closed form
-is written as a function of z = D^k: every k-dependent power in it is
-D^(c*k + d) = D^d * z^c.  Because 0 < D < 1, z -> 0 as k -> infinity, so the
-family limit delta_inf is the same closed form at z = 0 and is not written
-down separately.  A member whose value the family formula does not give
-(even-even Sk4 at k = 0, and at k = 1 for (a, b) = (6, 10)) is an explicit
-override inside its entry.  A k-family's entry also records the direction in
-which its members approach the limit and the first k the catalogue lists.
+the periodic t-sequence, and the closed form.  A k-family's closed form is
+written as a function of z = D^k: every k-dependent power in it is
+D^(c*k + d) = D^d * z^c.  The entry computes the coefficients that do not
+depend on k once per pair and returns the member function (k, z) -> value,
+which evaluates only the part in z; a t-family does the same with t.
+Because 0 < D < 1, z -> 0 as k -> infinity, so the family limit delta_inf is
+the member function at z = 0 and is not written down separately.  A member
+whose value the family formula does not give (even-even Sk4 at k = 0, and at
+k = 1 for (a, b) = (6, 10)) is an explicit override inside the member
+function.  A k-family's entry also records the direction in which its
+members approach the limit and the first k the catalogue lists.
 
 From the table this module answers, per class, the t-sequence, the value and
 the limit, and assembles the catalogue of every spectrum value above the
-first limit point, ordered by exact comparison.  No value ever touches
-floating point.
+first limit point, ordered by exact comparison.  delta_closed_form,
+family_limit, spectrum_catalog and euclidean_test all reach a value through
+the same member function; the catalogue builds it once per family and call
+and steps z = D^k by one multiply per k.  No value ever touches floating
+point.
 """
 
 from __future__ import annotations
@@ -195,17 +201,20 @@ class _Class:
     """One (regime, family) of the class table.
 
     param is None, "k" or "t".  applies(c, p) is the side condition on
-    (a, b) and the parameter p; period(c, p) builds the periodic t-sequence;
-    value(c, p, z, e, B, D) is the closed form in e = eta, B = beta and D,
-    with z = D^p for a k-family, and with p = None and z = 0 for the family
-    limit.  A k-family's members approach the limit in `direction`, and the
-    catalogue lists them from k = k0.
+    (a, b) and the parameter p; period(c, p) builds the periodic t-sequence.
+    form(c, e, B, D) is the closed form at one pair, in e = eta, B = beta and
+    D.  For a plain class it is the value.  For a k- or t-family it computes
+    the coefficients that do not depend on the parameter once and returns
+    the member function member(p, z): the value at parameter p, with
+    z = D^p for a k-family (None for a t-class).  The family limit is
+    member(None, 0).  A k-family's members approach the limit in
+    `direction`, and the catalogue lists them from k = k0.
     """
 
     param: Optional[str]
     applies: Callable[[_Pair, Optional[int]], bool]
     period: Callable[[_Pair, Optional[int]], TSequence]
-    value: Callable[..., QuadNum]
+    form: Callable[..., object]
     direction: Optional[str]
     k0: Optional[int]
 
@@ -221,11 +230,11 @@ def _entry(reg: str, family: str, applies, period, listed=None):
     listed = (direction, k0) marks a k-family.
     """
 
-    def register(value):
+    def register(form):
         param = "k" if listed else "t" if family == "S0t" else None
         direction, k0 = listed or (None, None)
-        _CLASSES[reg, family] = _Class(param, applies, period, value, direction, k0)
-        return value
+        _CLASSES[reg, family] = _Class(param, applies, period, form, direction, k0)
+        return form
 
     return register
 
@@ -239,12 +248,12 @@ def _always(c: _Pair, p: Optional[int]) -> bool:
 
 @_entry("even-odd", "S-1", _always,
         lambda c, k: c.blocks(("A", 1), ("A", 1), ("A'", 1), ("A'", 1)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - B - B * (1 - D) / (1 + D**2)) * (1 - e - D * (1 - D) / (1 + D**2))
 
 
 @_entry("even-odd", "S-2", _always, lambda c, k: c.blocks(("C", 3)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     a, b = c.a, c.b
     hi = b >= max(2 * a - 5, Fraction(3 * a, 2))
     lo = b <= min(a + 5, Fraction(3 * a, 2))
@@ -270,18 +279,26 @@ def _(c, k, z, e, B, D):
             ("A'", 1), ("A", 1), *(("A'", 1), ("A'", 1), ("A", 1), ("A", 1)) * k
         ),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
-    w = 2 * D * z**4 * (1 - D) / ((1 + D**2) * (1 - D**2 * z**4))
-    return (1 - B - B * (1 - D) * (1 + 2 * D**2) / (1 + D**2) - B * D**3 * w) * (
-        1 - e - D * (1 - D) / (1 + D**2) + w
-    )
+def _(c, e, B, D):
+    D2 = D**2
+    g = 2 * D * (1 - D) / (1 + D2)
+    x = 1 - B - B * (1 - D) * (1 + 2 * D2) / (1 + D2)
+    y = 1 - e - D * (1 - D) / (1 + D2)
+    BD3 = B * D**3
+
+    def member(k, z):
+        z4 = z**4
+        w = g * z4 / (1 - D2 * z4)
+        return (x - BD3 * w) * (y + w)
+
+    return member
 
 
 # ---- a >= 4 even, b even
 
 
 @_entry("even-even", "S-1", _always, lambda c, k: c.blocks(("C", 2)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - 3 * e + 2 * D * (1 - e) / (1 - D)) * (
         1 - B + 2 * B * (1 - e) / (1 - D)
     )
@@ -289,7 +306,7 @@ def _(c, k, z, e, B, D):
 
 @_entry("even-even", "S-2", lambda c, k: (c.a, c.b) == (4, 6),
         lambda c, k: c.blocks(("A", 2), ("C", 2)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - e - 2 * D / (1 - D) + 2 * e * D / (1 - D**2)) * (
         1 - 3 * B - 2 * B * D / (1 - D) + 2 * D / (1 - D**2)
     )
@@ -299,11 +316,17 @@ def _(c, k, z, e, B, D):
         lambda c, k: k == 0 or c.b >= 2 * c.a or (c.a, c.b) == (4, 6),
         lambda c, k: c.blocks(("A", 0), *(("A", 2), ("A'", 2)) * k),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
-    w = z**2 * (1 - D) / (1 - D * z**2)
-    return (1 - e + 2 * D**2 * (1 - w) / (1 + D)) * (
-        1 - B - 2 * B * (1 - w) / (1 + D)
-    )
+def _(c, e, B, D):
+    u = 2 * D**2 / (1 + D)
+    v = 2 * B / (1 + D)
+    x, y = 1 - e + u, 1 - B - v
+
+    def member(k, z):
+        z2 = z**2
+        w = z2 * (1 - D) / (1 - D * z2)
+        return (x - u * w) * (y + v * w)
+
+    return member
 
 
 @_entry("even-even", "Sk2", lambda c, k: k >= 1 and c.b == 2 * c.a - 2 and c.a >= 8,
@@ -311,23 +334,34 @@ def _(c, k, z, e, B, D):
             ("A", 2), *[("C", 4)] * k, ("C", 2), ("A'", 2), *[("C'", 4)] * k, ("C'", 2)
         ),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    w = 2 * D * z * (1 + D) * (1 - e + D) / ((1 - D) * (1 + D**2 * z))
-    return (1 - 3 * e + 2 * D * (2 - e) / (1 - D) - w) * (
-        1 + B - 2 * B * D * (1 - e + D) / (1 - D) + B * D * w
-    )
+def _(c, e, B, D):
+    D2, BD = D**2, B * D
+    g = 2 * D * (1 + D) * (1 - e + D) / (1 - D)
+    x = 1 - 3 * e + 2 * D * (2 - e) / (1 - D)
+    y = 1 + B - 2 * BD * (1 - e + D) / (1 - D)
+
+    def member(k, z):
+        w = g * z / (1 + D2 * z)
+        return (x - w) * (y + BD * w)
+
+    return member
 
 
 @_entry("even-even", "Sk3", lambda c, k: k >= 1 and c.b == 2 * c.a - 4 and c.a >= 10,
         lambda c, k: c.blocks(("C", 4), *(("C", 2), ("C", 4)) * k),
         listed=("decreasing", 1))
-def _(c, k, z, e, B, D):
-    w = 2 * D * z**2 / ((1 + D) * (1 - D * z**2))
-    return (
-        1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2) + w
-    ) * (
-        1 - 3 * B + 2 * D / (1 - D) - 2 * B * D * (2 + D) / (1 - D**2) - B * D * w
-    )
+def _(c, e, B, D):
+    BD = B * D
+    g = 2 * D / (1 + D)
+    x = 1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2)
+    y = 1 - 3 * B + 2 * D / (1 - D) - 2 * BD * (2 + D) / (1 - D**2)
+
+    def member(k, z):
+        z2 = z**2
+        w = g * z2 / (1 - D * z2)
+        return (x + w) * (y - BD * w)
+
+    return member
 
 
 @_entry("even-even", "Sk4",
@@ -338,24 +372,29 @@ def _(c, k, z, e, B, D):
         ),
         lambda c, k: c.blocks(("C", 4), *[("C", 2)] * k),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     a, b = c.a, c.b
-    # k = 0 has its own closed form, which differs from the family formula
-    if k == 0:
-        x = 2 * D * (1 - 2 * B) / (1 - D)
-        y = 2 * D * (2 - e) / (1 - D)
-        if b >= max(3 * a - 6, 2 * a):
-            return (1 + 3 * B - x) * (1 - 3 * e + y)
-        if b <= min(a + 6, 2 * a - 2):
-            return (1 - 5 * B + x) * (1 + e - y)
-        return (1 - 3 * B + x) * (1 - e + y)
-    if (a, b) == (6, 10) and k == 1:
-        # explicit surd for the one case outside the family formula's range
-        return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
-    w = 2 * D * z / (1 - D * z)
-    return (1 - e + 2 * D * (1 - e) / (1 - D) + w) * (
-        1 - 3 * B + 2 * D * (1 - B) / (1 - D) - B * w
-    )
+    g = 2 * D
+    x = 1 - e + g * (1 - e) / (1 - D)
+    y = 1 - 3 * B + g * (1 - B) / (1 - D)
+
+    def member(k, z):
+        # k = 0 has its own closed form, which differs from the family formula
+        if k == 0:
+            u = g * (1 - 2 * B) / (1 - D)
+            v = g * (2 - e) / (1 - D)
+            if b >= max(3 * a - 6, 2 * a):
+                return (1 + 3 * B - u) * (1 - 3 * e + v)
+            if b <= min(a + 6, 2 * a - 2):
+                return (1 - 5 * B + u) * (1 + e - v)
+            return (1 - 3 * B + u) * (1 - e + v)
+        if (a, b) == (6, 10) and k == 1:
+            # explicit surd for the one case outside the family formula's range
+            return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
+        w = g * z / (1 - D * z)
+        return (x + w) * (y - B * w)
+
+    return member
 
 
 @_entry("even-even", "Sk5",
@@ -367,11 +406,16 @@ def _(c, k, z, e, B, D):
         ),
         lambda c, k: c.blocks(("A", 2), *[("C", 2)] * k, ("A'", 2), *[("C'", 2)] * k),
         listed=("increasing", 0))
-def _(c, k, z, e, B, D):
-    w = 2 * D * z * (1 - 2 * B + D) / ((1 - D) * (1 + D * z))
-    return (1 - e + 2 * D * (1 - e) / (1 - D) + e * w) * (
-        1 - 3 * B + 2 * D * (1 - B) / (1 - D) - w
-    )
+def _(c, e, B, D):
+    g = 2 * D * (1 - 2 * B + D) / (1 - D)
+    x = 1 - e + 2 * D * (1 - e) / (1 - D)
+    y = 1 - 3 * B + 2 * D * (1 - B) / (1 - D)
+
+    def member(k, z):
+        w = g * z / (1 + D * z)
+        return (x + e * w) * (y - w)
+
+    return member
 
 
 @_entry("even-even", "Sk6", lambda c, k: (c.a, c.b) == (8, 12),
@@ -380,37 +424,48 @@ def _(c, k, z, e, B, D):
             ("A'", 2), ("C'", 2), ("C'", 2), ("A", 2), ("C", 2), ("C", 2),
         ),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
-    w = (
-        2 * D**4 * z**4 * (1 - 2 * B + D) * (1 - D**3)
-        / ((1 + D**2) * (1 - D**6 * z**4))
-    )
-    return (
-        1 - 3 * e + 2 * D - 2 * D**2 + 2 * e * D**2
-        - 2 * D**3 * (1 - e + D) / (1 + D**2) - e * D**2 * w
-    ) * (1 + B - 2 * D * (1 - B + B * D) / (1 + D**2) + w)
+def _(c, e, B, D):
+    D2, D6 = D**2, D**6
+    g = 2 * D**4 * (1 - 2 * B + D) * (1 - D**3) / (1 + D2)
+    x = (1 - 3 * e + 2 * D - 2 * D2 + 2 * e * D2
+         - 2 * D**3 * (1 - e + D) / (1 + D2))
+    y = 1 + B - 2 * D * (1 - B + B * D) / (1 + D2)
+    eD2 = e * D2
+
+    def member(k, z):
+        z4 = z**4
+        w = g * z4 / (1 - D6 * z4)
+        return (x - eD2 * w) * (y + w)
+
+    return member
 
 
 @_entry("even-even", "Sk7", lambda c, k: (c.a, c.b) == (6, 10) and k >= 1,
         lambda c, k: c.blocks(*(("C", 4), ("C", 2)) * k, ("A'", 2), ("A", 2)),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     # coupling coefficient is eta*D^3, not 2*eta*D^3: derived exactly
     # from the tail sums of the period, which the printed form misstates
-    w = 2 * z**2 * (1 - 3 * B + D) / (1 - D**2 * z**2)
-    return (
-        1 + e - 2 * D + 2 * D**2 + 2 * e * D**3 / (1 - D)
-        - 2 * D**3 * (1 + 2 * D) / (1 - D**2) - e * D**3 * w
-    ) * (
-        1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D**2) - w
-    )
+    D2, D3 = D**2, D**3
+    g = 2 * (1 - 3 * B + D)
+    x = (1 + e - 2 * D + 2 * D2 + 2 * e * D3 / (1 - D)
+         - 2 * D3 * (1 + 2 * D) / (1 - D2))
+    y = 1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D2)
+    eD3 = e * D3
+
+    def member(k, z):
+        z2 = z**2
+        w = g * z2 / (1 - D2 * z2)
+        return (x - eD3 * w) * (y - w)
+
+    return member
 
 
 # ---- a >= 3 odd
 
 
 @_entry("odd", "S-1", _always, lambda c, k: c.blocks(("B", c.m), ("B", c.n)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     a, b, r = c.a, c.b, c.r
     val_lo = (1 - e * c.v - 2 * D**2 / (1 - D**2)) * (
         1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
@@ -428,25 +483,25 @@ def _(c, k, z, e, B, D):
 
 
 @_entry("odd", "S-2", _always, lambda c, k: c.blocks(("B", c.n)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - e * c.v - 2 * D / (1 - D)) * (1 - 3 * B - c.v - 2 * B * D / (1 - D))
 
 
 @_entry("odd", "S-3", _always, lambda c, k: c.blocks(("B", c.n), ("B", c.s)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - 2 * e + e * c.v + 2 * e / c.b) * (1 - 3 * B + c.v + 2 * D / c.b)
 
 
 @_entry("odd", "S-4", _always,
         lambda c, k: c.blocks(("B", c.s), ("B'", c.s)) if c.m == 1
         else c.blocks(("B", c.m), ("B'", c.m)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - 2 * e + e * (c.m + e) / c.b) * (1 - B - (c.m - e) / c.b)
 
 
 @_entry("odd", "S-5", lambda c, k: c.m == 1 and c.a >= 5,
         lambda c, k: c.blocks(("E", 3)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     x = 3 * D * (1 - e) / (1 - D)
     y = 3 * D * (1 - B) / (1 - D)
     if c.r >= c.a - 7:
@@ -455,40 +510,45 @@ def _(c, k, z, e, B, D):
 
 
 @_entry("odd", "S-6", lambda c, k: c.b % 2 == 0, lambda c, k: c.blocks(("F", 2)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return e
 
 
 @_entry("odd", "S-7", lambda c, k: c.b % 2 == 1, lambda c, k: c.blocks(("F", 1)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return e * (1 - (B / (1 - D)) ** 2)
 
 
 @_entry("odd", "S-8", lambda c, k: (c.a, c.b) == (3, 4),
         lambda c, k: c.blocks(("F", 0), ("B", 0)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return e * (1 - (B * (1 - e + D) / (1 - D**2)) ** 2)
 
 
 @_entry("odd", "S-9", lambda c, k: (c.a, c.b) == (3, 5),
         lambda c, k: c.blocks(("H", None), ("G", None), ("H'", None), ("G", None)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return e * (1 - ((2 * B - D + D**3 - 2 * B * D**3) / (1 + D**4)) ** 2)
 
 
 @_entry("odd", "S0", _always, lambda c, k: c.blocks(("B", c.m)))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return (1 - 2 * e + e * c.v) * (1 - B + c.v)
 
 
 @_entry("odd", "Sk1", lambda c, k: c.r >= c.a + 3,
         lambda c, k: c.blocks(*[("B", c.n)] * k, ("B", c.m)),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    tail = 2 * D * z / (1 - D * z)
-    return (1 - 2 * e + e * c.v + 2 * D / (1 - D) - tail) * (
-        1 - B + c.v + 2 * B * D / (1 - D) - B * tail
-    )
+def _(c, e, B, D):
+    g = 2 * D
+    x = 1 - 2 * e + e * c.v + g / (1 - D)
+    y = 1 - B + c.v + B * g / (1 - D)
+
+    def member(k, z):
+        tail = g * z / (1 - D * z)
+        return (x - tail) * (y - B * tail)
+
+    return member
 
 
 @_entry("odd", "Sk2", lambda c, k: k >= 1 and c.m == 0 and c.r >= c.a + 3,
@@ -496,21 +556,32 @@ def _(c, k, z, e, B, D):
             *[("B", c.n)] * k, ("B", c.m), *[("B'", c.n)] * k, ("B'", c.m)
         ),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    eps = 2 * z * (B * (1 + D) - D) / ((1 - D) * (1 + D * z))
-    return (1 - 2 * e + D * (2 - e) / (1 - D) - e * eps) * (
-        1 - B + D * (1 - 2 * B) / (1 - D) + D * eps
-    )
+def _(c, e, B, D):
+    g = 2 * (B * (1 + D) - D) / (1 - D)
+    x = 1 - 2 * e + D * (2 - e) / (1 - D)
+    y = 1 - B + D * (1 - 2 * B) / (1 - D)
+
+    def member(k, z):
+        eps = g * z / (1 + D * z)
+        return (x - e * eps) * (y + D * eps)
+
+    return member
 
 
 @_entry("odd", "Sk3", lambda c, k: c.r <= c.a + 1 and c.b >= 6,
         lambda c, k: c.blocks(*(("B", c.m), ("B", c.n)) * k, ("B", c.n)),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    eps = 2 * B * D * z**2 / ((1 + D) * (1 - D * z**2))
-    return (1 - e * c.v - 2 * D / (1 - D**2) - e * eps) * (
-        1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2) - eps
-    )
+def _(c, e, B, D):
+    g = 2 * B * D / (1 + D)
+    x = 1 - e * c.v - 2 * D / (1 - D**2)
+    y = 1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
+
+    def member(k, z):
+        z2 = z**2
+        eps = g * z2 / (1 - D * z2)
+        return (x - e * eps) * (y - eps)
+
+    return member
 
 
 @_entry("odd", "Sk4", lambda c, k: k >= 1 and c.b == c.a + 1 and c.b >= 6,
@@ -518,19 +589,32 @@ def _(c, k, z, e, B, D):
             *(("B", c.n), ("B", c.m)) * k, *(("B'", c.n), ("B'", c.m)) * k
         ),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    eps = 2 * z**2 * (1 - Fraction(2, c.b)) / ((1 - D) * (1 + z**2))
-    return (1 - e * D / (1 - D) + 2 * D**2 / (1 - D**2) + e * D * eps) * (
-        1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2) - eps
-    )
+def _(c, e, B, D):
+    eD = e * D
+    g = 2 * (1 - Fraction(2, c.b)) / (1 - D)
+    x = 1 - eD / (1 - D) + 2 * D**2 / (1 - D**2)
+    y = 1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2)
+
+    def member(k, z):
+        z2 = z**2
+        eps = g * z2 / (1 + z2)
+        return (x + eD * eps) * (y - eps)
+
+    return member
 
 
 @_entry("odd", "Sk5", lambda c, k: c.r <= c.a - 1,
         lambda c, k: c.blocks(*[("B", c.m)] * k, ("B", c.n)),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    tail = 2 * D * z / (1 - D * z)
-    return (1 - e * c.v - tail) * (1 - 3 * B - c.v - B * tail)
+def _(c, e, B, D):
+    g = 2 * D
+    x, y = 1 - e * c.v, 1 - 3 * B - c.v
+
+    def member(k, z):
+        tail = g * z / (1 - D * z)
+        return (x - tail) * (y - B * tail)
+
+    return member
 
 
 @_entry("odd", "Sk6", lambda c, k: c.r == 2 and c.b >= 7,
@@ -538,11 +622,18 @@ def _(c, k, z, e, B, D):
             *(("B", c.n), ("B", c.s)) * k, ("B", c.n), *[("B", c.m)] * k
         ),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    den = (1 + D) * (1 - D * z**3)
-    return (1 - e * c.v - 2 * D * z * (1 + D * z**2) / den) * (
-        1 - 3 * B - c.v + 2 * D / c.b - 2 * B * D * z**2 * (1 + z) / den
-    )
+def _(c, e, B, D):
+    g = 2 * D / (1 + D)
+    h = B * g
+    x = 1 - e * c.v
+    y = 1 - 3 * B - c.v + 2 * D / c.b
+
+    def member(k, z):
+        z2 = z**2
+        den = 1 - D * z2 * z
+        return (x - g * z * (1 + D * z2) / den) * (y - h * z2 * (1 + z) / den)
+
+    return member
 
 
 @_entry("odd", "Sk7", lambda c, k: k >= 1 and c.b == 2 * c.a + 2,
@@ -550,42 +641,69 @@ def _(c, k, z, e, B, D):
             *(("B", c.n), ("B", c.s)) * k, *(("B'", c.n), ("B'", c.s)) * k
         ),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    eps = 2 * z**2 * (1 - Fraction(4, c.b)) / ((1 - D) * (1 + z**2))
-    return (1 - e * D / (1 - D) + 4 * D**2 / (1 - D**2) + e * D * eps) * (
-        1 - B + D / (1 - D) - 4 * B / (1 - D**2) - eps
-    )
+def _(c, e, B, D):
+    eD = e * D
+    g = 2 * (1 - Fraction(4, c.b)) / (1 - D)
+    x = 1 - eD / (1 - D) + 4 * D**2 / (1 - D**2)
+    y = 1 - B + D / (1 - D) - 4 * B / (1 - D**2)
+
+    def member(k, z):
+        z2 = z**2
+        eps = g * z2 / (1 + z2)
+        return (x + eD * eps) * (y - eps)
+
+    return member
 
 
 @_entry("odd", "Sk8", lambda c, k: k >= 1 and c.b == c.a + 2 and c.b >= 7,
         lambda c, k: c.blocks(*(("B", c.n), ("B", c.s)) * k, ("B'", c.m)),
         listed=("increasing", 1))
-def _(c, k, z, e, B, D):
-    eps = 2 * z**2 * (1 - Fraction(2, c.b)) / (1 - D * z**2)
-    return (
-        1 + D * (1 + D - 4 * D**2) / (1 - D**2)
-        - e * D * (1 - 2 * D) / (1 - D) - e * D**2 * eps
-    ) * (1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2) - eps)
+def _(c, e, B, D):
+    eD2 = e * D**2
+    g = 2 * (1 - Fraction(2, c.b))
+    x = (1 + D * (1 + D - 4 * D**2) / (1 - D**2)
+         - e * D * (1 - 2 * D) / (1 - D))
+    y = 1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2)
+
+    def member(k, z):
+        z2 = z**2
+        eps = g * z2 / (1 - D * z2)
+        return (x - eD2 * eps) * (y - eps)
+
+    return member
 
 
 @_entry("odd", "Sk9", lambda c, k: c.b == c.a + 2 and c.b >= 11,
         lambda c, k: c.blocks(*[("B", c.m)] * k, ("B'", c.n), ("E'", 3), ("B'", c.s)),
         listed=("increasing", 0))
-def _(c, k, z, e, B, D):
-    eps = 2 * D * z * (1 - 2 * B + 2 * D - 2 * B * D + D**2) / (1 - D**3 * z)
-    return (
-        1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - e * D**2
-        - e * D**2 * (B - D) / (1 - D) - e * D**2 * eps
-    ) * (1 - 2 * B + D * (1 - B) / (1 - D) - eps)
+def _(c, e, B, D):
+    D3, eD2 = D**3, e * D**2
+    g = 2 * D * (1 - 2 * B + 2 * D - 2 * B * D + D**2)
+    x = (1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - eD2
+         - eD2 * (B - D) / (1 - D))
+    y = 1 - 2 * B + D * (1 - B) / (1 - D)
+
+    def member(k, z):
+        eps = g * z / (1 - D3 * z)
+        return (x - eD2 * eps) * (y - eps)
+
+    return member
 
 
 @_entry("odd", "Sk10", lambda c, k: (c.a, c.b) == (3, 4) and k >= 1,
         lambda c, k: c.blocks(("F", 2), *(("F", 2), ("B'", 2)) * k),
         listed=("decreasing", 1))
-def _(c, k, z, e, B, D):
-    eps = B * z**2 * (1 - e + D) / ((1 + D) * (1 - D * z**2))
-    x = B * (1 - e + D) / (1 - D**2)
-    return e * (1 - x + eps) * (1 + D * x - D * eps)
+def _(c, e, B, D):
+    g = B * (1 - e + D) / (1 + D)
+    u = g / (1 - D)
+    x, y = 1 - u, 1 + D * u
+
+    def member(k, z):
+        z2 = z**2
+        eps = g * z2 / (1 - D * z2)
+        return e * (x + eps) * (y - D * eps)
+
+    return member
 
 
 @_entry("odd", "Sk11", lambda c, k: (c.a, c.b) == (3, 5),
@@ -594,20 +712,32 @@ def _(c, k, z, e, B, D):
             ("H", None), ("G", None),
         ),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
-    eps = 2 * z**8 / (1 - D**4 * z**8)
-    q = 1 - 2 * B - 2 * B * D + D**2
-    return e * (1 - 2 * B + D - D**3 * q * (1 - eps) / (1 + D**4)) * (
-        1 + 2 * B - D - D**3 * q * (1 + D**4 * eps) / (1 + D**4)
-    )
+def _(c, e, B, D):
+    D4 = D**4
+    h = D**3 * (1 - 2 * B - 2 * B * D + D**2) / (1 + D4)
+    hD4 = h * D4
+    x, y = 1 - 2 * B + D - h, 1 + 2 * B - D - h
+
+    def member(k, z):
+        z8 = z**8
+        eps = 2 * z8 / (1 - D4 * z8)
+        return e * (x + h * eps) * (y - hD4 * eps)
+
+    return member
 
 
 @_entry("odd", "Sk12", lambda c, k: (c.a, c.b) == (3, 6),
         lambda c, k: c.blocks(("F", 2), *[("B'", 2)] * (k + 1)),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
-    x = B * (1 - e + D) * (1 - D * z) / ((1 - D) * (1 - D**2 * z))
-    return e * (1 - x * x)
+def _(c, e, B, D):
+    D2 = D**2
+    g = B * (1 - e + D) / (1 - D)
+
+    def member(k, z):
+        x = g * (1 - D * z) / (1 - D2 * z)
+        return e * (1 - x * x)
+
+    return member
 
 
 # ---- a = 2: the words and values depend on the parity of b
@@ -616,7 +746,7 @@ def _(c, k, z, e, B, D):
 @_entry("two", "S-1", _always,
         lambda c, k: c.word(0, 0) if c.b % 2 == 0
         else c.word(c.a, -1, c.a, -3, c.a, -1, c.a, -1))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     if c.b % 2 == 0:
         return e * (1 - B) ** 2
     return e * (
@@ -627,7 +757,7 @@ def _(c, k, z, e, B, D):
 
 @_entry("two", "S-2", lambda c, k: c.b % 2 == 1,
         lambda c, k: c.word(c.a, -3, c.a, -1))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     return e * (1 - B + B * D / (1 + D)) ** 2
 
 
@@ -635,36 +765,67 @@ def _(c, k, z, e, B, D):
         lambda c, k: c.word(c.a, -4, *(c.a, -2) * k) if c.b % 2 == 0
         else c.word(c.a, -1, *(c.a, -3, c.a, -1) * k),
         listed=("decreasing", 1))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
     if c.b % 2 == 0:
-        den = 1 - D * z
-        return e * (1 - 2 * B - 2 * B * D * z / den) * (1 + 2 * B * z / den)
-    den = (1 + D) * (1 - D * z**2)
-    return e * (1 - B - B**2 / 2 - 2 * B * D**2 * z**2 / den) * (
-        1 - B + B**2 / 2 + 2 * B * z**2 / den
-    )
+        B2 = 2 * B
+        B2D, x = B2 * D, 1 - B2
+
+        def member(k, z):
+            w = z / (1 - D * z)
+            return e * (x - B2D * w) * (1 + B2 * w)
+
+        return member
+    g = 2 * B / (1 + D)
+    gD2 = g * D**2
+    half = B**2 / 2
+    x, y = 1 - B - half, 1 - B + half
+
+    def member(k, z):
+        z2 = z**2
+        w = z2 / (1 - D * z2)
+        return e * (x - gD2 * w) * (y + g * w)
+
+    return member
 
 
 @_entry("two", "S2k+1", _always,
         lambda c, k: c.word(c.a, -2, 0, 0, *(c.a, -2) * k) if c.b % 2 == 0
         else c.word(c.a, -1, 0, -1, *(c.a, -3, c.a, -1) * k),
         listed=("decreasing", 0))
-def _(c, k, z, e, B, D):
+def _(c, e, B, D):
+    D2, x = D**2, (1 - B) ** 2
     if c.b % 2 == 0:
-        q = (1 - D * z) / (1 - D**2 * z)
-        return e * ((1 - B) ** 2 - B**2 * q**2)
-    q = (1 - z**2) / (1 - D**2 * z**2)
-    return e * ((1 - B) ** 2 - (B**4 / 4) * q**2)
+        g = B**2
+
+        def member(k, z):
+            q = (1 - D * z) / (1 - D2 * z)
+            return e * (x - g * q * q)
+
+        return member
+    g = B**4 / 4
+
+    def member(k, z):
+        z2 = z**2
+        q = (1 - z2) / (1 - D2 * z2)
+        return e * (x - g * q * q)
+
+    return member
 
 
 @_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
         lambda c, t: c.word(c.a, -t))
-def _(c, t, z, e, B, D):
-    w = (t - 2) * B / (1 - D)
-    # t <= b - sqrt(2b-4)  <=>  (b-t)^2 >= 2b-4  (both sides positive)
-    if (c.b - t) ** 2 >= 2 * c.b - 4:
-        return e * (1 - w) * (1 + w)
-    return e * ((2 - 2 * B - w) ** 2 - 1)
+def _(c, e, B, D):
+    g = B / (1 - D)
+    y = 2 - 2 * B
+
+    def member(t, z):
+        w = (t - 2) * g
+        # t <= b - sqrt(2b-4)  <=>  (b-t)^2 >= 2b-4  (both sides positive)
+        if (c.b - t) ** 2 >= 2 * c.b - 4:
+            return e * (1 - w) * (1 + w)
+        return e * ((y - w) ** 2 - 1)
+
+    return member
 
 
 # family -> parameter kind (None, "k" or "t")
@@ -689,35 +850,50 @@ def _applies(cls: ClassId, c: _Pair) -> bool:
     return entry.applies(c, _param(cls))
 
 
-def _require(cls: ClassId, alpha: PeriodTwoAlpha) -> tuple[_Class, _Pair]:
-    """The table entry of an applicable class, with its pair; raises otherwise."""
+def _require(cls: ClassId, c: _Pair) -> _Class:
+    """The table entry of a class applicable at the pair; raises otherwise."""
     if _FAMILY_PARAM[cls.family] == "k" and cls.k is None:
         raise ApplicabilityError(
             f"{cls} designates a family limit; use family_limit()"
         )
-    c = _Pair(alpha)
     if not _applies(cls, c):
         raise ApplicabilityError(
-            f"class {cls} is not applicable at (a,b)=({alpha.a},{alpha.b})"
+            f"class {cls} is not applicable at (a,b)=({c.a},{c.b})"
         )
-    return _CLASSES[c.regime, cls.family], c
+    return _CLASSES[c.regime, cls.family]
+
+
+def _member(c: _Pair, family: str) -> Callable[[Optional[int], object], QuadNum]:
+    """The member function (p, z) -> value of the family's entry at the pair.
+
+    The entry's parameter-free coefficients are computed here, once; a plain
+    class's member returns its value whatever p and z are.
+    """
+    al, entry = c.alpha, _CLASSES[c.regime, family]
+    form = entry.form(c, al.eta, al.beta, al.D)
+    return form if entry.param else lambda p, z: form
+
+
+def _value(member, cls: ClassId, D: QuadNum) -> QuadNum:
+    """The member's value at the class's parameter, with z = D^k for a k-family."""
+    return member(_param(cls), None if cls.k is None else D**cls.k)
 
 
 def class_tsequence(cls: ClassId, alpha: PeriodTwoAlpha) -> TSequence:
     """The periodic t-sequence of the class; raises if not applicable."""
-    entry, c = _require(cls, alpha)
-    return entry.period(c, _param(cls))
+    c = _Pair(alpha)
+    return _require(cls, c).period(c, _param(cls))
 
 
 def delta_closed_form(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
     """Exact value of the class, from its closed form."""
-    entry, c = _require(cls, alpha)
-    z = alpha.D ** cls.k if entry.param == "k" else None
-    return entry.value(c, _param(cls), z, alpha.eta, alpha.beta, alpha.D)
+    c = _Pair(alpha)
+    _require(cls, c)
+    return _value(_member(c, cls.family), cls, alpha.D)
 
 
 def family_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
-    """delta_inf of the family: its closed form at z = D^k = 0.
+    """delta_inf of the family: its member function at z = D^k = 0.
 
     0 < D < 1, so z = 0 is the k -> infinity limit.
     """
@@ -725,8 +901,7 @@ def family_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
     entry = _CLASSES.get((c.regime, family))
     if entry is None or entry.param != "k":
         raise ApplicabilityError(f"{family} is not a family in regime {c.regime}")
-    zero = QuadNum(0, 0, alpha.N)
-    return entry.value(c, None, zero, alpha.eta, alpha.beta, alpha.D)
+    return _member(c, family)(None, 0)
 
 
 # ----------------------------------------------------------------------
@@ -830,15 +1005,13 @@ def _expected_rho(alpha: PeriodTwoAlpha) -> ClassId:
     return ClassId("S0t", t=2 if b % 2 == 0 else 3)
 
 
-def _build_points(alpha, entries, limit):
-    """entries: list of (ClassId, kind, direction); the limit point has value
-    `limit`.  Returns sorted points."""
-    pts = []
-    for cls, kind, direction in entries:
-        ms = limit if kind == "limit_point" else delta_closed_form(cls, alpha)
-        pts.append(
-            SpectrumPoint(cls, ms, m_value(ms, alpha), kind, direction)
-        )
+def _build_points(alpha, entries):
+    """entries: list of (ClassId, value, kind, direction).  Returns the points
+    in decreasing order of value."""
+    pts = [
+        SpectrumPoint(cls, ms, m_value(ms, alpha), kind, direction)
+        for cls, ms, kind, direction in entries
+    ]
     pts.sort(key=lambda p: p.m_star, reverse=True)
     # distinct classes can share a value (observed once, at (2,10) where the
     # first-branch delta_{0,6} collapses onto delta_{-1}); keep one point
@@ -865,8 +1038,8 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    reg = regime(alpha)
-    a, b = alpha.a, alpha.b
+    c = _Pair(alpha)
+    reg, a, b = c.regime, alpha.a, alpha.b
     if reg == "even-odd":
         iso = [ClassId("S-1")]
         if a + 3 <= b <= 2 * a - 3:
@@ -903,8 +1076,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
             if a + 6 <= b <= 2 * a - 6:
                 fams.append("Sk4")
     elif reg == "odd":
-        p = OddParams.of(alpha)
-        m, r = p.m, p.r
+        m, r = c.m, c.r
         if (a, b) == (3, 4):
             iso = [ClassId("S-6"), ClassId("S-8")]
             fams = ["Sk10"]
@@ -952,21 +1124,27 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         # both families have the same limit, delta_inf
         fams = ["S2k+1", "S2k"]
 
-    entries = [(c, "isolated", "none") for c in iso]
+    # one member function per family for the whole call
+    members = {f: _member(c, f) for f in {*fams, *(cls.family for cls in iso)}}
+    entries = []
+    for cls in iso:
+        _require(cls, c)
+        entries.append((cls, _value(members[cls.family], cls, alpha.D), "isolated", "none"))
     fam_infos = []
     for fam in fams:
-        spec = _CLASSES[reg, fam]
+        spec, f = _CLASSES[reg, fam], members[fam]
         ks = tuple(range(spec.k0, kmax + 1))
-        fam_infos.append(
-            FamilyInfo(fam, spec.direction, family_limit(fam, alpha), ks)
-        )
-        entries.extend(
-            (ClassId(fam, k=k), "family_member", spec.direction) for k in ks
-        )
-    entries.append((ClassId(fams[0]), "limit_point", "none"))
+        fam_infos.append(FamilyInfo(fam, spec.direction, f(None, 0), ks))
+        z = alpha.D**spec.k0
+        for k in ks:
+            cls = ClassId(fam, k=k)
+            _require(cls, c)
+            entries.append((cls, f(k, z), "family_member", spec.direction))
+            z *= alpha.D
     limit = fam_infos[0].limit
+    entries.append((ClassId(fams[0]), limit, "limit_point", "none"))
 
-    points = _build_points(alpha, entries, limit)
+    points = _build_points(alpha, entries)
     expected = _expected_rho(alpha)
     if points[0].cls != expected:
         raise RuntimeError(
@@ -1009,8 +1187,10 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
     sides agree, is checked.
 
     Plain classes come first, then k-families for k = 0..kmax, then the
-    t-classes, each in class-table order.
+    t-classes, each in class-table order.  A negative kmax raises ValueError.
     """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     c = _Pair(alpha)
     params = {None: [None], "k": range(kmax + 1), "t": range(2, alpha.b - 1)}
     table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
@@ -1095,18 +1275,23 @@ def euclidean_test(alpha: PeriodTwoAlpha, kmax: int = 8) -> EuclidReport:
             if pt.m > threshold:
                 above += 1
         # decreasing families could still be above threshold past kmax
+        c = _Pair(alpha)
         for fam in cat.families:
             if fam.direction != "decreasing":
                 continue
+            f = _member(c, fam.family)
             k = max(fam.k_listed) + 1
+            z = alpha.D**k
             while True:
                 if k > max(fam.k_listed) + 500:
                     raise RuntimeError("family did not cross the threshold")
-                val = m_value(delta_closed_form(ClassId(fam.family, k=k), alpha), alpha)
-                if not val > threshold:
+                cls = ClassId(fam.family, k=k)
+                _require(cls, c)
+                if not m_value(f(k, z), alpha) > threshold:
                     break
                 above += 1
                 k += 1
+                z *= alpha.D
     B = Fraction(-alpha.b)
     C = Fraction(alpha.b, alpha.a)
     return EuclidReport(

@@ -41,6 +41,21 @@ def test_verify_single_pair(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("where", [("--a", "4", "--b", "8"), ("--grid", "4..5,5..8")])
+def test_verify_negative_kmax_is_usage_error(capsys, where):
+    code, out, err = run(capsys, "verify", *where, "--kmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: kmax must be >= 0\n"
+
+
+def test_verify_kmax_zero_checks_the_k0_members(capsys):
+    code, out, _ = run(capsys, "verify", "--a", "4", "--b", "8", "--kmax", "0")
+    assert code == 0
+    assert "PASS (4,8) delta_{0,1}:" in out and "delta_{1,1}" not in out
+    assert out.endswith("OK: 0 mismatches\n")
+
+
 def test_verify_grid(capsys):
     code, out, _ = run(capsys, "verify", "--grid", "4..5,5..8", "--kmax", "1")
     assert code == 0

@@ -1,0 +1,62 @@
+"""Exact values of the catalogue over every pair 2 <= a < b <= 40.
+
+Both pins were recorded from the code before the closed forms were split into
+per-pair coefficients and member functions of z = D^k; a faster evaluation
+must leave every exact value, and every printed byte, unchanged.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from inhomspec.cli import main
+from inhomspec.ncf import make_alpha
+from inhomspec.spectrum import (
+    _CLASSES,
+    ApplicabilityError,
+    covered_pairs,
+    delta_closed_form,
+    equivalence_cases,
+    family_limit,
+)
+
+CATALOG_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "catalog.json"
+PAIRS = list(covered_pairs(2, 39, 3, 40))
+
+
+def test_catalog_stdout_matches_the_bench_references():
+    ref = json.loads(CATALOG_REFS.read_text())
+    assert ref["kmax"] == 8 and len(ref["digests"]) == len(PAIRS) == 739
+    for a, b in PAIRS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["catalog", "--a", str(a), "--b", str(b), "--kmax", "8"])
+        assert code == 0, (a, b)
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert got == ref["digests"][f"{a},{b}"], (a, b)
+
+
+def test_closed_forms_and_limits_are_pinned():
+    # repr of every equivalence case at kmax 4, then the limit of every
+    # k-family of the table at the pair (the exception class where it raises)
+    families = sorted({f for (_, f), e in _CLASSES.items() if e.param == "k"})
+    h = hashlib.sha256()
+    n = 0
+    for a, b in PAIRS:
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            value = delta_closed_form(cls, al)
+            h.update(f"{a},{b},{cls.family},{cls.k},{cls.t}:{value!r};".encode())
+            n += 1
+        for f in families:
+            try:
+                value = repr(family_limit(f, al))
+            except ApplicabilityError as ex:
+                value = type(ex).__name__
+            h.update(f"{a},{b},{f}:{value};".encode())
+    assert n == 9216
+    assert h.hexdigest() == (
+        "fd245fa225e9d60db3e7b01176bd3c851fd883e0731d70b650648ed28a1563db"
+    )

@@ -243,6 +243,32 @@ def test_rational_hashes_as_its_fraction():
     assert hash(qnum(F(1, 2), 1, 5) - qnum(0, 1, 5)) == hash(F(1, 2))
 
 
+@given(st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=1, max_value=10**30),
+       st.sampled_from([2, 12, 50, 15, N_GRID]),
+       st.sampled_from(["zero", "integer", "rational", "irrational"]))
+@settings(max_examples=300, deadline=None)
+def test_to_json_matches_fraction_reference(x, y, z, N, shape):
+    if shape == "zero":
+        x = y = 0
+    elif shape == "integer":
+        y, z = 0, 1
+    elif shape == "rational":
+        y = 0
+    elif y == 0:
+        y = 1
+    v = qnum(F(x, z), F(y, z), N)
+    j = v.to_json(12)
+    for key, ref in (("p", F(x, z)), ("q", F(y, z))):
+        assert j[key] == f"{ref.numerator}/{ref.denominator}"
+    assert j["N"] == N and j["approx"] == v.decimal(12)
+    assert QuadNum.from_json(j) == v
+    # an arithmetic result serializes like its public rebuild
+    w = v * 3 - qnum(0, 1, N) + qnum(0, 1, N)
+    assert w.to_json(12) == qnum(3 * F(x, z), 3 * F(y, z), N).to_json(12)
+
+
 @pytest.mark.parametrize("args, error", [
     ((1, 1, 0), InvalidFieldError),
     ((1, 1, -3), InvalidFieldError),

@@ -7,6 +7,7 @@ from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_star, reflect
 from inhomspec.spectrum import (
+    _CLASSES,
     ApplicabilityError,
     ClassId,
     ExcludedCaseError,
@@ -175,13 +176,35 @@ def test_a2_values():
 
 
 def test_limit_equals_kterm_dropped():
-    # family values converge to the limit from the declared side
-    al = make_alpha(4, 8)
-    lim = family_limit("Sk1", al)
-    vals = [delta_closed_form(ClassId("Sk1", k=k), al) for k in range(0, 9)]
-    assert all(v > lim for v in vals)
-    diffs = [v - lim for v in vals]
-    assert all(x > y for x, y in zip(diffs, diffs[1:]))
+    # every k-family member k = k0..8 that applies moves strictly toward the
+    # family limit, from the side its entry declares, at every covered pair
+    # and at two off-grid pairs for the families the grid never reaches
+    checked = set()
+    for a, b in [*covered_pairs(), (10, 16), (12, 18)]:
+        al = make_alpha(a, b)
+        reg = regime(al)
+        for (r, family), entry in _CLASSES.items():
+            if r != reg or entry.param != "k":
+                continue
+            vals = []
+            for k in range(entry.k0, 9):
+                if (reg, family) == ("even-even", "Sk4") and (
+                    k == 0 or (k, a, b) == (1, 6, 10)
+                ):
+                    continue  # explicit overrides, off the family formula
+                try:
+                    vals.append(delta_closed_form(ClassId(family, k=k), al))
+                except ApplicabilityError:
+                    continue
+            if not vals:
+                continue
+            lim = family_limit(family, al)
+            gaps = [v - lim if entry.direction == "decreasing" else lim - v
+                    for v in vals]
+            assert all(g > 0 for g in gaps), (a, b, family)
+            assert all(x > y for x, y in zip(gaps, gaps[1:])), (a, b, family)
+            checked.add((reg, family))
+    assert checked == {key for key, e in _CLASSES.items() if e.param == "k"}
 
 
 def test_delta_m2_overlap_branches_agree():
@@ -220,6 +243,17 @@ def test_equivalence_case_order_is_pinned():
                 h.update(f"{a},{b},{cls.family},{cls.k},{cls.t};".encode())
                 n += 1
         assert (n, h.hexdigest()) == (count, digest), kmax
+
+
+def test_negative_kmax_is_refused():
+    al = make_alpha(4, 8)
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        list(equivalence_cases(al, -1))
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        verify_equivalence(al, kmax=-1)
+    # kmax = 0 keeps each family's k = 0 member
+    assert ClassId("Sk1", k=0) in list(equivalence_cases(al, 0))
+    assert all(r.ok for r in verify_equivalence(al, kmax=0))
 
 
 def test_equivalence_counts_something():
