@@ -12,9 +12,10 @@ Subcommands:
 Exit status: 0 on success; 1 when a verification fails or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
-period within --max-terms.
+period within --max-terms, or a --max-terms below 1.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
-counts are fixed by --digits.
+counts are fixed by --digits.  JSON is written as json.dumps(obj,
+sort_keys=True, indent=2) writes it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from .quadfield import QuadNum
 from .ncf import PeriodNotFoundError, make_alpha, ncf_expand
@@ -63,8 +65,50 @@ def _class_from_args(args) -> ClassId:
     return ClassId(args.cls, k=args.k, t=args.t)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.
+
+    json's indenting encoder is pure Python and slow; this writes the same
+    bytes for the str-keyed trees of str, int, float, bool, None, list, tuple
+    and dict the subcommands print.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == inf:
+            return "Infinity"
+        if obj == -inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json_text(obj))
 
 
 def _emit_csv(rows) -> None:

@@ -129,7 +129,10 @@ def ncf_expand(x: QuadNum, max_terms: int = 512) -> NCFExpansion:
     For 0 < x < 1 the head is 0 and the digits give x = 1/(d1 - 1/(d2 - ...)),
     matching the purely periodic normal form of eta and beta.  Otherwise the
     head is ceil(x) and the digits expand the defect ceil(x) - x the same way.
+    A max_terms below 1 raises ValueError.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     if x.q == 0:
         raise NonPeriodicError("rational input has a terminating expansion")
     zero, one = QuadNum(0, 0, x.N), QuadNum(1, 0, x.N)

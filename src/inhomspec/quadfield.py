@@ -116,6 +116,16 @@ def _make(x: int, y: int, z: int, N: int) -> "QuadNum":
     return new
 
 
+def _lowest(x: int, y: int, z: int, N: int) -> "QuadNum":
+    """(x + y*sqrt(N))/z for a triple already in lowest terms with z > 0."""
+    new = _new(QuadNum)
+    new._x = x
+    new._y = y
+    new._z = z
+    new._N = N
+    return new
+
+
 def _sum(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
     """(x1 + y1*sqrt(N))/z1 plus (x2 + y2*sqrt(N))/z2."""
     if z1 == z2:
@@ -173,6 +183,8 @@ class QuadNum:
         None means this value is rational and `other` is an irrational of
         another field, which then holds the result.
         """
+        if type(other) is QuadNum and other._N == self._N:
+            return other._x, other._y, other._z
         if type(other) is int:
             return other, 0, 1
         if isinstance(other, QuadNum):
@@ -198,7 +210,21 @@ class QuadNum:
     # ring / field operations
     # ------------------------------------------------------------------
 
+    # Each binary operator first takes the two operands that dominate every
+    # caller -- a QuadNum of the same field and a plain int -- straight from
+    # their ints; everything else goes through _parts.  Negating, or adding or
+    # subtracting an int k, keeps lowest terms: a common divisor of
+    # (+-x + k*z, +-y, z) divides z, hence x, and gcd(x, y, z) = 1.
+
     def __add__(self, other) -> "QuadNum":
+        if type(other) is QuadNum and other._N == self._N:
+            z1, z2 = self._z, other._z
+            if z1 == z2:
+                return _make(self._x + other._x, self._y + other._y, z1, self._N)
+            return _make(self._x * z2 + other._x * z1, self._y * z2 + other._y * z1,
+                         z1 * z2, self._N)
+        if type(other) is int:
+            return _lowest(self._x + other * self._z, self._y, self._z, self._N)
         t = self._parts(other)
         if t is None:
             return other + self
@@ -207,9 +233,17 @@ class QuadNum:
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return _make(-self._x, -self._y, self._z, self._N)
+        return _lowest(-self._x, -self._y, self._z, self._N)
 
     def __sub__(self, other) -> "QuadNum":
+        if type(other) is QuadNum and other._N == self._N:
+            z1, z2 = self._z, other._z
+            if z1 == z2:
+                return _make(self._x - other._x, self._y - other._y, z1, self._N)
+            return _make(self._x * z2 - other._x * z1, self._y * z2 - other._y * z1,
+                         z1 * z2, self._N)
+        if type(other) is int:
+            return _lowest(self._x - other * self._z, self._y, self._z, self._N)
         t = self._parts(other)
         if t is None:
             return -other + self
@@ -217,14 +251,21 @@ class QuadNum:
         return _sum(self._x, self._y, self._z, -x2, -y2, z2, self._N)
 
     def __rsub__(self, other) -> "QuadNum":
+        if type(other) is int:
+            return _lowest(other * self._z - self._x, -self._y, self._z, self._N)
         return _sum(*self._parts(other), -self._x, -self._y, self._z, self._N)
 
     def __mul__(self, other) -> "QuadNum":
+        x1, y1, N = self._x, self._y, self._N
+        if type(other) is QuadNum and other._N == N:
+            x2, y2 = other._x, other._y
+            return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * other._z, N)
+        if type(other) is int:
+            return _make(x1 * other, y1 * other, self._z, N)
         t = self._parts(other)
         if t is None:
             return other * self
         x2, y2, z2 = t
-        x1, y1, N = self._x, self._y, self._N
         return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * z2, N)
 
     __rmul__ = __mul__

@@ -945,23 +945,32 @@ class SpectrumCatalog:
         return self.points[0]
 
     def to_json_dict(self, digits: int = 18) -> dict:
+        points = [
+            {
+                "label": p.label,
+                "k": _param(p.cls),
+                "m_star": p.m_star.to_json(digits),
+                "m": p.m.to_json(digits),
+                "kind": p.kind,
+                "direction": p.direction,
+            }
+            for p in self.points
+        ]
+        # rho* and the limit point are catalogue points: reuse their rendering
+        limit = self.first_limit_point
+        limit_json = next(
+            (d["m_star"] for p, d in zip(self.points, points) if p.m_star == limit),
+            None,
+        )
+        if limit_json is None:
+            limit_json = limit.to_json(digits)
         return {
             "a": self.alpha.a,
             "b": self.alpha.b,
             "N": self.alpha.N,
-            "rho_star": self.rho_star.m_star.to_json(digits),
-            "first_limit_point": self.first_limit_point.to_json(digits),
-            "points": [
-                {
-                    "label": p.label,
-                    "k": _param(p.cls),
-                    "m_star": p.m_star.to_json(digits),
-                    "m": p.m.to_json(digits),
-                    "kind": p.kind,
-                    "direction": p.direction,
-                }
-                for p in self.points
-            ],
+            "rho_star": points[0]["m_star"],
+            "first_limit_point": limit_json,
+            "points": points,
             "kmax": self.kmax,
         }
 
@@ -1008,8 +1017,9 @@ def _expected_rho(alpha: PeriodTwoAlpha) -> ClassId:
 def _build_points(alpha, entries):
     """entries: list of (ClassId, value, kind, direction).  Returns the points
     in decreasing order of value."""
+    inv = alpha.norm_factor.inverse()  # M = M* / norm_factor, one division
     pts = [
-        SpectrumPoint(cls, ms, m_value(ms, alpha), kind, direction)
+        SpectrumPoint(cls, ms, ms * inv, kind, direction)
         for cls, ms, kind, direction in entries
     ]
     pts.sort(key=lambda p: p.m_star, reverse=True)

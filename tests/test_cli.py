@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from inhomspec.cli import main
+from inhomspec.cli import _json_text, main
 from inhomspec.spectrum import BranchDisagreement
 
 
@@ -241,6 +243,64 @@ def test_ncf_period_limit_is_usage_error(capsys):
     # PeriodNotFoundError is a RuntimeError, but the limit is the user's
     code, out, err = run(capsys, "ncf", "0", "1", "14", "--max-terms", "1")
     assert (code, out, err) == (2, "", "error: no period within 1 terms\n")
+
+
+@pytest.mark.parametrize("max_terms", ["0", "-5"])
+def test_ncf_non_positive_max_terms_is_usage_error(capsys, max_terms):
+    code, out, err = run(capsys, "ncf", "0", "1", "14", "--max-terms", max_terms)
+    assert (code, out, err) == (2, "", "error: max_terms must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("sweep", "--grid", "4..6,5..12", "--format", "json"),
+     "0a19e38c2804f9d4cec0b9c7d00ff5cd0be52094b205815fb5ab3acaa7c5b615"),
+    (("oracle", "--a", "5", "--b", "7", "--class", "S0", "--nmin", "1000",
+      "--nmax", "20000"),
+     "06a556d975bd38544a84b5075403a8c675e56dfa586da287688b8d2e52e88e93"),
+    (("oracle", "--a", "5", "--b", "7", "--class", "S0"),
+     "0ed2432bac68be94d092efa8a3442284a793eec6f1ba04d6d2d0a5cc545d5324"),
+    (("ncf", "0", "1", "14"),
+     "93bd3dc7e28167fd4fb653fdd5f08451e1e6ce4e0c14551d6bd468c3a8c08612"),
+    (("euclid", "--a", "5", "--b", "10"),
+     "7d13807382f3d42e678ce80e7488ee8c20191347798d9a14a42821bcf1ff0cc7"),
+])
+def test_json_stdout_is_pinned(capsys, argv, digest):
+    # recorded from json.dumps(sort_keys=True, indent=2) output
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.sampled_from(["", "\x00\x1f\n\t\"\\/", "é ∑ \u2028 😀", "\x7f"]),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def _nested(depth):
+    tree = {}
+    for i in range(depth):
+        tree = {"k": [tree, i, True], "": []} if i % 2 else [tree, {}, None]
+    return tree
+
+
+@given(json_trees)
+@example({"a": True, "b": 1, "c": 1.0, "d": None, "e": {}, "f": []})
+@example(_nested(60))
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_main_reuses_one_parser_across_subcommands(capsys):

@@ -100,6 +100,12 @@ def test_period_not_found_within_max_terms():
         ncf_expand(qnum(0, 1, 14), max_terms=1)
 
 
+@pytest.mark.parametrize("max_terms", [0, -5])
+def test_non_positive_max_terms_is_refused(max_terms):
+    with pytest.raises(ValueError, match="max_terms must be >= 1"):
+        ncf_expand(qnum(0, 1, 14), max_terms=max_terms)
+
+
 def _squarefree_split(n):
     s, d = 1, 2
     while d * d <= n:

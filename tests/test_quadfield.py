@@ -235,6 +235,25 @@ def test_arithmetic_results_are_canonical(x, y, z, N):
         assert got == want and hash(got) == hash(want)
         # a non-canonical result would differ from its public rebuild
         assert got == qnum(got.p, got.q, got.N)
+    # every operator against every operand kind, on both sides: the int and
+    # same-field paths skip work, and must still leave lowest terms, z > 0
+    kinds = (0, -1, -7, 3, BIG, -BIG, x, F(y, z), F(-1, 3), w,
+             qnum(F(y, z), 0, N), qnum(F(x + 1, 5), 0, 7))  # 7: never drawn as N
+    for other in kinds:
+        for name, op in BINARY.items():
+            try:
+                got = op(v, other)
+            except ZeroDivisionError:
+                assert other == 0 or v == 0, name
+                continue
+            if isinstance(got, QuadNum):
+                ref = qnum(got.p, got.q, got.N)
+                assert (got._x, got._y, got._z) == (ref._x, ref._y, ref._z), name
+                assert got._z > 0, name
+    for name, op in BINARY.items():
+        if name not in ("eq", "ne"):
+            with pytest.raises(TypeError):
+                op(v, True)
 
 
 def test_rational_hashes_as_its_fraction():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -335,6 +336,11 @@ def test_catalog_json_schema():
     for pt in d["points"]:
         assert set(pt) == {"label", "k", "m_star", "m", "kind", "direction"}
         assert set(pt["m_star"]) == {"p", "q", "N", "approx"}
+    # rho* and the limit point reuse their points' rendering, or render anew
+    assert d["rho_star"] == cat.rho_star.m_star.to_json(10)
+    assert d["first_limit_point"] == cat.first_limit_point.to_json(10)
+    top = dataclasses.replace(cat, points=cat.points[:1]).to_json_dict(digits=10)
+    assert top["first_limit_point"] == cat.first_limit_point.to_json(10)
 
 
 def test_catalog_csv_rows():
