@@ -151,6 +151,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.period and args.cls is not None:
+        raise ValueError("--class and --period exclude each other")
+    windowed = args.nmin is not None or args.nmax is not None
+    if args.exact and not windowed:
+        raise ValueError("--exact needs --nmin/--nmax")
     alpha = make_alpha(args.a, args.b)
     if args.period:
         tseq = parse_period(args.period, alpha, start=args.align)
@@ -161,7 +166,7 @@ def _cmd_oracle(args) -> int:
         label = cls.delta_label
     gamma = gamma_value(tseq, alpha)
     target = m_value(m_star(tseq, alpha), alpha)
-    if args.nmin is not None or args.nmax is not None:
+    if windowed:
         lo = 10**3 if args.nmin is None else args.nmin
         hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target,

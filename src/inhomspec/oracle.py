@@ -9,7 +9,7 @@ searched too, as positive n against -gamma, and the smaller side wins; a
 negative argmin_n marks a minimum from the n < 0 side.  Some classes attain
 their constant on one side only.
 
-The window minimum is found by a record walk in exact QuadNum arithmetic on
+The window minimum is found by a record walk in exact arithmetic on
 eta = alpha.eta, in O(log n_hi) steps per side (Cassels, *An Introduction to
 Diophantine Approximation*, ch. III; Sos 1958).  Let n* be the smallest n
 attaining the minimum.  Every m in [n_lo, n*) has
@@ -20,9 +20,19 @@ visits only those records.  From a record n with signed residue e
 least m >= 1 whose signed error m*eta - p lies in (-2e, 0), or in (0, 2|e|)
 when e < 0.  That is a first return of the rotation by eta into a one-sided
 interval, so m is a semiconvergent q_i + j*q_{i+1} of eta's regular
-continued fraction, with one exact floor for j.  The table of convergents is
-built once per (eta, bit length of n_hi).  A pure QuadNum loop over every n
-is available via exact=True; the tests use it as the reference.
+continued fraction, with one exact floor for j.
+
+The walk runs on plain ints.  With Z = lcm of the denominators of eta and
+gamma, fixed for the whole walk, every quantity in it -- the residues, their
+absolute values, the widths 2|e|, the convergent errors q_k*eta - p_k and the
+products |e|*n -- is an int pair (X, Y) standing for (X + Y*sqrt(N))/Z.  Sums
+and int multiples act on the pairs, comparisons take the exact sign of a
+difference of pairs, the nearest integer of a residue is one exact floor, and
+a partial quotient or j is the floor of a quotient of two pairs, taken after
+multiplying through by the divisor's conjugate.  Only the final minimum
+becomes a QuadNum.  The table of convergents is built once per (eta pair, Z,
+N, bit length of n_hi).  A pure QuadNum loop over every n is available via
+exact=True; the tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -30,9 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _floor, _make, _sign
 from .ncf import PeriodTwoAlpha
 
 __all__ = ["OracleReport", "ConvergenceTable", "brute_force_min", "liminf_estimate"]
@@ -71,23 +82,36 @@ def _residue(x: QuadNum) -> QuadNum:
     return x - (x + Fraction(1, 2)).floor()
 
 
-@lru_cache(maxsize=256)
-def _convergents(eta: QuadNum, bits: int) -> tuple[tuple[int, QuadNum, QuadNum], ...]:
-    """(q_k, e_k, |e_k|) for k = -1, 0, 1, ... of eta's regular continued fraction.
+def _floor_div(ux: int, uy: int, vx: int, vy: int, N: int) -> int:
+    """floor((ux + uy*sqrt(N)) / (vx + vy*sqrt(N))) for a nonzero divisor."""
+    # multiply through by the conjugate vx - vy*sqrt(N); the norm is not 0
+    n = vx * vx - vy * vy * N
+    x, y = ux * vx - uy * vy * N, uy * vx - ux * vy
+    if n < 0:
+        x, y, n = -x, -y, -n
+    return _floor(x, y, n, N)
 
-    e_k = q_k*eta - p_k is the signed error, with q_{-1} = 0, e_{-1} = -1,
-    q_0 = 1 and e_0 = eta - floor(eta); signs alternate, so the entry at
-    tuple index t has e < 0 for even t.  The tuple runs until two
+
+@lru_cache(maxsize=256)
+def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """(q_k, x_k, y_k, u_k, v_k) for k = -1, 0, 1, ... of the regular
+    continued fraction of eta = (ex + ey*sqrt(N))/z.
+
+    e_k = q_k*eta - p_k = (x_k + y_k*sqrt(N))/z is the signed error and
+    (u_k + v_k*sqrt(N))/z its absolute value, with q_{-1} = 0,
+    e_{-1} = -1, q_0 = 1 and e_0 = eta - floor(eta); signs alternate, so the
+    entry at tuple index t has e < 0 for even t.  The tuple runs until two
     denominators reach 2^bits, so every q_t < 2^bits has entries t + 1 and
     t + 2 after it.
     """
-    e0 = eta - eta.floor()
-    table = [(0, eta._coerce(-1), eta._coerce(1)), (1, e0, e0)]
+    x0 = ex - _floor(ex, ey, z, N) * z
+    table = [(0, -z, 0, z, 0), (1, x0, ey, x0, ey)]
     while table[-2][0] >> bits == 0:
-        (q1, e1, a1), (q2, e2, a2) = table[-2], table[-1]
-        c = (a1 / a2).floor()  # the next partial quotient
-        e = e1 + e2 * c
-        table.append((q1 + c * q2, e, _abs(e)))
+        (q1, x1, y1, u1, v1), (q2, x2, y2, u2, v2) = table[-2], table[-1]
+        c = _floor_div(u1, v1, u2, v2, N)  # the next partial quotient
+        x, y = x1 + c * x2, y1 + c * y2
+        u, v = (x, y) if _sign(x, y, N) > 0 else (-x, -y)
+        table.append((q1 + c * q2, x, y, u, v))
     return tuple(table)
 
 
@@ -95,39 +119,45 @@ def _walk(eta: QuadNum, gamma: QuadNum, n_lo: int, n_hi: int):
     """(min, argmin, records) of n*||n*eta - gamma|| over n in [n_lo, n_hi].
 
     Visits the strict distance records from n_lo in order, so the smallest
-    n attaining the minimum wins a tie.
+    n attaining the minimum wins a tie.  Every quantity is an int pair
+    (x, y) standing for (x + y*sqrt(N))/z over one z for the whole walk.
     """
-    table = _convergents(eta, n_hi.bit_length())
+    N = eta._N
+    z = lcm(eta._z, gamma._z)
+    ex, ey = eta._x * (z // eta._z), eta._y * (z // eta._z)
+    table = _convergents(ex, ey, z, N, n_hi.bit_length())
     n = n_lo
-    e = _residue(eta * n - gamma)
-    d = _abs(e)
-    best, best_n, records = d * n, n, 1
+    x = ex * n - gamma._x * (z // gamma._z)
+    y = ey * n - gamma._y * (z // gamma._z)
+    x -= _floor(2 * x + z, 2 * y, 2 * z, N) * z  # the residue e, in [-1/2, 1/2)
+    s = _sign(x, y, N)
+    bx, by, best_n, records = s * x * n, s * y * n, n, 1
     # per side of the error sought: the tuple index t of the one-sided
     # semiconvergents q_t + j*q_{t+1}; it only moves forward, as 2|e| shrinks
     start = {-1: 0, 1: 1}
-    while d:
-        side = -e.sign()
-        width = d * 2
-        t = start[side]
-        while not table[t + 2][2] < width:
+    while s:
+        wx, wy = 2 * s * x, 2 * s * y  # the width 2|e|
+        t = start[-s]
+        while _sign(table[t + 2][3] - wx, table[t + 2][4] - wy, N) >= 0:
             t += 2
             if table[t][0] > n_hi - n:  # the next record lies past n_hi
-                return best, best_n, records
-        start[side] = t
-        q0, e0, a0 = table[t]
-        q1, e1, a1 = table[t + 1]
-        j = max(0, ((a0 - width) / a1).floor() + 1)
+                return _make(bx, by, z, N), best_n, records
+        start[-s] = t
+        q0, x0, y0, u0, v0 = table[t]
+        q1, x1, y1, u1, v1 = table[t + 1]
+        j = max(0, _floor_div(u0 - wx, v0 - wy, u1, v1, N) + 1)
         m = q0 + j * q1
         if m > n_hi - n:
             break
         n += m
-        e = e + e0 + e1 * j
-        d = _abs(e)
+        x += x0 + j * x1
+        y += y0 + j * y1
+        s = _sign(x, y, N)
         records += 1
-        v = d * n
-        if v < best:
-            best, best_n = v, n
-    return best, best_n, records
+        vx, vy = s * x * n, s * y * n
+        if _sign(vx - bx, vy - by, N) < 0:
+            bx, by, best_n = vx, vy, n
+    return _make(bx, by, z, N), best_n, records
 
 
 def brute_force_min(
@@ -145,8 +175,12 @@ def brute_force_min(
     negative n against gamma equal positive n against -gamma, so both
     targets are searched and the smaller side wins (argmin_n < 0 marks it).
     Some classes attain their constant on one side only.  exact=True checks
-    every n in the window instead of walking the records.
+    every n in the window instead of walking the records.  The bounds must be
+    ints (not bools) with 1 <= n_lo <= n_hi.
     """
+    for bound in (n_lo, n_hi):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise TypeError(f"window bounds must be ints, got {type(bound).__name__}")
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
     gamma = alpha.eta._coerce(gamma)
@@ -218,6 +252,8 @@ def liminf_estimate(
     an int or a Fraction); the lim inf is then read off as the last window's
     minimum, rendered as a float.
     """
+    if not windows:
+        raise ValueError("need at least one window")
     prev_hi = 0
     for lo, hi in windows:
         if not (prev_hi <= lo <= hi):

@@ -217,6 +217,20 @@ def test_oracle_wide_window(capsys):
     assert json.loads(out)["report"]["relative_gap"] < 1e-20
 
 
+def test_oracle_exact_without_window_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                         "--exact")
+    assert (code, out) == (2, "")
+    assert err == "error: --exact needs --nmin/--nmax\n"
+
+
+def test_oracle_class_with_period_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                         "--period", "t:(1,-1)", "--nmin", "1000", "--nmax", "2000")
+    assert (code, out) == (2, "")
+    assert err == "error: --class and --period exclude each other\n"
+
+
 @pytest.mark.parametrize("target, argv", [
     ("spectrum_catalog", ("catalog", "--a", "4", "--b", "8")),
     ("spectrum_catalog", ("sweep", "--grid", "4..4,5..6")),

@@ -1,8 +1,10 @@
-"""Exact values of the catalogue over every pair 2 <= a < b <= 40.
+"""Exact values of the catalogue over every pair 2 <= a < b <= 40, and of the
+oracle over the 977-case grid.
 
-Both pins were recorded from the code before the closed forms were split into
-per-pair coefficients and member functions of z = D^k; a faster evaluation
-must leave every exact value, and every printed byte, unchanged.
+The catalogue pins were recorded from the code before the closed forms were
+split into per-pair coefficients and member functions of z = D^k, the oracle
+pin from the walk in QuadNum arithmetic; a faster evaluation must leave every
+exact value, and every printed byte, unchanged.
 """
 
 import contextlib
@@ -59,4 +61,31 @@ def test_closed_forms_and_limits_are_pinned():
     assert n == 9216
     assert h.hexdigest() == (
         "fd245fa225e9d60db3e7b01176bd3c851fd883e0731d70b650648ed28a1563db"
+    )
+
+
+def test_oracle_walk_is_pinned_on_wide_windows():
+    # every two-sided record walk over the 977 equivalence_cases(alpha, 4) of
+    # covered_pairs(), at [10^3, 10^6] and at [10^20, 10^30]: exact minimum,
+    # argmin and record count, recorded from the QuadNum walk before the walk
+    # moved to integer pairs over one common denominator
+    from inhomspec.expansion import gamma_value
+    from inhomspec.oracle import brute_force_min
+    from inhomspec.spectrum import class_tsequence
+
+    h = hashlib.sha256()
+    n = 0
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            g = gamma_value(class_tsequence(cls, al), al)
+            for lo, hi in ((10**3, 10**6), (10**20, 10**30)):
+                r = brute_force_min(al, g, lo, hi, two_sided=True)
+                h.update(f"{a},{b},{cls.family},{cls.k},{cls.t},{lo},{hi}:"
+                         f"{r.window_min.p},{r.window_min.q},{r.argmin_n},"
+                         f"{r.records};".encode())
+                n += 1
+    assert n == 2 * 977
+    assert h.hexdigest() == (
+        "20e8ebbb8d4a548cf4b0e611da9d79b38f838908e8de2aba305cce1371d036df"
     )

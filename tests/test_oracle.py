@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_value
@@ -89,6 +90,20 @@ def test_window_validation():
         brute_force_min(A48, A48.eta, 100, 10)
     with pytest.raises(ValueError):
         liminf_estimate(A48, A48.eta, ((100, 200), (150, 300)))
+
+
+@pytest.mark.parametrize("lo, hi", [(1000.0, 2000), (1000, 2000.0), (True, 2000),
+                                    (1, True), ("1000", 2000)])
+def test_window_bounds_must_be_ints(lo, hi):
+    with pytest.raises(TypeError):
+        brute_force_min(A48, A48.eta / 3, lo, hi)
+    with pytest.raises(TypeError):
+        brute_force_min(A48, A48.eta / 3, lo, hi, two_sided=True)
+
+
+def test_liminf_estimate_needs_a_window():
+    with pytest.raises(ValueError):
+        liminf_estimate(A48, A48.eta / 3, windows=())
 
 
 def test_report_json():
@@ -248,6 +263,29 @@ def test_stabilization_verdict_is_exact():
     assert liminf_estimate(al, g, windows, rel_tol=F(1, 10)).stabilized
     with pytest.raises(TypeError):
         liminf_estimate(al, g, windows, rel_tol=1e-3)
+
+
+_N_VALUES = (2, 3, 5, 7, 8, 12, 14, 21, 60, 77)
+_ints = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ints, _ints, _ints, _ints, st.sampled_from(_N_VALUES))
+@example(7, -3, 1, 1, 2)      # 1 + sqrt(2) has norm -1
+@example(-5, 4, -1, 1, 2)     # -1 + sqrt(2): negative part, norm -1
+@example(-9, -2, 3, -2, 3)    # 3 - 2*sqrt(3): norm -3
+@example(0, 0, 1, 1, 2)
+@example(4, 0, -2, 0, 5)      # a rational divisor
+@example(10, 0, 3, -1, 7)     # a rational dividend over an irrational
+def test_floor_div_matches_quadnum(ux, uy, vx, vy, N):
+    from inhomspec.oracle import _floor_div
+    from inhomspec.quadfield import QuadNum
+
+    assume(vx or vy)
+    want = (QuadNum(ux, uy, N) / QuadNum(vx, vy, N)).floor()
+    assert _floor_div(ux, uy, vx, vy, N) == want
+    # a common factor of dividend and divisor leaves the quotient unchanged
+    assert _floor_div(-3 * ux, -3 * uy, -3 * vx, -3 * vy, N) == want
 
 
 def test_oracle_does_not_import_numpy():
