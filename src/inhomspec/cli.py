@@ -12,7 +12,9 @@ Subcommands:
 Exit status: 0 on success; 1 when a verification fails or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
-period within --max-terms, or a --max-terms below 1.
+period within --max-terms, or a --max-terms below 1, and an `oracle` call
+with an option its target ignores (--k or --t with --period, --align with
+--class) or an --exact window wider than EXACT_MAX_N values of n.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it.
@@ -150,15 +152,27 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# the widest window, in values of n per side, that `oracle --exact` loops over
+EXACT_MAX_N = 10**7
+
+
 def _cmd_oracle(args) -> int:
     if args.period and args.cls is not None:
         raise ValueError("--class and --period exclude each other")
+    if args.period and (args.k is not None or args.t is not None):
+        raise ValueError("--k and --t apply to --class, not to --period")
+    if args.cls is not None and args.align is not None:
+        raise ValueError("--align applies to --period, not to --class")
     windowed = args.nmin is not None or args.nmax is not None
+    lo = 10**3 if args.nmin is None else args.nmin
+    hi = 10**6 if args.nmax is None else args.nmax
     if args.exact and not windowed:
         raise ValueError("--exact needs --nmin/--nmax")
+    if args.exact and hi - lo + 1 > EXACT_MAX_N:
+        raise ValueError(f"--exact loops over at most {EXACT_MAX_N} values of n")
     alpha = make_alpha(args.a, args.b)
     if args.period:
-        tseq = parse_period(args.period, alpha, start=args.align)
+        tseq = parse_period(args.period, alpha, start=args.align or "odd")
         label = str(tseq)
     else:
         cls = _class_from_args(args)
@@ -167,8 +181,6 @@ def _cmd_oracle(args) -> int:
     gamma = gamma_value(tseq, alpha)
     target = m_value(m_star(tseq, alpha), alpha)
     if windowed:
-        lo = 10**3 if args.nmin is None else args.nmin
-        hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target,
                               exact=args.exact, two_sided=True)
         out = {"a": args.a, "b": args.b, "class": label,
@@ -274,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--t", type=int)
     sp.add_argument("--period", help="block string 'A1 A1'' or raw 't:(2,-3)'")
-    sp.add_argument("--align", choices=("odd", "even"), default="odd")
+    sp.add_argument("--align", choices=("odd", "even"),
+                    help="position of a period's first digit (default odd)")
     sp.add_argument("--nmin", type=int)
     sp.add_argument("--nmax", type=int)
     sp.add_argument("--exact", action="store_true", help="pure exact loop (slow)")

@@ -25,8 +25,13 @@ function.  A k-family's entry also records the direction in which its
 members approach the limit and the first k the catalogue lists.
 
 From the table this module answers, per class, the t-sequence, the value and
-the limit, and assembles the catalogue of every spectrum value above the
-first limit point, ordered by exact comparison.  delta_closed_form,
+the limit, and derives the catalogue of every spectrum value above the first
+limit point, ordered by exact comparison.  The first limit point is the
+largest limit among the k-families that go on forever at the pair; the
+families with that limit are listed, and every other applicable class or
+member above it is an isolated value.  No regime or pair has a layout of its
+own, except that at (3,6) one family reaching the limit is not listed (see
+_NOT_LISTED).  delta_closed_form,
 family_limit, spectrum_catalog and euclidean_test all reach a value through
 the same member function; the catalogue builds it once per family and call
 and steps z = D^k by one multiply per k.  No value ever touches floating
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
+import itertools
 from typing import Callable, Iterator, Optional
 
 from .quadfield import QuadNum
@@ -209,6 +214,11 @@ class _Class:
     z = D^p for a k-family (None for a t-class).  The family limit is
     member(None, 0).  A k-family's members approach the limit in
     `direction`, and the catalogue lists them from k = k0.
+
+    A k-family goes on forever at a pair when applies(c, _LARGE_K) holds.
+    One large k decides it: for k >= 2 every side condition in the table is
+    a condition on the pair alone, written as `k >= k1 and <condition on the
+    pair>` or as that condition itself.  An entry must keep to this form.
     """
 
     param: Optional[str]
@@ -936,7 +946,6 @@ class SpectrumCatalog:
     kmax: int
     points: tuple[SpectrumPoint, ...]
     first_limit_point: QuadNum
-    rho_star_class: ClassId
     families: tuple[FamilyInfo, ...]
     odd_parameters: Optional[OddParams]
 
@@ -991,29 +1000,6 @@ class SpectrumCatalog:
         return rows
 
 
-def _expected_rho(alpha: PeriodTwoAlpha) -> ClassId:
-    reg = regime(alpha)
-    a, b = alpha.a, alpha.b
-    if reg == "even-odd":
-        if b in (a + 1, a + 3) or b >= 2 * a - 3:
-            return ClassId("Sk", k=0)
-        return ClassId("S-2")
-    if reg == "even-even":
-        return ClassId("Sk1", k=0)
-    if reg == "odd":
-        if (a, b) == (3, 4):
-            return ClassId("S-6")
-        if (a, b) == (3, 5):
-            return ClassId("S-7")
-        p = OddParams.of(alpha)
-        if 2 <= p.r <= a - 1:
-            return ClassId("S0")
-        if p.r == a + 1:
-            return ClassId("S-1")
-        return ClassId("S-2")
-    return ClassId("S0t", t=2 if b % 2 == 0 else 3)
-
-
 def _build_points(alpha, entries):
     """entries: list of (ClassId, value, kind, direction).  Returns the points
     in decreasing order of value."""
@@ -1037,138 +1023,83 @@ def _build_points(alpha, entries):
     return tuple(out)
 
 
+# a k beyond every k1 of the table: see _Class for why one k is enough
+_LARGE_K = 10**6
+
+# At (3,6) odd Sk2 tends to Sk12's limit from below.  The limit point there is
+# the paper's limit from above, reached by Sk12 alone, so Sk2 is not listed.
+_NOT_LISTED = ("odd", "Sk2", 3, 6)
+
+
 def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     """All spectrum values above the first limit point, exactly ordered.
 
-    Members of decreasing families sit above the limit point and are listed
-    for k <= kmax (truncation recorded via kmax); members of increasing
-    families accumulate at the limit from below and are listed below it.
-    The limit point itself appears as the final value of kind 'limit_point';
-    it is the limit of the first listed family.
+    The layout follows from the class table.  The first limit point L is the
+    largest limit among the k-families that go on forever at the pair.  The
+    families whose limit is L are listed in table order, with their members
+    for k0 <= k <= kmax (truncation recorded via kmax): a decreasing family's
+    members sit above L, an increasing family's below it.  L itself is the
+    final value, of kind 'limit_point', labelled by the last listed family.
+    Every other value above L is isolated: applicable plain classes and
+    t-classes, and members of the other k-families, each walked from k0
+    while it applies.  A decreasing family that goes on forever stops at its
+    first member not above L; an increasing one lies below its own limit,
+    which is at most L, and is not evaluated.  Isolated values do not depend
+    on kmax.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     c = _Pair(alpha)
-    reg, a, b = c.regime, alpha.a, alpha.b
-    if reg == "even-odd":
-        iso = [ClassId("S-1")]
-        if a + 3 <= b <= 2 * a - 3:
-            iso.append(ClassId("S-2"))
-        fams = ["Sk"]
-    elif reg == "even-even":
-        if (a, b) == (8, 12):
-            iso = [ClassId("Sk1", k=0), ClassId("Sk5", k=1)]
-            fams = ["Sk6"]
-        elif (a, b) == (6, 10):
-            iso = [ClassId("Sk1", k=0), ClassId("Sk5", k=0), ClassId("Sk4", k=1)]
-            fams = ["Sk7"]
-        elif b >= 2 * a or (a, b) == (4, 6):
-            iso = [ClassId("Sk5", k=0)]
-            if 2 * a <= b <= 3 * a - 6:
-                iso.append(ClassId("Sk4", k=0))
-            if (a, b) == (4, 6):
-                iso.append(ClassId("S-2"))
-            fams = ["Sk1"]
-        elif b == 2 * a - 2 and a >= 8:
-            iso = [ClassId("Sk1", k=0), ClassId("Sk4", k=0)]
-            fams = ["Sk2"]
-        elif b == 2 * a - 4 and a >= 10:
-            iso = [
-                ClassId("Sk1", k=0),
-                ClassId("Sk4", k=0),
-                ClassId("Sk4", k=1),
-                ClassId("Sk5", k=1),
-            ]
-            fams = ["Sk3"]
-        else:  # b <= 2a-6, or (6,8)
-            iso = [ClassId("Sk1", k=0), ClassId("S-1")]
-            fams = ["Sk5"]
-            if a + 6 <= b <= 2 * a - 6:
-                fams.append("Sk4")
-    elif reg == "odd":
-        m, r = c.m, c.r
-        if (a, b) == (3, 4):
-            iso = [ClassId("S-6"), ClassId("S-8")]
-            fams = ["Sk10"]
-        elif (a, b) == (3, 5):
-            iso = [ClassId("S-7"), ClassId("S-9")]
-            fams = ["Sk11"]
-        elif (a, b) == (3, 6):
-            iso = [ClassId("S-2"), ClassId("S-6")]
-            fams = ["Sk12"]
-        elif (a, b) in ((5, 7), (7, 9)):
-            iso = [ClassId("S0"), ClassId("S-3"), ClassId("S-4")]
-            fams = ["Sk8"]
-        elif r >= a + 3:
-            iso = [ClassId("S-2")]
-            fams = ["Sk1" if m >= 1 else "Sk2"]
-        elif r == a + 1:
-            iso = [ClassId("S-1")]
-            fams = ["Sk3" if m >= 1 else "Sk4"]
-        elif 4 <= r <= a - 1:
-            iso = [ClassId("S0")]
-            if b == a + 4 and b >= 17:
-                iso.append(ClassId("S-5"))
-            fams = ["Sk5"]
-        else:  # r == 2
-            iso = [ClassId("S0")]
-            if m >= 3:
-                iso.append(ClassId("S-3"))
-                fams = ["Sk6"]
-            elif m == 2:
-                iso.append(ClassId("S-3"))
-                fams = ["Sk7"]
-            else:  # m == 1, a >= 9 (a in (5,7) handled as specials)
-                iso.append(ClassId("S-5"))
-                fams = ["Sk9"]
-    else:  # a == 2
-        if b % 2 == 0:
-            iso = [ClassId("S0t", t=2), ClassId("S-1")]
-        else:
-            iso = [ClassId("S0t", t=3), ClassId("S-2"), ClassId("S-1")]
-        if b >= 8:
-            tmax = 2 + math.isqrt(2 * b - 4)
-            start = 4 if b % 2 == 0 else 5
-            for tt in range(start, tmax + 1, 2):
-                iso.append(ClassId("S0t", t=tt))
-        # both families have the same limit, delta_inf
-        fams = ["S2k+1", "S2k"]
+    D = alpha.D
+    table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
+    forever = {f: _member(c, f) for f, e in table
+               if e.param == "k" and e.applies(c, _LARGE_K)}
+    limits = {f: member(None, 0) for f, member in forever.items()}
+    limit = max(limits.values())
+    fams = [f for f in forever
+            if limits[f] == limit and (c.regime, f, c.a, c.b) != _NOT_LISTED]
 
-    # one member function per family for the whole call
-    members = {f: _member(c, f) for f in {*fams, *(cls.family for cls in iso)}}
     entries = []
-    for cls in iso:
-        _require(cls, c)
-        entries.append((cls, _value(members[cls.family], cls, alpha.D), "isolated", "none"))
+    for f, entry in table:
+        if entry.param == "k":
+            if f in fams or (f in forever and entry.direction == "increasing"):
+                continue
+            params = itertools.takewhile(
+                lambda k: entry.applies(c, k), itertools.count(entry.k0))
+        else:
+            each = [None] if entry.param is None else range(2, c.b - 1)
+            params = (p for p in each if entry.applies(c, p))
+        member = forever.get(f)
+        for p in params:
+            member = member or _member(c, f)  # built at the first applicable p
+            cls = ClassId(f, **{entry.param: p}) if entry.param else ClassId(f)
+            value = _value(member, cls, D)
+            if value > limit:
+                entries.append((cls, value, "isolated", "none"))
+            elif f in forever:
+                break
     fam_infos = []
     for fam in fams:
-        spec, f = _CLASSES[reg, fam], members[fam]
+        spec, f = _CLASSES[c.regime, fam], forever[fam]
         ks = tuple(range(spec.k0, kmax + 1))
-        fam_infos.append(FamilyInfo(fam, spec.direction, f(None, 0), ks))
-        z = alpha.D**spec.k0
+        fam_infos.append(FamilyInfo(fam, spec.direction, limit, ks))
+        z = D**spec.k0
         for k in ks:
-            cls = ClassId(fam, k=k)
-            _require(cls, c)
-            entries.append((cls, f(k, z), "family_member", spec.direction))
-            z *= alpha.D
-    limit = fam_infos[0].limit
-    entries.append((ClassId(fams[0]), limit, "limit_point", "none"))
-
-    points = _build_points(alpha, entries)
-    expected = _expected_rho(alpha)
-    if points[0].cls != expected:
-        raise RuntimeError(
-            f"catalogue maximum {points[0].cls} does not match the expected "
-            f"top class {expected} at (a,b)=({a},{b})"
-        )
+            if not spec.applies(c, k):
+                raise RuntimeError(
+                    f"listed family {fam} does not apply at k={k}, "
+                    f"(a,b)=({c.a},{c.b})"
+                )
+            entries.append((ClassId(fam, k=k), f(k, z), "family_member", spec.direction))
+            z *= D
+    entries.append((ClassId(fams[-1]), limit, "limit_point", "none"))
     return SpectrumCatalog(
         alpha=alpha,
         kmax=kmax,
-        points=points,
+        points=_build_points(alpha, entries),
         first_limit_point=limit,
-        rho_star_class=expected,
         families=tuple(fam_infos),
-        odd_parameters=OddParams.of(alpha) if reg == "odd" else None,
+        odd_parameters=OddParams.of(alpha) if c.regime == "odd" else None,
     )
 
 

@@ -231,6 +231,45 @@ def test_oracle_class_with_period_is_usage_error(capsys):
     assert err == "error: --class and --period exclude each other\n"
 
 
+@pytest.mark.parametrize("extra", [("--k", "3"), ("--t", "9"), ("--k", "3", "--t", "9")])
+def test_oracle_period_with_k_or_t_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--period",
+                         "t:(1,-1)", *extra, "--nmin", "1000", "--nmax", "2000")
+    assert (code, out) == (2, "")
+    assert err == "error: --k and --t apply to --class, not to --period\n"
+
+
+@pytest.mark.parametrize("align", ["odd", "even"])
+def test_oracle_class_with_align_is_usage_error(capsys, align):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                         "--align", align, "--nmin", "1000", "--nmax", "2000")
+    assert (code, out) == (2, "")
+    assert err == "error: --align applies to --period, not to --class\n"
+
+
+def test_oracle_period_align_default_is_odd(capsys):
+    base = ("oracle", "--a", "4", "--b", "8", "--period", "t:(2,-2)",
+            "--nmin", "1000", "--nmax", "2000")
+    default = run(capsys, *base)
+    assert default[0] == 0
+    assert run(capsys, *base, "--align", "odd") == default
+    assert run(capsys, *base, "--align", "even") != default
+
+
+def test_oracle_exact_window_is_capped(capsys):
+    from inhomspec.cli import EXACT_MAX_N
+
+    argv = ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--exact")
+    code, out, err = run(capsys, *argv, "--nmin", "1000", "--nmax", str(10**30))
+    assert (code, out) == (2, "")
+    assert err == f"error: --exact loops over at most {EXACT_MAX_N} values of n\n"
+    # one past the cap is refused; the default --nmax window is under it
+    code, _, _ = run(capsys, *argv, "--nmin", "1", "--nmax", str(EXACT_MAX_N + 1))
+    assert code == 2
+    code, out, _ = run(capsys, *argv, "--nmin", "1000", "--nmax", "1200")
+    assert code == 0 and json.loads(out)["report"]["argmin_n"] >= 1000
+
+
 @pytest.mark.parametrize("target, argv", [
     ("spectrum_catalog", ("catalog", "--a", "4", "--b", "8")),
     ("spectrum_catalog", ("sweep", "--grid", "4..4,5..6")),

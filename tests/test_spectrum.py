@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,8 @@ from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_star, reflect
 from inhomspec.spectrum import (
     _CLASSES,
+    _LARGE_K,
+    _Pair,
     ApplicabilityError,
     ClassId,
     ExcludedCaseError,
@@ -25,6 +28,8 @@ from inhomspec.spectrum import (
     spectrum_catalog,
     verify_equivalence,
 )
+
+from catalog_reference import expected_rho, reference_catalog
 
 
 # ---------------------------------------------------------------- plumbing
@@ -316,8 +321,9 @@ def test_catalog_m_normalization():
 
 def test_catalog_rho_matches_expected_branch_on_grid():
     for a, b in covered_pairs():
-        cat = spectrum_catalog(make_alpha(a, b), kmax=2)
-        assert cat.rho_star.cls == cat.rho_star_class, (a, b)
+        al = make_alpha(a, b)
+        cat = spectrum_catalog(al, kmax=2)
+        assert cat.rho_star.cls == expected_rho(al), (a, b)
         assert isolation_gap(cat).sign() > 0
 
 
@@ -358,8 +364,7 @@ def test_isolation_gap_needs_two_points():
     cat = spectrum_catalog(make_alpha(4, 8), kmax=2)
     single = SpectrumCatalog(
         alpha=cat.alpha, kmax=1, points=cat.points[:1],
-        first_limit_point=cat.first_limit_point,
-        rho_star_class=cat.rho_star_class, families=(),
+        first_limit_point=cat.first_limit_point, families=(),
         odd_parameters=None,
     )
     with pytest.raises(ValueError):
@@ -374,6 +379,77 @@ def test_tie_merged_at_2_10():
     assert d1 == d2
     cat = spectrum_catalog(al, kmax=3)
     assert len([p for p in cat.points if p.m_star == d1]) == 1
+
+
+def test_one_large_k_decides_whether_a_family_goes_on_forever():
+    # the catalogue asks each k-family's side condition at one large k only;
+    # that is sound while, for k >= 2, every condition is one on the pair
+    for a, b in covered_pairs(2, 39, 3, 40):
+        c = _Pair(make_alpha(a, b))
+        for (reg, f), entry in _CLASSES.items():
+            if reg == c.regime and entry.param == "k":
+                at_large_k = entry.applies(c, _LARGE_K)
+                assert all(entry.applies(c, k) == at_large_k for k in range(2, 12)), (a, b, f)
+
+
+def _assert_matches_reference(a, b, kmax):
+    al = make_alpha(a, b)
+    cat = spectrum_catalog(al, kmax=kmax)
+    points, limit, families = reference_catalog(al, kmax)
+    got = [(p.cls, p.kind, p.direction, p.m_star) for p in cat.points]
+    want = [(p.cls, p.kind, p.direction, p.m_star) for p in points]
+    assert got == want, (a, b, kmax)
+    assert cat.first_limit_point == limit, (a, b, kmax)
+    assert {f.family for f in cat.families} == set(families), (a, b, kmax)
+    assert cat.rho_star.cls == expected_rho(al), (a, b, kmax)
+
+
+@pytest.mark.parametrize("kmax", [1, 8])
+def test_derived_catalog_matches_the_stated_layout(kmax):
+    # every point (class, kind, direction, exact value), the limit point and
+    # the listed families, against the layout stated pair by pair
+    for a, b in covered_pairs(2, 39, 3, 40):
+        _assert_matches_reference(a, b, kmax)
+
+
+def test_derived_catalog_matches_the_stated_layout_beyond_b_40():
+    # pairs outside the grid the layout was written on, so that a rule
+    # fitted to the pinned pairs alone fails here
+    rng = random.Random(20161)
+    wide = rng.sample(list(covered_pairs(2, 69, 41, 70)), 150)
+    for a, b in wide:
+        _assert_matches_reference(a, b, 4)
+
+
+def test_structure_table_matches_the_abstract():
+    # for each pair: the rank of the first limit point among the values, and
+    # whether a listed family approaches it from above (infinitely many values
+    # above the limit)
+    odd_ranks, fourth, from_above, even_even_finite = {}, [], [], {}
+    for a, b in covered_pairs(2, 39, 3, 40):
+        cat = spectrum_catalog(make_alpha(a, b), kmax=2)
+        assert isolation_gap(cat).sign() > 0, (a, b)
+        rank = 1 + [p.kind for p in cat.points].index("limit_point")
+        above = any(f.direction == "decreasing" for f in cat.families)
+        if a % 2 == 1:
+            if above:
+                from_above.append((a, b))
+            else:
+                odd_ranks[rank] = odd_ranks.get(rank, 0) + 1
+                if rank == 4:
+                    fourth.append((a, b))
+        elif b % 2 == 1:
+            assert above, (a, b)
+        elif a >= 4 and not above:
+            even_even_finite[a, b] = rank
+    assert odd_ranks == {2: 299, 3: 57, 4: 2}
+    assert fourth == [(5, 7), (7, 9)]
+    assert from_above == [(3, 4), (3, 5), (3, 6)]
+    special = {
+        (a, b) for a in range(4, 40, 2) for b in (2 * a - 2, a + 2, a + 4) if b <= 40
+    } - {(4, 6), (4, 8), (8, 12)}
+    assert set(even_even_finite) == special
+    assert {ab: r for ab, r in even_even_finite.items() if r != 3} == {(6, 10): 4}
 
 
 # ------------------------------------------------------- euclid
