@@ -4,7 +4,7 @@ The library computes, in exact real-quadratic arithmetic, the approximation
 constants M(alpha, gamma) = liminf |n| ||n alpha - gamma|| for every target
 class above the first limit point of the spectrum of a quadratic alpha with
 period-two minus expansion, and cross-checks every closed form against an
-independent exact evaluator and a brute-force numerical oracle.
+independent exact evaluator and an exact record-walk oracle.
 """
 
 from .quadfield import QuadNum, qnum
@@ -37,7 +37,7 @@ from .spectrum import (
     verify_equivalence,
     covered_pairs,
 )
-from .oracle import OracleReport, brute_force_min, liminf_estimate
+from .oracle import OracleM, OracleReport, brute_force_min, oracle_m
 
 __version__ = "0.1.0"
 
@@ -51,5 +51,5 @@ __all__ = [
     "class_tsequence", "delta_closed_form", "family_limit",
     "spectrum_catalog", "isolation_gap", "euclidean_test",
     "verify_equivalence", "covered_pairs",
-    "OracleReport", "brute_force_min", "liminf_estimate",
+    "OracleM", "OracleReport", "brute_force_min", "oracle_m",
 ]

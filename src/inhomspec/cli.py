@@ -4,7 +4,7 @@ Subcommands:
 
 * catalog  -- spectrum values above the first limit point for one (a, b)
 * verify   -- closed form vs. exact evaluator, one pair or a grid
-* oracle   -- windowed brute-force corroboration for a class or raw period
+* oracle   -- the exact oracle's M for a class or raw period, or a window
 * sweep    -- per-pair summary rows over a grid
 * ncf      -- minus continued fraction expansion of p/q + r/s * sqrt(N)
 * euclid   -- norm-Euclidean criterion for one (a, b)
@@ -14,7 +14,7 @@ self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
 period within --max-terms, or a --max-terms below 1, and an `oracle` call
 with an option its target ignores (--k or --t with --period, --align with
---class) or an --exact window wider than EXACT_MAX_N values of n.
+--class) or a target gamma in Z + alpha*Z.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it.
@@ -34,7 +34,7 @@ from math import inf
 from .quadfield import QuadNum
 from .ncf import PeriodNotFoundError, make_alpha, ncf_expand
 from .expansion import gamma_value, m_star, m_value, parse_period
-from .oracle import DEFAULT_WINDOWS, brute_force_min, liminf_estimate
+from .oracle import brute_force_min, oracle_m
 from .spectrum import (
     ClassId,
     covered_pairs,
@@ -152,10 +152,6 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# the widest window, in values of n per side, that `oracle --exact` loops over
-EXACT_MAX_N = 10**7
-
-
 def _cmd_oracle(args) -> int:
     if args.period and args.cls is not None:
         raise ValueError("--class and --period exclude each other")
@@ -163,13 +159,6 @@ def _cmd_oracle(args) -> int:
         raise ValueError("--k and --t apply to --class, not to --period")
     if args.cls is not None and args.align is not None:
         raise ValueError("--align applies to --period, not to --class")
-    windowed = args.nmin is not None or args.nmax is not None
-    lo = 10**3 if args.nmin is None else args.nmin
-    hi = 10**6 if args.nmax is None else args.nmax
-    if args.exact and not windowed:
-        raise ValueError("--exact needs --nmin/--nmax")
-    if args.exact and hi - lo + 1 > EXACT_MAX_N:
-        raise ValueError(f"--exact loops over at most {EXACT_MAX_N} values of n")
     alpha = make_alpha(args.a, args.b)
     if args.period:
         tseq = parse_period(args.period, alpha, start=args.align or "odd")
@@ -180,20 +169,19 @@ def _cmd_oracle(args) -> int:
         label = cls.delta_label
     gamma = gamma_value(tseq, alpha)
     target = m_value(m_star(tseq, alpha), alpha)
-    if windowed:
-        rep = brute_force_min(alpha, gamma, lo, hi, target_m=target,
-                              exact=args.exact, two_sided=True)
-        out = {"a": args.a, "b": args.b, "class": label,
-               "gamma": gamma.to_json(args.digits),
-               "report": rep.to_json_dict(args.digits)}
-        _emit_json(out)
-        return 0
-    tab = liminf_estimate(alpha, gamma, DEFAULT_WINDOWS, target_m=target,
-                          two_sided=True)
     out = {"a": args.a, "b": args.b, "class": label,
-           "gamma": gamma.to_json(args.digits),
-           "exact_m": target.to_json(args.digits),
-           "table": tab.to_json_dict(args.digits)}
+           "gamma": gamma.to_json(args.digits)}
+    if args.nmin is None and args.nmax is None:
+        got = oracle_m(alpha, gamma)
+        out.update(exact_m=target.to_json(args.digits),
+                   oracle_m=got.m.to_json(args.digits),
+                   cycle_records=got.cycle_records,
+                   cycle_start_n=got.cycle_start_n)
+    else:
+        lo = 10**3 if args.nmin is None else args.nmin
+        hi = 10**6 if args.nmax is None else args.nmax
+        rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)
+        out["report"] = rep.to_json_dict(args.digits)
     _emit_json(out)
     return 0
 
@@ -280,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
     sp.set_defaults(fn=_cmd_verify, need_ab=False)
 
-    sp = sub.add_parser("oracle", help="brute-force window minima for a class")
+    sp = sub.add_parser("oracle", help="exact M, or a window minimum, for a class")
     common(sp, kmax=None)
     sp.add_argument("--class", dest="cls", help="class family, e.g. S0, S-2, Sk1, S0t")
     sp.add_argument("--k", type=int)
@@ -290,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="position of a period's first digit (default odd)")
     sp.add_argument("--nmin", type=int)
     sp.add_argument("--nmax", type=int)
-    sp.add_argument("--exact", action="store_true", help="pure exact loop (slow)")
     sp.set_defaults(fn=_cmd_oracle, need_ab=True)
 
     sp = sub.add_parser("sweep", help="summary rows over an (a,b) grid")

@@ -269,19 +269,13 @@ def _(c, e, B, D):
     lo = b <= min(a + 5, Fraction(3 * a, 2))
     u = (3 * B - 2 * D) / (1 - D)
     w = (2 * e - 3 * D) / (1 - D)
-    val_hi = (1 - B + u) * (1 - e - w)
-    val_lo = (1 - B - u) * (1 - e + w)
-    if hi and lo:
-        if val_hi != val_lo:
-            raise BranchDisagreement(
-                f"delta_-2 branches disagree at (a,b)=({a},{b})"
-            )
-        return val_hi
-    if hi:
-        return val_hi
-    if lo:
-        return val_lo
-    return (1 + B - u) * (1 + e - w)
+    if not (hi or lo):
+        return (1 + B - u) * (1 + e - w)
+    val = (1 - B + u) * (1 - e - w) if hi else (1 - B - u) * (1 - e + w)
+    # only the overlap evaluates both branches, to check that they agree
+    if hi and lo and val != (1 - B - u) * (1 - e + w):
+        raise BranchDisagreement(f"delta_-2 branches disagree at (a,b)=({a},{b})")
+    return val
 
 
 @_entry("even-odd", "Sk", _always,
@@ -476,20 +470,18 @@ def _(c, e, B, D):
 
 @_entry("odd", "S-1", _always, lambda c, k: c.blocks(("B", c.m), ("B", c.n)))
 def _(c, e, B, D):
-    a, b, r = c.a, c.b, c.r
-    val_lo = (1 - e * c.v - 2 * D**2 / (1 - D**2)) * (
-        1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
-    )
-    val_hi = (1 - 2 * e + e * c.v + 2 * D / (1 - D**2)) * (
-        1 - B + c.v + 2 * B * D / (1 - D**2)
-    )
-    if r == a + 1:
-        if val_lo != val_hi:
-            raise BranchDisagreement(
-                f"delta_-1 branches disagree at (a,b)=({a},{b})"
-            )
-        return val_lo
-    return val_lo if r < a + 1 else val_hi
+    a, b, r, v = c.a, c.b, c.r, c.v
+    vals = []
+    if r <= a + 1:
+        vals.append((1 - e * v - 2 * D**2 / (1 - D**2))
+                    * (1 - 3 * B - v - 2 * B * D**2 / (1 - D**2)))
+    if r >= a + 1:
+        vals.append((1 - 2 * e + e * v + 2 * D / (1 - D**2))
+                    * (1 - B + v + 2 * B * D / (1 - D**2)))
+    # only r = a + 1 evaluates both branches, to check that they agree
+    if vals[0] != vals[-1]:
+        raise BranchDisagreement(f"delta_-1 branches disagree at (a,b)=({a},{b})")
+    return vals[0]
 
 
 @_entry("odd", "S-2", _always, lambda c, k: c.blocks(("B", c.n)))

@@ -28,7 +28,7 @@ from inhomspec.spectrum import (
     spectrum_catalog,
     verify_equivalence,
 )
-from inhomspec.oracle import brute_force_min
+from inhomspec.oracle import oracle_m
 
 from catalog_reference import expected_rho
 
@@ -155,21 +155,20 @@ def test_criterion_6_oracle_corroboration():
         seq = class_tsequence(cls, al)
         gamma = gamma_value(seq, al)
         target = m_value(delta_closed_form(cls, al), al)
-        rep = brute_force_min(al, gamma, 10**3, 10**6, target_m=target, two_sided=True)
-        if rep.relative_gap >= 1e-2:
+        got = oracle_m(al, gamma).m
+        if got != target:
             ok = False
-            print(f"  oracle gap {rep.relative_gap:.2e} at {ab} {cls}")
+            print(f"  oracle M {got} != {target} at {ab} {cls}")
     # beyond the named samples: corroborate rho* over the whole grid
     for a, b in GRID:
         al = make_alpha(a, b)
         cat = spectrum_catalog(al, kmax=2)
         gamma = gamma_value(class_tsequence(cat.rho_star.cls, al), al)
-        rep = brute_force_min(al, gamma, 10**3, 10**6,
-                              target_m=cat.rho_star.m, two_sided=True)
-        if rep.relative_gap >= 1e-2:
+        got = oracle_m(al, gamma).m
+        if got != cat.rho_star.m:
             ok = False
-            print(f"  rho* oracle gap {rep.relative_gap:.2e} at ({a},{b})")
-    _report(6, f"oracle corroboration ({len(samples)} samples + grid rho*, rel 1e-2)", ok)
+            print(f"  rho* oracle M {got} != {cat.rho_star.m} at ({a},{b})")
+    _report(6, f"oracle corroboration ({len(samples)} samples + grid rho*, exact)", ok)
 
 
 def test_criterion_7_identity_suite():

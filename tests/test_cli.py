@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from inhomspec.cli import _json_text, main
+from inhomspec.quadfield import QuadNum
 from inhomspec.spectrum import BranchDisagreement
 
 
@@ -84,19 +85,21 @@ def test_oracle_class(capsys):
 
 
 def test_oracle_period_string(capsys):
-    code, out, _ = run(capsys, "oracle", "--a", "4", "--b", "8",
-                       "--period", "t:(0,0)", "--nmin", "1000", "--nmax", "20000")
+    code, out, _ = run(capsys, "oracle", "--a", "4", "--b", "8", "--period", "t:(0,0)")
     assert code == 0
     doc = json.loads(out)
-    assert doc["report"]["relative_gap"] < 1e-2
+    assert QuadNum.from_json(doc["oracle_m"]) == QuadNum.from_json(doc["exact_m"])
 
 
 def test_oracle_windows_default(capsys):
+    # without --nmin/--nmax: the evaluator's M, the exact oracle's, and its cycle
     code, out, _ = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["table"]["windows"]) == 3
-    assert doc["table"]["stabilized"] is True
+    assert sorted(doc) == ["a", "b", "class", "cycle_records", "cycle_start_n",
+                           "exact_m", "gamma", "oracle_m"]
+    assert QuadNum.from_json(doc["oracle_m"]) == QuadNum.from_json(doc["exact_m"])
+    assert (doc["cycle_records"], doc["cycle_start_n"]) == (4, 16)
 
 
 def test_sweep(capsys):
@@ -214,14 +217,29 @@ def test_oracle_wide_window(capsys):
                          "--nmin", str(10**20), "--nmax", str(10**30))
     assert code == 0
     assert "error:" not in err
-    assert json.loads(out)["report"]["relative_gap"] < 1e-20
+    report = json.loads(out)["report"]
+    assert "relative_gap" not in report
+    got, want = (QuadNum.from_json(report[k]) for k in ("window_min", "target_m"))
+    assert -want < (got - want) * 10**20 < want
 
 
 def test_oracle_exact_without_window_is_usage_error(capsys):
-    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
-                         "--exact")
+    # the exact loop over every n is gone, with or without a window
+    for window in ((), ("--nmin", "1000", "--nmax", "1200")):
+        with pytest.raises(SystemExit) as ex:
+            main(["oracle", "--a", "5", "--b", "7", "--class", "S0", "--exact", *window])
+        assert ex.value.code == 2
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+
+def test_oracle_lattice_target_is_usage_error(capsys, monkeypatch):
+    # no catalogued word gives gamma in Z + alpha*Z, so one is put in its place
+    import inhomspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "gamma_value", lambda tseq, alpha: alpha.eta * 5)
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0")
     assert (code, out) == (2, "")
-    assert err == "error: --exact needs --nmin/--nmax\n"
+    assert err == "error: gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined\n"
 
 
 def test_oracle_class_with_period_is_usage_error(capsys):
@@ -254,20 +272,6 @@ def test_oracle_period_align_default_is_odd(capsys):
     assert default[0] == 0
     assert run(capsys, *base, "--align", "odd") == default
     assert run(capsys, *base, "--align", "even") != default
-
-
-def test_oracle_exact_window_is_capped(capsys):
-    from inhomspec.cli import EXACT_MAX_N
-
-    argv = ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--exact")
-    code, out, err = run(capsys, *argv, "--nmin", "1000", "--nmax", str(10**30))
-    assert (code, out) == (2, "")
-    assert err == f"error: --exact loops over at most {EXACT_MAX_N} values of n\n"
-    # one past the cap is refused; the default --nmax window is under it
-    code, _, _ = run(capsys, *argv, "--nmin", "1", "--nmax", str(EXACT_MAX_N + 1))
-    assert code == 2
-    code, out, _ = run(capsys, *argv, "--nmin", "1000", "--nmax", "1200")
-    assert code == 0 and json.loads(out)["report"]["argmin_n"] >= 1000
 
 
 @pytest.mark.parametrize("target, argv", [
@@ -309,9 +313,9 @@ def test_ncf_non_positive_max_terms_is_usage_error(capsys, max_terms):
      "0a19e38c2804f9d4cec0b9c7d00ff5cd0be52094b205815fb5ab3acaa7c5b615"),
     (("oracle", "--a", "5", "--b", "7", "--class", "S0", "--nmin", "1000",
       "--nmax", "20000"),
-     "06a556d975bd38544a84b5075403a8c675e56dfa586da287688b8d2e52e88e93"),
+     "4129c9a2edc294a8133b80aad822cf053bd5ec7c1c7d5ebd1c1fe631c7954ed5"),
     (("oracle", "--a", "5", "--b", "7", "--class", "S0"),
-     "0ed2432bac68be94d092efa8a3442284a793eec6f1ba04d6d2d0a5cc545d5324"),
+     "22bf5fd7dffbd17f93acd0e2002af0d86c4bc893936919c9f48c94653fa0202e"),
     (("ncf", "0", "1", "14"),
      "93bd3dc7e28167fd4fb653fdd5f08451e1e6ce4e0c14551d6bd468c3a8c08612"),
     (("euclid", "--a", "5", "--b", "10"),

@@ -1,10 +1,13 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_value
 from inhomspec.spectrum import ClassId, class_tsequence, delta_closed_form
-from inhomspec.oracle import DEFAULT_WINDOWS, brute_force_min, liminf_estimate
+from inhomspec.oracle import brute_force_min, oracle_m
+from oracle_reference import loop_min
 
 A48 = make_alpha(4, 8)
 
@@ -13,16 +16,21 @@ def _gamma_of(cls, alpha):
     return gamma_value(class_tsequence(cls, alpha), alpha)
 
 
+def _near(value, target, rel):
+    # |value - target| < rel * target, decided exactly
+    return target * (1 - rel) < value < target * (1 + rel)
+
+
 def test_degenerate_gamma_in_lattice():
     # gamma = alpha: n = 1 already hits an exact zero
-    rep = brute_force_min(A48, A48.eta, 1, 50, exact=True)
-    assert rep.window_min == 0
-    assert rep.argmin_n == 1
+    rep = brute_force_min(A48, A48.eta, 1, 50)
+    assert (rep.window_min, rep.argmin_n) == (0, 1)
+    assert loop_min(A48, A48.eta, 1, 50) == (0, 1, 1)
 
 
 def test_each_term_exact():
     g = _gamma_of(ClassId("Sk1", k=0), A48)
-    rep = brute_force_min(A48, g, 1000, 1400, exact=True)
+    rep = brute_force_min(A48, g, 1000, 1400)
     # the reported minimum is an exact QuadNum, reproducible term by term
     n = rep.argmin_n
     x = A48.eta * n - g
@@ -35,9 +43,7 @@ def test_each_term_exact():
 def test_hybrid_matches_exact_loop():
     g = _gamma_of(ClassId("Sk1", k=0), A48)
     fast = brute_force_min(A48, g, 1000, 4000)
-    slow = brute_force_min(A48, g, 1000, 4000, exact=True)
-    assert fast.window_min == slow.window_min
-    assert fast.argmin_n == slow.argmin_n
+    assert (fast.window_min, fast.argmin_n) == loop_min(A48, g, 1000, 4000)[:2]
 
 
 def test_determinism():
@@ -46,6 +52,7 @@ def test_determinism():
     r1 = brute_force_min(al, g, 10**3, 10**5)
     r2 = brute_force_min(al, g, 10**3, 10**5)
     assert r1 == r2
+    assert oracle_m(al, g) == oracle_m(al, g)
 
 
 def test_window_corroborates_exact_m():
@@ -53,8 +60,9 @@ def test_window_corroborates_exact_m():
     cls = ClassId("Sk1", k=0)
     g = _gamma_of(cls, al)
     M = m_value(delta_closed_form(cls, al), al)
+    assert oracle_m(al, g).m == M
     rep = brute_force_min(al, g, 10**3, 10**6, target_m=M)
-    assert rep.relative_gap < 1e-2
+    assert rep.target_m == M and _near(rep.window_min, M, F(1, 100))
 
 
 def test_reflection_symmetry_of_windows():
@@ -62,34 +70,72 @@ def test_reflection_symmetry_of_windows():
     r1 = brute_force_min(A48, g, 10**3, 10**5)
     r2 = brute_force_min(A48, 1 - A48.eta - g, 10**3, 10**5)
     assert r1.window_min == r2.window_min
+    assert oracle_m(A48, g).m == oracle_m(A48, 1 - A48.eta - g).m
 
 
-def test_liminf_estimate_stabilizes():
+def test_oracle_m_equals_the_closed_forms_on_the_grid():
+    # two-sided, exact, at all 977 equivalence_cases(alpha, 4) of covered_pairs()
+    from inhomspec.spectrum import covered_pairs, equivalence_cases
+
+    n = longest = 0
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            got = oracle_m(al, _gamma_of(cls, al))
+            assert got.m == m_value(delta_closed_form(cls, al), al), (a, b, cls)
+            longest = max(longest, got.cycle_records)
+            n += 1
+    assert (n, longest) == (977, 193)
+
+
+def test_oracle_m_refuses_lattice_targets():
+    # gamma in Z + alpha*Z is outside the definition of M(alpha, gamma)
+    for g in (A48.eta, A48.eta * 5, A48.eta * -3 + 2, A48.one * 7):
+        with pytest.raises(ValueError, match="Z \\+ alpha\\*Z"):
+            oracle_m(A48, g)
+    # a window still reports what it sees: gamma = 5*alpha is an exact zero at n = 5
+    rep = brute_force_min(A48, A48.eta * 5, 1, 100)
+    assert (rep.window_min, rep.argmin_n) == (0, 5)
+    assert brute_force_min(A48, A48.eta * 5, 100, 1000).window_min > 0
+    # a near miss is not refused
+    assert oracle_m(A48, A48.eta / 2).m > 0
+
+
+def test_oracle_m_certificate_is_pinned():
     al = make_alpha(5, 7)
-    cls = ClassId("S0")
-    g = _gamma_of(cls, al)
-    M = m_value(delta_closed_form(cls, al), al)
-    tab = liminf_estimate(al, g, DEFAULT_WINDOWS, target_m=M)
-    assert len(tab.windows) == 3
-    assert tab.stabilized
-    # minima agree with the exact value to 3 decimals by the last window
-    assert abs(tab.stabilized_value - float(M)) < 1e-3
+    got = oracle_m(al, _gamma_of(ClassId("S0"), al))
+    assert (got.cycle_records, got.cycle_start_n) == (4, 16)
+    got = oracle_m(make_alpha(5, 8), _gamma_of(ClassId("S-2"), make_alpha(5, 8)))
+    assert got.cycle_start_n < 0  # the class attains its constant on the n < 0 side
 
 
-def test_liminf_estimate_lattice_gamma_dips_to_zero():
-    # gamma = 5*alpha: the window containing n = 5 hits an exact zero
-    g = A48.eta * 5
-    tab = liminf_estimate(A48, g, ((1, 100), (100, 1000)))
-    assert tab.windows[0].window_min == 0
-    assert tab.windows[0].argmin_n == 5
-    assert tab.windows[1].window_min > 0
+def test_oracle_m_matches_far_windows_on_random_targets():
+    # targets r + (k/31)*alpha off the catalogue and off the lattice: a window
+    # past the start of a whole cycle of records comes within O(1/n) of M
+    import random
+
+    rng = random.Random(11)
+    for _ in range(8):
+        al = make_alpha(*rng.choice(((3, 5), (4, 7), (4, 8), (5, 7), (2, 9))))
+        g = al.eta * F(rng.randint(1, 30), 31) + F(rng.randint(-99, 99), rng.randint(1, 30))
+        M = oracle_m(al, g).m
+        rep = brute_force_min(al, g, 10**100, 10**700, two_sided=True)
+        assert _near(rep.window_min, M, F(1, 10**30)), (al.a, al.b, g)
+
+
+def test_a_window_short_of_a_cycle_misses_m():
+    # this target's cycle has 1,380 records and spans more than the 240
+    # decades of [10^60, 10^300], whose minimum is over 4x M
+    al = make_alpha(5, 7)
+    g = al.eta * F(28, 31) + F(11, 7)
+    got = oracle_m(al, g)
+    assert got.cycle_records == 1380
+    assert brute_force_min(al, g, 10**60, 10**300, two_sided=True).window_min > 4 * got.m
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
         brute_force_min(A48, A48.eta, 100, 10)
-    with pytest.raises(ValueError):
-        liminf_estimate(A48, A48.eta, ((100, 200), (150, 300)))
 
 
 @pytest.mark.parametrize("lo, hi", [(1000.0, 2000), (1000, 2000.0), (True, 2000),
@@ -101,58 +147,45 @@ def test_window_bounds_must_be_ints(lo, hi):
         brute_force_min(A48, A48.eta / 3, lo, hi, two_sided=True)
 
 
-def test_liminf_estimate_needs_a_window():
-    with pytest.raises(ValueError):
-        liminf_estimate(A48, A48.eta / 3, windows=())
-
-
 def test_report_json():
     g = _gamma_of(ClassId("Sk1", k=0), A48)
     rep = brute_force_min(A48, g, 10**3, 10**4, target_m=g)
     d = rep.to_json_dict(10)
-    assert {"n_lo", "n_hi", "window_min", "argmin_n", "records", "target_m",
-            "relative_gap"} <= set(d)
+    assert list(d) == ["n_lo", "n_hi", "window_min", "argmin_n", "records", "target_m"]
 
 
 def test_hybrid_matches_exact_on_random_gammas():
     import random
-    from fractions import Fraction as F
     from inhomspec.quadfield import QuadNum
 
     rng = random.Random(5)
     for _ in range(8):
         g = QuadNum(F(rng.randint(0, 999), 1000), F(rng.randint(-99, 99), 1000), A48.N)
         fast = brute_force_min(A48, g, 500, 2500)
-        slow = brute_force_min(A48, g, 500, 2500, exact=True)
-        assert (fast.window_min, fast.argmin_n) == (slow.window_min, slow.argmin_n)
+        assert (fast.window_min, fast.argmin_n) == loop_min(A48, g, 500, 2500)[:2]
 
 
 def test_canonical_catalogue_phase_corroborates():
     # the transcribed phase of a catalogued period reconstructs a gamma whose
     # true constant matches; arbitrary rotations need not (admissibility is
     # deliberately unchecked), so this pins the canonical phase
-    from inhomspec.spectrum import ClassId, class_tsequence, delta_closed_form
-
     al = make_alpha(3, 5)
     seq = class_tsequence(ClassId("S-9"), al)
     target = m_value(delta_closed_form(ClassId("S-9"), al), al)
-    rep = brute_force_min(al, gamma_value(seq, al), 10**3, 10**6, target_m=target)
-    assert rep.relative_gap < 1e-4
+    assert oracle_m(al, gamma_value(seq, al)).m == target
 
 
 def test_two_sided_window_catches_one_sided_classes():
     # some classes attain their constant only on the n < 0 side
-    from inhomspec.spectrum import ClassId, class_tsequence, delta_closed_form
-
     al = make_alpha(5, 8)
     cls = ClassId("S-2")
     g = gamma_value(class_tsequence(cls, al), al)
     M = m_value(delta_closed_form(cls, al), al)
     one = brute_force_min(al, g, 10**3, 10**6, target_m=M)
     two = brute_force_min(al, g, 10**3, 10**6, target_m=M, two_sided=True)
-    assert one.relative_gap > 1e-1      # positive side alone misses
-    assert two.relative_gap < 1e-2      # |n| sweep corroborates
-    assert two.argmin_n < 0             # and reports the side
+    assert one.window_min > M * F(11, 10)  # positive side alone misses
+    assert two.argmin_n < 0                # the |n| sweep reports the side
+    assert oracle_m(al, g).m == M
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +194,13 @@ def test_two_sided_window_catches_one_sided_classes():
 
 def _walk_and_loop(alpha, gamma, lo, hi, two_sided):
     walk = brute_force_min(alpha, gamma, lo, hi, two_sided=two_sided)
-    loop = brute_force_min(alpha, gamma, lo, hi, exact=True, two_sided=two_sided)
-    assert (walk.window_min, walk.argmin_n, walk.records) == (
-        loop.window_min, loop.argmin_n, loop.records)
+    assert (walk.window_min, walk.argmin_n, walk.records) == loop_min(
+        alpha, gamma, lo, hi, two_sided)
     return walk
 
 
 def test_walk_matches_exact_loop_on_random_windows():
     import random
-    from fractions import Fraction as F
     from inhomspec.quadfield import QuadNum
     from inhomspec.spectrum import covered_pairs, equivalence_cases
 
@@ -212,8 +243,6 @@ def test_walk_lattice_zero_before_window():
 def test_walk_residue_exactly_one_half(lo):
     # 7*eta - gamma = -1/2: from n_lo = 7 the first record's interval is all
     # of (0, 1), so every n > 7 improves on it
-    from fractions import Fraction as F
-
     g = A48.eta * 7 + F(1, 2)
     _walk_and_loop(A48, g, lo, 900, two_sided=True)
 
@@ -241,7 +270,8 @@ def test_wide_window_corroborates(ab, cls):
     g = _gamma_of(cls, al)
     M = m_value(delta_closed_form(cls, al), al)
     rep = brute_force_min(al, g, 10**20, 10**30, target_m=M, two_sided=True)
-    assert rep.relative_gap < 1e-20
+    assert _near(rep.window_min, M, F(1, 10**20))
+    assert oracle_m(al, g).m == M
 
 
 def test_report_records_pinned():
@@ -250,19 +280,6 @@ def test_report_records_pinned():
     rep = brute_force_min(al, g, 10**3, 10**6, two_sided=True)
     assert rep.records == 28
     assert list(rep.to_json_dict()) == ["n_lo", "n_hi", "window_min", "argmin_n", "records"]
-
-
-def test_stabilization_verdict_is_exact():
-    from fractions import Fraction as F
-
-    al = make_alpha(5, 7)
-    g = _gamma_of(ClassId("S0"), al)
-    windows = ((10**3, 10**4), (10**4, 10**5))
-    assert not liminf_estimate(al, g, windows, rel_tol=0).stabilized
-    assert liminf_estimate(al, g, windows, rel_tol=1).stabilized
-    assert liminf_estimate(al, g, windows, rel_tol=F(1, 10)).stabilized
-    with pytest.raises(TypeError):
-        liminf_estimate(al, g, windows, rel_tol=1e-3)
 
 
 _N_VALUES = (2, 3, 5, 7, 8, 12, 14, 21, 60, 77)
