@@ -9,7 +9,9 @@ Subcommands:
 * ncf      -- minus continued fraction expansion of p/q + r/s * sqrt(N)
 * euclid   -- norm-Euclidean criterion for one (a, b)
 
-Exit status: 0 on success; 1 when a verification fails or a catalogue
+Exit status: 0 on success; 1 when a verification fails (including an
+`oracle` call without a window whose oracle_m differs from exact_m, with
+stdout as usual and one "FAIL: ..." line on stderr) or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
 period within --max-terms, or a --max-terms below 1, and an `oracle` call
@@ -171,18 +173,24 @@ def _cmd_oracle(args) -> int:
     target = m_value(m_star(tseq, alpha), alpha)
     out = {"a": args.a, "b": args.b, "class": label,
            "gamma": gamma.to_json(args.digits)}
+    failed = False
     if args.nmin is None and args.nmax is None:
         got = oracle_m(alpha, gamma)
         out.update(exact_m=target.to_json(args.digits),
                    oracle_m=got.m.to_json(args.digits),
                    cycle_records=got.cycle_records,
                    cycle_start_n=got.cycle_start_n)
+        failed = got.m != target
     else:
         lo = 10**3 if args.nmin is None else args.nmin
         hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)
         out["report"] = rep.to_json_dict(args.digits)
     _emit_json(out)
+    if failed:
+        print(f"FAIL: oracle_m={got.m.decimal(args.digits)} "
+              f"exact_m={target.decimal(args.digits)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,29 +3,34 @@
 The constant being checked is M = lim inf over |n| -> inf of
 |n| * ||n*alpha - gamma|| (distance to the nearest integer).  Negative n
 against gamma equal positive n against -gamma, so each side is a problem in
-positive n, and the smaller side wins; a negative n in a result marks the
-n < 0 side.  Some classes attain their constant on one side only.
+positive n.  The smaller side wins, a tie goes to n > 0, and a negative n in
+a result marks the n < 0 side.  Some classes attain their constant on one
+side only.
 
-Both entry points walk the strict distance records of n*eta - gamma in exact
-arithmetic, eta = alpha.eta (Cassels, *An Introduction to Diophantine
+One walk, _records, visits the strict distance records of n*eta - gamma in
+exact arithmetic, eta = alpha.eta (Cassels, *An Introduction to Diophantine
 Approximation*, ch. III; Sos 1958).  From a record n with signed residue e
 (n*eta - gamma minus its nearest integer), the next record is n + m for the
 least m >= 1 whose signed error m*eta - p lies in (-2e, 0), or in (0, 2|e|)
 when e < 0.  That is a first return of the rotation by eta into a one-sided
 interval, so m is a semiconvergent q_t + j*q_{t+1} of eta's regular
-continued fraction, with one exact floor for j.
+continued fraction, with one exact floor for j.  Two entry points consume
+the walk, each on both sides:
 
+* brute_force_min(alpha, gamma, n_lo, n_hi) takes the exact minimum over a
+  window, which only bounds M from above.  Let n* be the smallest n
+  attaining it.  Every m in [n_lo, n*) has ||m*eta - gamma|| > ||n*eta -
+  gamma||, or m would give a strictly smaller product, so n* is a strict
+  distance record counted from n_lo.  The walk from n_lo visits only those
+  records, in O(log n_hi) steps per side, and is left as soon as q_t shows
+  that the next one lies past n_hi.  Its table of convergents is built once
+  per (eta pair, Z, N, bit length of n_hi) and cached.
 * oracle_m(alpha, gamma) walks the records from n = 1 until the walk's
   normalized state repeats, and returns M exactly, with the cycle as its
-  certificate.  Its docstring gives the argument.
-* brute_force_min(alpha, gamma, n_lo, n_hi) returns the exact minimum over a
-  window, which only bounds M from above.  Let n* be the smallest n attaining
-  it.  Every m in [n_lo, n*) has ||m*eta - gamma|| > ||n*eta - gamma||, or m
-  would give a strictly smaller product, so n* is a strict distance record
-  counted from n_lo.  The walk from n_lo visits only those records, in
-  O(log n_hi) steps per side.
+  certificate.  Its docstring gives the argument.  Its two sides share one
+  table, which the walk extends as it needs.
 
-The walks run on plain ints.  With Z = lcm of the denominators of eta and
+The walk runs on plain ints.  With Z = lcm of the denominators of eta and
 gamma, fixed for the whole walk, every quantity in it -- the residues, their
 absolute values, the widths 2|e|, the convergent errors q_k*eta - p_k and the
 products |e|*n -- is an int pair (X, Y) standing for (X + Y*sqrt(N))/Z.  Sums
@@ -33,17 +38,15 @@ and int multiples act on the pairs, comparisons take the exact sign of a
 difference of pairs, the nearest integer of a residue is one exact floor, and
 a partial quotient or j is the floor of a quotient of two pairs, taken after
 multiplying through by the divisor's conjugate.  Only a final result, and
-oracle_m's state keys, become QuadNums.  The window walk's table of
-convergents is built once per (eta pair, Z, N, bit length of n_hi); oracle_m
-extends its own table on demand.
+oracle_m's state keys, become QuadNums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .quadfield import QuadNum, _div, _floor, _make, _sign
 from .ncf import PeriodTwoAlpha
@@ -122,49 +125,65 @@ def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple[int
     return tuple(table)
 
 
-def _walk(eta: QuadNum, gamma: QuadNum, n_lo: int, n_hi: int):
-    """(min, argmin, records) of n*||n*eta - gamma|| over n in [n_lo, n_hi].
-
-    Visits the strict distance records from n_lo in order, so the smallest
-    n attaining the minimum wins a tie.  Every quantity is an int pair
-    (x, y) standing for (x + y*sqrt(N))/z over one z for the whole walk.
-    """
-    N = eta._N
+def _pairs(eta: QuadNum, gamma: QuadNum) -> tuple[int, ...]:
+    """(ex, ey, gx, gy, z, N): eta = (ex + ey*sqrt(N))/z and gamma likewise,
+    over z = the lcm of their denominators."""
     z = lcm(eta._z, gamma._z)
-    ex, ey = eta._x * (z // eta._z), eta._y * (z // eta._z)
-    table = _convergents(ex, ey, z, N, n_hi.bit_length())
-    n = n_lo
-    x = ex * n - gamma._x * (z // gamma._z)
-    y = ey * n - gamma._y * (z // gamma._z)
+    e, g = z // eta._z, z // gamma._z
+    return eta._x * e, eta._y * e, gamma._x * g, gamma._y * g, z, eta._N
+
+
+def _records(
+    ex: int, ey: int, gx: int, gy: int, z: int, N: int, n: int,
+    table: Sequence[tuple[int, ...]], entries: Iterator[tuple[int, ...]],
+) -> Iterator[tuple[int, ...]]:
+    """Yield (n, x, y, s, t) for each strict distance record of
+    n*eta - gamma from the given n on, in order.
+
+    e = (x + y*sqrt(N))/z is the record's signed residue, s its sign, and t
+    the index of the step's semiconvergents q_t + j*q_{t+1}.  table holds
+    the first entries of _errors(ex, ey, z, N), and the walk appends the rest
+    from entries as it needs them.  It ends after an exact zero, and after a
+    record whose step needs an entry that neither holds; q_t then only
+    bounds that step from below.
+    """
+    x = ex * n - gx
+    y = ey * n - gy
     x -= _floor(2 * x + z, 2 * y, 2 * z, N) * z  # the residue e, in [-1/2, 1/2)
-    s = _sign(x, y, N)
-    bx, by, best_n, records = s * x * n, s * y * n, n, 1
-    # per side of the error sought: the tuple index t of the one-sided
-    # semiconvergents q_t + j*q_{t+1}; it only moves forward, as 2|e| shrinks
-    start = {-1: 0, 1: 1}
-    while s:
+    # indexed by s > 0: the first t to try, even for e > 0 as the errors
+    # sought are then negative; it only moves forward, as 2|e| shrinks
+    start = [1, 0]
+    while True:
+        s = _sign(x, y, N)
         wx, wy = 2 * s * x, 2 * s * y  # the width 2|e|
-        t = start[-s]
-        while _sign(table[t + 2][3] - wx, table[t + 2][4] - wy, N) >= 0:
-            t += 2
-            if table[t][0] > n_hi - n:  # the next record lies past n_hi
-                return _make(bx, by, z, N), best_n, records
-        start[-s] = t
+        t = start[s > 0]
+        while s:
+            try:
+                if _sign(table[t + 2][3] - wx, table[t + 2][4] - wy, N) < 0:
+                    break
+                t += 2
+            except IndexError:  # past the end of the table: extend it from entries
+                entry = next(entries, None)
+                if entry is None:  # q_t only bounds this record's step
+                    yield n, x, y, s, t
+                    return
+                table.append(entry)
+        start[s > 0] = t
+        yield n, x, y, s, t
+        if not s:
+            return
         q0, x0, y0, u0, v0 = table[t]
         q1, x1, y1, u1, v1 = table[t + 1]
         j = max(0, _floor_div(u0 - wx, v0 - wy, u1, v1, N) + 1)
-        m = q0 + j * q1
-        if m > n_hi - n:
-            break
-        n += m
+        n += q0 + j * q1
         x += x0 + j * x1
         y += y0 + j * y1
-        s = _sign(x, y, N)
-        records += 1
-        vx, vy = s * x * n, s * y * n
-        if _sign(vx - bx, vy - by, N) < 0:
-            bx, by, best_n = vx, vy, n
-    return _make(bx, by, z, N), best_n, records
+
+
+def _smaller_side(pos: tuple, neg: tuple) -> tuple:
+    """The side of (value, n, ...) with the smaller value, from the walks for
+    gamma and -gamma: a tie goes to n > 0, and a negative n marks n < 0."""
+    return (neg[0], -neg[1], *neg[2:]) if neg[0] < pos[0] else pos
 
 
 def brute_force_min(
@@ -189,74 +208,47 @@ def brute_force_min(
             raise TypeError(f"window bounds must be ints, got {type(bound).__name__}")
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
-    gamma = alpha.eta._coerce(gamma)
+    eta = alpha.eta
+    ex, ey, gx, gy, z, N = _pairs(eta, eta._coerce(gamma))
+    table = _convergents(ex, ey, z, N, n_hi.bit_length())
+
+    def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
+        # the records from n_lo visit the smallest n attaining the minimum
+        records = 0
+        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, n_lo, table, iter(())):
+            if n > n_hi:  # the last step passed n_hi
+                break
+            vx, vy = s * x * n, s * y * n
+            if not records or _sign(vx - bx, vy - by, N) < 0:
+                bx, by, best_n = vx, vy, n
+            records += 1
+            if table[t][0] > n_hi - n:  # the next record lies past n_hi
+                break
+        return _make(bx, by, z, N), best_n, records
+
+    best, best_n, records = side(gx, gy)
     if two_sided:
-        pos = brute_force_min(alpha, gamma, n_lo, n_hi, target_m=target_m)
-        neg = brute_force_min(alpha, -gamma, n_lo, n_hi, target_m=target_m)
-        records = pos.records + neg.records
-        if neg.window_min < pos.window_min:
-            return replace(neg, argmin_n=-neg.argmin_n, records=records)
-        return replace(pos, records=records)
-    best, best_n, records = _walk(alpha.eta, gamma, n_lo, n_hi)
+        neg = side(-gx, -gy)
+        best, best_n = _smaller_side((best, best_n), neg[:2])
+        records += neg[2]
     return OracleReport(
         n_lo=n_lo, n_hi=n_hi, window_min=best, argmin_n=best_n, records=records,
         target_m=target_m,
     )
 
 
-def _cycle(eta: QuadNum, gamma: QuadNum) -> tuple[QuadNum, int, int]:
-    """(M, records in the cycle, n of its first record) on the n > 0 side."""
-    N = eta._N
-    z = lcm(eta._z, gamma._z)
-    ex, ey = eta._x * (z // eta._z), eta._y * (z // eta._z)
-    entries = _errors(ex, ey, z, N)
-    table = [next(entries) for _ in range(4)]
-    n = 1
-    x = ex - gamma._x * (z // gamma._z)
-    y = ey - gamma._y * (z // gamma._z)
-    x -= _floor(2 * x + z, 2 * y, 2 * z, N) * z  # the residue e, in [-1/2, 1/2)
-    start = {-1: 0, 1: 1}  # as in _walk
-    seen = {}  # key -> (record index, n)
-    norms = []  # |x^2 - y^2*N| = z^2 * |N(e)| per record
-    while True:
-        s = _sign(x, y, N)  # never 0 off the lattice
-        wx, wy = 2 * s * x, 2 * s * y
-        # the last two entries fall below 2|e|, so t + 2 stays in the table
-        while _sign(table[-2][3] - wx, table[-2][4] - wy, N) >= 0:
-            table.append(next(entries))
-        t = start[-s]
-        while _sign(table[t + 2][3] - wx, table[t + 2][4] - wy, N) >= 0:
-            t += 2
-        start[-s] = t
-        q0, x0, y0, u0, v0 = table[t]
-        q1, x1, y1, u1, v1 = table[t + 1]
-        if t >= 2:
-            u, v = table[t - 1][3:]
-            key = (_div(x, y, 1, u0, v0, 1, N), _div(u, v, 1, u0, v0, 1, N))
-            if key in seen:
-                first, first_n = seen[key]
-                m = _make(0, min(norms[first:]), 2 * abs(ey) * z * N, N)
-                return m, len(norms) - first, first_n
-            seen[key] = len(norms), n
-        norms.append(abs(x * x - y * y * N))
-        j = max(0, _floor_div(u0 - wx, v0 - wy, u1, v1, N) + 1)
-        n += q0 + j * q1
-        x += x0 + j * x1
-        y += y0 + j * y1
-
-
 def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
     """M(alpha, gamma) exactly, certified by one cycle of the record walk.
 
-    Each side walks the strict distance records from n = 1, as the window
-    walk does but with no upper bound.  Let t be the convergent index a step
-    uses, so its semiconvergents are q_t + j*q_{t+1}, and e_t the signed
-    error of q_t.  The step's key is (e/|e_t|, |e_{t-1}|/|e_t|), the sign of
-    the first entry being the sign of e; it is kept from the first step with
-    t >= 2 on.  The walk stops at the first key it has seen before, and M on
-    that side is the least |N(e)|/|eta - eta'| over the records of the
-    cycle, N the field norm and ' the conjugate.  The smaller side wins, and
-    cycle_start_n < 0 marks the n < 0 side.  Why this is M:
+    Each side walks the strict distance records from n = 1, with no upper
+    bound.  Let t be the index of a step's semiconvergents q_t + j*q_{t+1},
+    and e_t the signed error of q_t.  The step's key is
+    (e/|e_t|, |e_{t-1}|/|e_t|), the sign of the first entry being the sign
+    of e; it is kept from the first step with t >= 2 on.  The walk stops at
+    the first key it has seen before, and M on that side is the least
+    |N(e)|/|eta - eta'| over the records of the cycle, N the field norm and
+    ' the conjugate.  The smaller side wins, and cycle_start_n < 0 marks the
+    n < 0 side.  Why this is M:
 
     1. A step depends only on e and on the table from t - 1 onward.  The
        per-side indices only move forward, and |e_{t-1}| > |e_t| >= 2|e|
@@ -290,7 +282,23 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
     rest = gamma - eta * c.numerator
     if c.denominator == 1 and rest == rest.floor():
         raise ValueError("gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined")
-    pos, neg = _cycle(eta, gamma), _cycle(eta, -gamma)
-    if neg[0] < pos[0]:
-        return OracleM(neg[0], neg[1], -neg[2])
-    return OracleM(*pos)
+    ex, ey, gx, gy, z, N = _pairs(eta, gamma)
+    table, entries = [], _errors(ex, ey, z, N)  # both sides extend one table
+
+    def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
+        seen = {}  # key -> (record index, n)
+        norms = []  # |x^2 - y^2*N| = z^2 * |N(e)| per record
+        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, 1, table, entries):
+            if t >= 2:
+                u0, v0 = table[t][3:]
+                u, v = table[t - 1][3:]
+                key = (_div(x, y, 1, u0, v0, 1, N), _div(u, v, 1, u0, v0, 1, N))
+                if key in seen:
+                    first, first_n = seen[key]
+                    m = _make(0, min(norms[first:]), 2 * abs(ey) * z * N, N)
+                    return m, first_n, len(norms) - first
+                seen[key] = len(norms), n
+            norms.append(abs(x * x - y * y * N))
+
+    m, n, cycle = _smaller_side(side(gx, gy), side(-gx, -gy))
+    return OracleM(m, cycle, n)

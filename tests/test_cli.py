@@ -102,6 +102,18 @@ def test_oracle_windows_default(capsys):
     assert (doc["cycle_records"], doc["cycle_start_n"]) == (4, 16)
 
 
+def test_oracle_disagreement_exits_1(capsys):
+    # the evaluator returns minus the true constant on this inadmissible word;
+    # stdout stays as it was, and stderr names the two values
+    code, out, err = run(capsys, "oracle", "--a", "4", "--b", "8", "--period", "t:(4,8)")
+    assert code == 1
+    doc = json.loads(out)
+    assert QuadNum.from_json(doc["exact_m"]) == -QuadNum.from_json(doc["oracle_m"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cf6b5600d454aaa59f4cb28ff1d306d660e1a7ed1582aaf1aad3eb0ff34837e6")
+    assert err == "FAIL: oracle_m=0.052497743947083 exact_m=-0.052497743947083\n"
+
+
 def test_sweep(capsys):
     code, out, _ = run(capsys, "sweep", "--grid", "4..4,5..9",
                        "--format", "csv", "--kmax", "2", "--digits", "8")

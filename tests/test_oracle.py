@@ -7,6 +7,7 @@ from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_value
 from inhomspec.spectrum import ClassId, class_tsequence, delta_closed_form
 from inhomspec.oracle import brute_force_min, oracle_m
+from inhomspec.quadfield import QuadNum
 from oracle_reference import loop_min
 
 A48 = make_alpha(4, 8)
@@ -74,18 +75,24 @@ def test_reflection_symmetry_of_windows():
 
 
 def test_oracle_m_equals_the_closed_forms_on_the_grid():
-    # two-sided, exact, at all 977 equivalence_cases(alpha, 4) of covered_pairs()
+    # two-sided, exact, at all 977 equivalence_cases(alpha, 4) of covered_pairs();
+    # the digest pins every certificate, in that order
+    import hashlib
     from inhomspec.spectrum import covered_pairs, equivalence_cases
 
     n = longest = 0
+    digest = hashlib.sha256()
     for a, b in covered_pairs():
         al = make_alpha(a, b)
         for cls in equivalence_cases(al, 4):
             got = oracle_m(al, _gamma_of(cls, al))
             assert got.m == m_value(delta_closed_form(cls, al), al), (a, b, cls)
+            digest.update(repr((got.m, got.cycle_records, got.cycle_start_n)).encode())
             longest = max(longest, got.cycle_records)
             n += 1
     assert (n, longest) == (977, 193)
+    assert digest.hexdigest() == (
+        "ff8e1612eec571553bd881af191e798c359e699612e9f7d4d6398f1e898f9e62")
 
 
 def test_oracle_m_refuses_lattice_targets():
@@ -129,8 +136,27 @@ def test_a_window_short_of_a_cycle_misses_m():
     al = make_alpha(5, 7)
     g = al.eta * F(28, 31) + F(11, 7)
     got = oracle_m(al, g)
-    assert got.cycle_records == 1380
+    assert (got.cycle_records, got.cycle_start_n) == (1380, -6)
     assert brute_force_min(al, g, 10**60, 10**300, two_sided=True).window_min > 4 * got.m
+
+
+def test_equal_products_go_to_the_smallest_n():
+    # n = 1 and n = 2 are both strict distance records of n*alpha - gamma, and
+    # both products equal 7/3 - sqrt(1085)/15
+    al = make_alpha(5, 7)
+    g = QuadNum(F(41, 6), F(-1, 6), al.N)
+    rep = brute_force_min(al, g, 1, 2)
+    assert (rep.argmin_n, rep.records) == (1, 2)
+    assert (rep.window_min, rep.argmin_n, rep.records) == loop_min(al, g, 1, 2)
+    assert rep.window_min == QuadNum(F(7, 3), F(-1, 15), al.N)
+
+
+def test_equal_sides_go_to_positive_n():
+    # -1/2 = 1/2 mod 1, so both sides of gamma = 1/2 walk the same records
+    al = make_alpha(5, 7)
+    g = al.one / 2
+    assert brute_force_min(al, g, 1, 10**4, two_sided=True).argmin_n == 2720
+    assert oracle_m(al, g).cycle_start_n == 17
 
 
 def test_window_validation():
@@ -156,7 +182,6 @@ def test_report_json():
 
 def test_hybrid_matches_exact_on_random_gammas():
     import random
-    from inhomspec.quadfield import QuadNum
 
     rng = random.Random(5)
     for _ in range(8):
@@ -201,7 +226,6 @@ def _walk_and_loop(alpha, gamma, lo, hi, two_sided):
 
 def test_walk_matches_exact_loop_on_random_windows():
     import random
-    from inhomspec.quadfield import QuadNum
     from inhomspec.spectrum import covered_pairs, equivalence_cases
 
     rng = random.Random(20161)
@@ -296,7 +320,6 @@ _ints = st.integers(-10**12, 10**12)
 @example(10, 0, 3, -1, 7)     # a rational dividend over an irrational
 def test_floor_div_matches_quadnum(ux, uy, vx, vy, N):
     from inhomspec.oracle import _floor_div
-    from inhomspec.quadfield import QuadNum
 
     assume(vx or vy)
     want = (QuadNum(ux, uy, N) / QuadNum(vx, vy, N)).floor()
