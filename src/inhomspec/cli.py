@@ -14,9 +14,10 @@ Exit status: 0 on success; 1 when a verification fails (including an
 stdout as usual and one "FAIL: ..." line on stderr) or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
-period within --max-terms, or a --max-terms below 1, and an `oracle` call
-with an option its target ignores (--k or --t with --period, --align with
---class) or a target gamma in Z + alpha*Z.
+period within --max-terms, or a --max-terms below 1, a `verify` call with
+--grid and --a or --b, and an `oracle` call with an option its target
+ignores (--k or --t with --period, --align with --class) or a target gamma
+in Z + alpha*Z.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it.
@@ -139,6 +140,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grid and (args.a is not None or args.b is not None):
+        raise ValueError("--grid and --a/--b exclude each other")
     pairs = _parse_grid(args.grid) if args.grid else [(args.a, args.b)]
     if any(v is None for v in pairs[0]):
         raise ValueError("verify needs --a/--b or --grid")

@@ -18,11 +18,17 @@ D^(c*k + d) = D^d * z^c.  The entry computes the coefficients that do not
 depend on k once per pair and returns the member function (k, z) -> value,
 which evaluates only the part in z; a t-family does the same with t.
 Because 0 < D < 1, z -> 0 as k -> infinity, so the family limit delta_inf is
-the member function at z = 0 and is not written down separately.  A member
-whose value the family formula does not give (even-even Sk4 at k = 0, and at
-k = 1 for (a, b) = (6, 10)) is an explicit override inside the member
-function.  A k-family's entry also records the direction in which its
-members approach the limit and the first k the catalogue lists.
+the member function at z = 0 and is not written down separately.
+
+Twenty k-families have the shape (x + p*w)(y + q*w) with
+w = z^n / (1 + h*z^n), a leading factor eta folded into x and p; their
+entries return the shared member _rational(n, h, x, p, y, q).  Three
+entries keep a member of their own: even-even Sk4, whose k = 0 member and
+(6,10) k = 1 member the family formula does not give (its other members go
+through _rational); odd Sk6, which has two different numerators over
+1 - D*z^3; and the t-class S0t, whose formula branches on t.  A k-family's
+entry also records the direction in which its members approach the limit
+and the first k the catalogue lists.
 
 From the table this module answers, per class, the t-sequence, the value and
 the limit, and derives the catalogue of every spectrum value above the first
@@ -182,14 +188,15 @@ def odd_params(alpha: PeriodTwoAlpha) -> OddParams:
 class _Pair:
     """What a table entry reads at one alpha besides eta, beta and D.
 
-    For odd a, m, n, s, r and v are those of OddParams.
+    For odd a, odd is the pair's OddParams (None otherwise), and m, n, s, r
+    and v are its values.
     """
 
     def __init__(self, alpha: PeriodTwoAlpha):
         self.alpha, self.a, self.b = alpha, alpha.a, alpha.b
         self.regime = regime(alpha)
-        if self.regime == "odd":
-            p = OddParams.of(alpha)
+        self.odd = p = OddParams.of(alpha) if self.regime == "odd" else None
+        if p is not None:
             self.m, self.n, self.s, self.r, self.v = p.m, p.n, p.s, p.r, p.v(alpha)
 
     def blocks(self, *specs) -> TSequence:
@@ -212,8 +219,11 @@ class _Class:
     the coefficients that do not depend on the parameter once and returns
     the member function member(p, z): the value at parameter p, with
     z = D^p for a k-family (None for a t-class).  The family limit is
-    member(None, 0).  A k-family's members approach the limit in
-    `direction`, and the catalogue lists them from k = k0.
+    member(None, 0).  A family's form returns the shared member of
+    _rational, except even-even Sk4 (its k = 0 and (6,10) k = 1 overrides),
+    odd Sk6 (two numerators over 1 - D*z^3) and the t-class S0t (a branch on
+    t).  A k-family's members approach the limit in `direction`, and the
+    catalogue lists them from k = k0.
 
     A k-family goes on forever at a pair when applies(c, _LARGE_K) holds.
     One large k decides it: for k >= 2 every side condition in the table is
@@ -253,6 +263,22 @@ def _always(c: _Pair, p: Optional[int]) -> bool:
     return True
 
 
+def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNum]:
+    """The member (k, z) -> (x + p*w)(y + q*w), with w = z^n / (1 + h*z^n).
+
+    At z = 0 it is x*y, the family limit.
+    """
+
+    def member(k, z):
+        if not z:  # with an int h, 0 / (1 + h*0) would be the float 0.0
+            return x * y
+        zn = z**n
+        w = zn / (1 + h * zn)
+        return (x + p * w) * (y + q * w)
+
+    return member
+
+
 # ---- a >= 4 even, b odd
 
 
@@ -288,14 +314,7 @@ def _(c, e, B, D):
     g = 2 * D * (1 - D) / (1 + D2)
     x = 1 - B - B * (1 - D) * (1 + 2 * D2) / (1 + D2)
     y = 1 - e - D * (1 - D) / (1 + D2)
-    BD3 = B * D**3
-
-    def member(k, z):
-        z4 = z**4
-        w = g * z4 / (1 - D2 * z4)
-        return (x - BD3 * w) * (y + w)
-
-    return member
+    return _rational(4, -D2, x, -B * D**3 * g, y, g)
 
 
 # ---- a >= 4 even, b even
@@ -323,14 +342,7 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     u = 2 * D**2 / (1 + D)
     v = 2 * B / (1 + D)
-    x, y = 1 - e + u, 1 - B - v
-
-    def member(k, z):
-        z2 = z**2
-        w = z2 * (1 - D) / (1 - D * z2)
-        return (x - u * w) * (y + v * w)
-
-    return member
+    return _rational(2, -D, 1 - e + u, -u * (1 - D), 1 - B - v, v * (1 - D))
 
 
 @_entry("even-even", "Sk2", lambda c, k: k >= 1 and c.b == 2 * c.a - 2 and c.a >= 8,
@@ -339,16 +351,11 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    D2, BD = D**2, B * D
+    BD = B * D
     g = 2 * D * (1 + D) * (1 - e + D) / (1 - D)
     x = 1 - 3 * e + 2 * D * (2 - e) / (1 - D)
     y = 1 + B - 2 * BD * (1 - e + D) / (1 - D)
-
-    def member(k, z):
-        w = g * z / (1 + D2 * z)
-        return (x - w) * (y + BD * w)
-
-    return member
+    return _rational(1, D**2, x, -g, y, BD * g)
 
 
 @_entry("even-even", "Sk3", lambda c, k: k >= 1 and c.b == 2 * c.a - 4 and c.a >= 10,
@@ -359,13 +366,7 @@ def _(c, e, B, D):
     g = 2 * D / (1 + D)
     x = 1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2)
     y = 1 - 3 * B + 2 * D / (1 - D) - 2 * BD * (2 + D) / (1 - D**2)
-
-    def member(k, z):
-        z2 = z**2
-        w = g * z2 / (1 - D * z2)
-        return (x + w) * (y - BD * w)
-
-    return member
+    return _rational(2, -D, x, g, y, -BD * g)
 
 
 @_entry("even-even", "Sk4",
@@ -379,8 +380,8 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     a, b = c.a, c.b
     g = 2 * D
-    x = 1 - e + g * (1 - e) / (1 - D)
-    y = 1 - 3 * B + g * (1 - B) / (1 - D)
+    family = _rational(1, -D, 1 - e + g * (1 - e) / (1 - D), g,
+                       1 - 3 * B + g * (1 - B) / (1 - D), -B * g)
 
     def member(k, z):
         # k = 0 has its own closed form, which differs from the family formula
@@ -395,8 +396,7 @@ def _(c, e, B, D):
         if (a, b) == (6, 10) and k == 1:
             # explicit surd for the one case outside the family formula's range
             return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
-        w = g * z / (1 - D * z)
-        return (x + w) * (y - B * w)
+        return family(k, z)
 
     return member
 
@@ -414,12 +414,7 @@ def _(c, e, B, D):
     g = 2 * D * (1 - 2 * B + D) / (1 - D)
     x = 1 - e + 2 * D * (1 - e) / (1 - D)
     y = 1 - 3 * B + 2 * D * (1 - B) / (1 - D)
-
-    def member(k, z):
-        w = g * z / (1 + D * z)
-        return (x + e * w) * (y - w)
-
-    return member
+    return _rational(1, D, x, e * g, y, -g)
 
 
 @_entry("even-even", "Sk6", lambda c, k: (c.a, c.b) == (8, 12),
@@ -429,19 +424,12 @@ def _(c, e, B, D):
         ),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    D2, D6 = D**2, D**6
+    D2 = D**2
     g = 2 * D**4 * (1 - 2 * B + D) * (1 - D**3) / (1 + D2)
     x = (1 - 3 * e + 2 * D - 2 * D2 + 2 * e * D2
          - 2 * D**3 * (1 - e + D) / (1 + D2))
     y = 1 + B - 2 * D * (1 - B + B * D) / (1 + D2)
-    eD2 = e * D2
-
-    def member(k, z):
-        z4 = z**4
-        w = g * z4 / (1 - D6 * z4)
-        return (x - eD2 * w) * (y + w)
-
-    return member
+    return _rational(4, -D**6, x, -e * D2 * g, y, g)
 
 
 @_entry("even-even", "Sk7", lambda c, k: (c.a, c.b) == (6, 10) and k >= 1,
@@ -455,14 +443,7 @@ def _(c, e, B, D):
     x = (1 + e - 2 * D + 2 * D2 + 2 * e * D3 / (1 - D)
          - 2 * D3 * (1 + 2 * D) / (1 - D2))
     y = 1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D2)
-    eD3 = e * D3
-
-    def member(k, z):
-        z2 = z**2
-        w = g * z2 / (1 - D2 * z2)
-        return (x - eD3 * w) * (y - w)
-
-    return member
+    return _rational(2, -D2, x, -e * D3 * g, y, -g)
 
 
 # ---- a >= 3 odd
@@ -545,12 +526,7 @@ def _(c, e, B, D):
     g = 2 * D
     x = 1 - 2 * e + e * c.v + g / (1 - D)
     y = 1 - B + c.v + B * g / (1 - D)
-
-    def member(k, z):
-        tail = g * z / (1 - D * z)
-        return (x - tail) * (y - B * tail)
-
-    return member
+    return _rational(1, -D, x, -g, y, -B * g)
 
 
 @_entry("odd", "Sk2", lambda c, k: k >= 1 and c.m == 0 and c.r >= c.a + 3,
@@ -562,12 +538,7 @@ def _(c, e, B, D):
     g = 2 * (B * (1 + D) - D) / (1 - D)
     x = 1 - 2 * e + D * (2 - e) / (1 - D)
     y = 1 - B + D * (1 - 2 * B) / (1 - D)
-
-    def member(k, z):
-        eps = g * z / (1 + D * z)
-        return (x - e * eps) * (y + D * eps)
-
-    return member
+    return _rational(1, D, x, -e * g, y, D * g)
 
 
 @_entry("odd", "Sk3", lambda c, k: c.r <= c.a + 1 and c.b >= 6,
@@ -577,13 +548,7 @@ def _(c, e, B, D):
     g = 2 * B * D / (1 + D)
     x = 1 - e * c.v - 2 * D / (1 - D**2)
     y = 1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
-
-    def member(k, z):
-        z2 = z**2
-        eps = g * z2 / (1 - D * z2)
-        return (x - e * eps) * (y - eps)
-
-    return member
+    return _rational(2, -D, x, -e * g, y, -g)
 
 
 @_entry("odd", "Sk4", lambda c, k: k >= 1 and c.b == c.a + 1 and c.b >= 6,
@@ -596,13 +561,7 @@ def _(c, e, B, D):
     g = 2 * (1 - Fraction(2, c.b)) / (1 - D)
     x = 1 - eD / (1 - D) + 2 * D**2 / (1 - D**2)
     y = 1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2)
-
-    def member(k, z):
-        z2 = z**2
-        eps = g * z2 / (1 + z2)
-        return (x + eD * eps) * (y - eps)
-
-    return member
+    return _rational(2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk5", lambda c, k: c.r <= c.a - 1,
@@ -610,13 +569,7 @@ def _(c, e, B, D):
         listed=("increasing", 1))
 def _(c, e, B, D):
     g = 2 * D
-    x, y = 1 - e * c.v, 1 - 3 * B - c.v
-
-    def member(k, z):
-        tail = g * z / (1 - D * z)
-        return (x - tail) * (y - B * tail)
-
-    return member
+    return _rational(1, -D, 1 - e * c.v, -g, 1 - 3 * B - c.v, -B * g)
 
 
 @_entry("odd", "Sk6", lambda c, k: c.r == 2 and c.b >= 7,
@@ -648,13 +601,7 @@ def _(c, e, B, D):
     g = 2 * (1 - Fraction(4, c.b)) / (1 - D)
     x = 1 - eD / (1 - D) + 4 * D**2 / (1 - D**2)
     y = 1 - B + D / (1 - D) - 4 * B / (1 - D**2)
-
-    def member(k, z):
-        z2 = z**2
-        eps = g * z2 / (1 + z2)
-        return (x + eD * eps) * (y - eps)
-
-    return member
+    return _rational(2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk8", lambda c, k: k >= 1 and c.b == c.a + 2 and c.b >= 7,
@@ -666,30 +613,19 @@ def _(c, e, B, D):
     x = (1 + D * (1 + D - 4 * D**2) / (1 - D**2)
          - e * D * (1 - 2 * D) / (1 - D))
     y = 1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2)
-
-    def member(k, z):
-        z2 = z**2
-        eps = g * z2 / (1 - D * z2)
-        return (x - eD2 * eps) * (y - eps)
-
-    return member
+    return _rational(2, -D, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk9", lambda c, k: c.b == c.a + 2 and c.b >= 11,
         lambda c, k: c.blocks(*[("B", c.m)] * k, ("B'", c.n), ("E'", 3), ("B'", c.s)),
         listed=("increasing", 0))
 def _(c, e, B, D):
-    D3, eD2 = D**3, e * D**2
+    eD2 = e * D**2
     g = 2 * D * (1 - 2 * B + 2 * D - 2 * B * D + D**2)
     x = (1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - eD2
          - eD2 * (B - D) / (1 - D))
     y = 1 - 2 * B + D * (1 - B) / (1 - D)
-
-    def member(k, z):
-        eps = g * z / (1 - D3 * z)
-        return (x - eD2 * eps) * (y - eps)
-
-    return member
+    return _rational(1, -D**3, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk10", lambda c, k: (c.a, c.b) == (3, 4) and k >= 1,
@@ -698,14 +634,7 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     g = B * (1 - e + D) / (1 + D)
     u = g / (1 - D)
-    x, y = 1 - u, 1 + D * u
-
-    def member(k, z):
-        z2 = z**2
-        eps = g * z2 / (1 - D * z2)
-        return e * (x + eps) * (y - D * eps)
-
-    return member
+    return _rational(2, -D, e * (1 - u), e * g, 1 + D * u, -D * g)
 
 
 @_entry("odd", "Sk11", lambda c, k: (c.a, c.b) == (3, 5),
@@ -717,29 +646,19 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     D4 = D**4
     h = D**3 * (1 - 2 * B - 2 * B * D + D**2) / (1 + D4)
-    hD4 = h * D4
-    x, y = 1 - 2 * B + D - h, 1 + 2 * B - D - h
-
-    def member(k, z):
-        z8 = z**8
-        eps = 2 * z8 / (1 - D4 * z8)
-        return e * (x + h * eps) * (y - hD4 * eps)
-
-    return member
+    return _rational(8, -D4, e * (1 - 2 * B + D - h), 2 * e * h,
+                     1 + 2 * B - D - h, -2 * h * D4)
 
 
 @_entry("odd", "Sk12", lambda c, k: (c.a, c.b) == (3, 6),
         lambda c, k: c.blocks(("F", 2), *[("B'", 2)] * (k + 1)),
         listed=("decreasing", 0))
 def _(c, e, B, D):
+    # e*(1 - X^2) with X = g*(1 - D*z)/(1 - D^2*z) = g + d*w, w = z/(1 - D^2*z)
     D2 = D**2
     g = B * (1 - e + D) / (1 - D)
-
-    def member(k, z):
-        x = g * (1 - D * z) / (1 - D2 * z)
-        return e * (1 - x * x)
-
-    return member
+    d = g * (D2 - D)
+    return _rational(1, -D2, e * (1 - g), -e * d, 1 + g, d)
 
 
 # ---- a = 2: the words and values depend on the parity of b
@@ -770,24 +689,10 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     if c.b % 2 == 0:
         B2 = 2 * B
-        B2D, x = B2 * D, 1 - B2
-
-        def member(k, z):
-            w = z / (1 - D * z)
-            return e * (x - B2D * w) * (1 + B2 * w)
-
-        return member
+        return _rational(1, -D, e * (1 - B2), -e * B2 * D, 1, B2)
     g = 2 * B / (1 + D)
-    gD2 = g * D**2
     half = B**2 / 2
-    x, y = 1 - B - half, 1 - B + half
-
-    def member(k, z):
-        z2 = z**2
-        w = z2 / (1 - D * z2)
-        return e * (x - gD2 * w) * (y + g * w)
-
-    return member
+    return _rational(2, -D, e * (1 - B - half), -e * g * D**2, 1 - B + half, g)
 
 
 @_entry("two", "S2k+1", _always,
@@ -795,23 +700,10 @@ def _(c, e, B, D):
         else c.word(c.a, -1, 0, -1, *(c.a, -3, c.a, -1) * k),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    D2, x = D**2, (1 - B) ** 2
-    if c.b % 2 == 0:
-        g = B**2
-
-        def member(k, z):
-            q = (1 - D * z) / (1 - D2 * z)
-            return e * (x - g * q * q)
-
-        return member
-    g = B**4 / 4
-
-    def member(k, z):
-        z2 = z**2
-        q = (1 - z2) / (1 - D2 * z2)
-        return e * (x - g * q * q)
-
-    return member
+    # e*((1 - B)^2 - (r*Q)^2) with Q = 1 + d*w, w = z^n/(1 - D^2*z^n)
+    D2 = D**2
+    n, r, d = (1, B, D2 - D) if c.b % 2 == 0 else (2, B**2 / 2, D2 - 1)
+    return _rational(n, -D2, e * (1 - B - r), -e * r * d, 1 - B + r, r * d)
 
 
 @_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
@@ -1091,7 +983,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         points=_build_points(alpha, entries),
         first_limit_point=limit,
         families=tuple(fam_infos),
-        odd_parameters=OddParams.of(alpha) if c.regime == "odd" else None,
+        odd_parameters=c.odd,
     )
 
 

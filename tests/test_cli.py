@@ -65,6 +65,13 @@ def test_verify_grid(capsys):
     assert "PASS (5,8)" in out
 
 
+@pytest.mark.parametrize("ab", [("--a", "4", "--b", "8"), ("--a", "4"), ("--b", "8")])
+def test_verify_grid_with_a_or_b_is_usage_error(capsys, ab):
+    code, out, err = run(capsys, "verify", *ab, "--grid", "2..3,5..6")
+    assert (code, out) == (2, "")
+    assert err == "error: --grid and --a/--b exclude each other\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("grid", ["2..2,3..4", "5..4,3..9"])
 def test_empty_grid_is_usage_error(capsys, command, grid):

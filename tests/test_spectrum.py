@@ -251,6 +251,34 @@ def test_equivalence_case_order_is_pinned():
         assert (n, h.hexdigest()) == (count, digest), kmax
 
 
+def test_closed_forms_match_the_evaluator_past_k_4():
+    # every k-family member at k = 8 and 16 that applies, at every covered
+    # pair and at two off-grid pairs for the families the grid never reaches;
+    # equivalence_cases stops at k = 4 and skips (8,12) Sk6 for k >= 1, whose
+    # printed value the evaluator contradicts (ROADMAP item 2): pinned here
+    reached, disagree, n = set(), set(), 0
+    for a, b in [*covered_pairs(), (10, 16), (12, 18)]:
+        al = make_alpha(a, b)
+        reg = regime(al)
+        for (r, family), entry in _CLASSES.items():
+            if r != reg or entry.param != "k":
+                continue
+            for k in (8, 16):
+                cls = ClassId(family, k=k)
+                try:
+                    closed = delta_closed_form(cls, al)
+                except ApplicabilityError:
+                    continue
+                n += 1
+                reached.add((reg, family))
+                if closed != m_star(class_tsequence(cls, al), al):
+                    disagree.add((a, b, reg, family, k))
+    assert reached == {key for key, e in _CLASSES.items() if e.param == "k"}
+    assert len(reached) == 22
+    assert disagree == {(8, 12, "even-even", "Sk6", 8), (8, 12, "even-even", "Sk6", 16)}
+    assert n == 268
+
+
 def test_negative_kmax_is_refused():
     al = make_alpha(4, 8)
     with pytest.raises(ValueError, match="kmax must be >= 0"):
