@@ -32,7 +32,7 @@ show(2, 9)
 print("\n== norm-Euclidean criterion across small pairs ==")
 print("pair       rho          threshold    norm-Euclidean")
 for a, b in covered_pairs(2, 6, 3, 9):
-    r = euclidean_test(make_alpha(a, b), kmax=4)
+    r = euclidean_test(make_alpha(a, b))
     print(f"({a},{b:2d})   {r.rho.decimal(9)}  {r.threshold.decimal(9)}  {r.verdict}")
 
 print("\nsqrt(14) aside: (4,8) has exactly one spectrum point above 1/(2 sqrt 14):")

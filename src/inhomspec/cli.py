@@ -15,9 +15,10 @@ stdout as usual and one "FAIL: ..." line on stderr) or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
 "error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
 period within --max-terms, or a --max-terms below 1, a `verify` call with
---grid and --a or --b, and an `oracle` call with an option its target
-ignores (--k or --t with --period, --align with --class) or a target gamma
-in Z + alpha*Z.
+--grid and --a or --b, an `oracle` call with an option its target ignores
+(--k or --t with --period, --align with --class) or a target gamma in
+Z + alpha*Z, and an option a subcommand does not read, such as `euclid
+--kmax`.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it.
@@ -233,7 +234,7 @@ def _cmd_ncf(args) -> int:
 
 
 def _cmd_euclid(args) -> int:
-    rep = euclidean_test(make_alpha(args.a, args.b), kmax=args.kmax)
+    rep = euclidean_test(make_alpha(args.a, args.b))
     B, C = rep.min_poly
     _emit_json({
         "a": args.a, "b": args.b,
@@ -305,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_ncf, need_ab=False)
 
     sp = sub.add_parser("euclid", help="norm-Euclidean criterion for (a,b)")
-    common(sp)
+    common(sp, kmax=None)
     sp.set_defaults(fn=_cmd_euclid, need_ab=True)
     return p
 

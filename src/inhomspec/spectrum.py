@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 from typing import Callable, Iterator, Optional
 
 from .quadfield import QuadNum
@@ -223,12 +222,14 @@ class _Class:
     _rational, except even-even Sk4 (its k = 0 and (6,10) k = 1 overrides),
     odd Sk6 (two numerators over 1 - D*z^3) and the t-class S0t (a branch on
     t).  A k-family's members approach the limit in `direction`, and the
-    catalogue lists them from k = k0.
+    catalogue lists or evaluates them from k = k0.
 
     A k-family goes on forever at a pair when applies(c, _LARGE_K) holds.
     One large k decides it: for k >= 2 every side condition in the table is
     a condition on the pair alone, written as `k >= k1 and <condition on the
     pair>` or as that condition itself.  An entry must keep to this form.
+    So a k-family that does not go on forever has no member at k >= 2, and
+    the catalogue evaluates such a family at k0 <= k <= 1 only.
     """
 
     param: Optional[str]
@@ -737,24 +738,19 @@ def _param(cls: ClassId) -> Optional[int]:
     return cls.t if cls.family == "S0t" else cls.k
 
 
-def _applies(cls: ClassId, c: _Pair) -> bool:
-    entry = _CLASSES.get((c.regime, cls.family))
-    if entry is None or (entry.param == "k" and cls.k < 0):
-        return False
-    return entry.applies(c, _param(cls))
-
-
 def _require(cls: ClassId, c: _Pair) -> _Class:
     """The table entry of a class applicable at the pair; raises otherwise."""
     if _FAMILY_PARAM[cls.family] == "k" and cls.k is None:
         raise ApplicabilityError(
             f"{cls} designates a family limit; use family_limit()"
         )
-    if not _applies(cls, c):
+    entry = _CLASSES.get((c.regime, cls.family))
+    if (entry is None or (entry.param == "k" and cls.k < 0)
+            or not entry.applies(c, _param(cls))):
         raise ApplicabilityError(
             f"class {cls} is not applicable at (a,b)=({c.a},{c.b})"
         )
-    return _CLASSES[c.regime, cls.family]
+    return entry
 
 
 def _member(c: _Pair, family: str) -> Callable[[Optional[int], object], QuadNum]:
@@ -771,6 +767,17 @@ def _member(c: _Pair, family: str) -> Callable[[Optional[int], object], QuadNum]
 def _value(member, cls: ClassId, D: QuadNum) -> QuadNum:
     """The member's value at the class's parameter, with z = D^k for a k-family."""
     return member(_param(cls), None if cls.k is None else D**cls.k)
+
+
+def _params(c: _Pair, f: str, entry: _Class, ks) -> Iterator[ClassId]:
+    """The classes of the entry that apply at the pair, in parameter order.
+
+    That is the plain class, the t-classes 2 <= t <= b - 2, or the members of
+    a k-family for k in ks.
+    """
+    for p in {None: [None], "k": ks, "t": range(2, c.b - 1)}[entry.param]:
+        if entry.applies(c, p):
+            yield ClassId(f, **{entry.param: p}) if entry.param else ClassId(f)
 
 
 def class_tsequence(cls: ClassId, alpha: PeriodTwoAlpha) -> TSequence:
@@ -925,11 +932,17 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     members sit above L, an increasing family's below it.  L itself is the
     final value, of kind 'limit_point', labelled by the last listed family.
     Every other value above L is isolated: applicable plain classes and
-    t-classes, and members of the other k-families, each walked from k0
-    while it applies.  A decreasing family that goes on forever stops at its
-    first member not above L; an increasing one lies below its own limit,
-    which is at most L, and is not evaluated.  Isolated values do not depend
-    on kmax.
+    t-classes, and the members k0 <= k <= 1 of the k-families that do not go
+    on forever (such a family has no member at k >= 2, see _Class).
+
+    A family that goes on forever enters only through the listing.  An
+    increasing one lies below its own limit, which is at most L.  A
+    decreasing one has limit L, so it is listed.  Within a regime, no two
+    decreasing families go on forever at one pair, except a = 2 S2k and
+    S2k+1, whose limits are equal.  Beside one of them, the only increasing
+    family that goes on forever is even-even Sk5, whose limit x*y is Sk4's,
+    except at (3,5) and (3,6), where the decreasing Sk11 and Sk12 are listed.
+    Isolated values do not depend on kmax.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -945,23 +958,15 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
 
     entries = []
     for f, entry in table:
-        if entry.param == "k":
-            if f in fams or (f in forever and entry.direction == "increasing"):
-                continue
-            params = itertools.takewhile(
-                lambda k: entry.applies(c, k), itertools.count(entry.k0))
-        else:
-            each = [None] if entry.param is None else range(2, c.b - 1)
-            params = (p for p in each if entry.applies(c, p))
-        member = forever.get(f)
-        for p in params:
-            member = member or _member(c, f)  # built at the first applicable p
-            cls = ClassId(f, **{entry.param: p}) if entry.param else ClassId(f)
+        if f in forever:
+            continue
+        ks = range(entry.k0, 2) if entry.param == "k" else ()
+        member = None
+        for cls in _params(c, f, entry, ks):
+            member = member or _member(c, f)  # built at the first applicable class
             value = _value(member, cls, D)
             if value > limit:
                 entries.append((cls, value, "isolated", "none"))
-            elif f in forever:
-                break
     fam_infos = []
     for fam in fams:
         spec, f = _CLASSES[c.regime, fam], forever[fam]
@@ -1017,18 +1022,16 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     c = _Pair(alpha)
-    params = {None: [None], "k": range(kmax + 1), "t": range(2, alpha.b - 1)}
+    ks = range(kmax + 1)
     table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
-    for kind in params:
+    for kind in (None, "k", "t"):
         for f, entry in table:
             if entry.param != kind:
                 continue
-            for p in params[kind]:
-                if f == "Sk6" and c.regime == "even-even" and p >= 1:
+            for cls in _params(c, f, entry, ks):
+                if f == "Sk6" and c.regime == "even-even" and cls.k >= 1:
                     continue
-                cls = ClassId(f, **{kind: p}) if kind else ClassId(f)
-                if _applies(cls, c):
-                    yield cls
+                yield cls
 
 
 @dataclass(frozen=True)
@@ -1077,49 +1080,38 @@ class EuclidReport:
     min_poly: tuple[Fraction, Fraction]  # x^2 + B x + C coefficients (B, C)
 
 
-def euclidean_test(alpha: PeriodTwoAlpha, kmax: int = 8) -> EuclidReport:
+def euclidean_test(alpha: PeriodTwoAlpha) -> EuclidReport:
     """Compare the largest plain value rho with 1/sqrt(disc of x^2 + Bx + C).
 
     The monic minimal polynomial of the purely periodic value is
     x^2 - b x + b/a, so the threshold is 1/sqrt(b^2 - 4b/a) = 1/(b - 2 eta),
     exact in the working field.  The ring criterion reads: norm-Euclidean
-    iff rho < threshold.
+    iff rho < threshold.  points_above counts the catalogue's values above the
+    threshold, None when the first limit point is not below it.  Isolated
+    values do not depend on kmax, so the count reads the kmax = 1 catalogue
+    and walks each decreasing listed family on from k = 2 until a member
+    falls to the threshold.
     """
-    cat = spectrum_catalog(alpha, kmax=kmax)
+    cat = spectrum_catalog(alpha, kmax=1)
     rho = cat.rho_star.m
     threshold = 1 / (alpha.b - 2 * alpha.eta)
-    verdict = rho < threshold
-    limit_m = m_value(cat.first_limit_point, alpha)
-    if limit_m >= threshold:
-        above = None
-    else:
-        above = 0
-        for pt in cat.points:
-            if pt.kind == "limit_point":
-                continue
-            if pt.m > threshold:
-                above += 1
-        # decreasing families could still be above threshold past kmax
+    above = None
+    if m_value(cat.first_limit_point, alpha) < threshold:
+        # the limit point itself is below the threshold, so it is not counted
+        above = sum(pt.m > threshold for pt in cat.points)
         c = _Pair(alpha)
         for fam in cat.families:
             if fam.direction != "decreasing":
                 continue
-            f = _member(c, fam.family)
-            k = max(fam.k_listed) + 1
+            f, k = _member(c, fam.family), 2
             z = alpha.D**k
-            while True:
-                if k > max(fam.k_listed) + 500:
+            while m_value(f(k, z), alpha) > threshold:
+                if k > 500:
                     raise RuntimeError("family did not cross the threshold")
-                cls = ClassId(fam.family, k=k)
-                _require(cls, c)
-                if not m_value(f(k, z), alpha) > threshold:
-                    break
                 above += 1
                 k += 1
                 z *= alpha.D
-    B = Fraction(-alpha.b)
-    C = Fraction(alpha.b, alpha.a)
     return EuclidReport(
-        rho=rho, threshold=threshold, verdict=verdict,
-        points_above=above, min_poly=(B, C),
+        rho=rho, threshold=threshold, verdict=rho < threshold, points_above=above,
+        min_poly=(Fraction(-alpha.b), Fraction(alpha.b, alpha.a)),
     )

@@ -72,6 +72,19 @@ def test_verify_grid_with_a_or_b_is_usage_error(capsys, ab):
     assert err == "error: --grid and --a/--b exclude each other\n"
 
 
+def test_verify_without_pair_or_grid_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert err == "error: verify needs --a/--b or --grid\n"
+
+
+@pytest.mark.parametrize("grid", ["2..x,3..4", "2..3"])
+def test_malformed_grid_is_usage_error(capsys, grid):
+    code, out, err = run(capsys, "verify", "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad --grid {grid!r} (want 'amin..amax,bmin..bmax')\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("grid", ["2..2,3..4", "5..4,3..9"])
 def test_empty_grid_is_usage_error(capsys, command, grid):
@@ -199,6 +212,7 @@ def test_sweep_and_euclid_byte_stable(capsys):
     ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--format", "csv"),
     ("verify", "--a", "4", "--b", "7", "--format", "json"),
     ("euclid", "--a", "4", "--b", "7", "--format", "json"),
+    ("euclid", "--a", "4", "--b", "8", "--kmax", "8"),
 ])
 def test_unread_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as ex:
@@ -259,6 +273,18 @@ def test_oracle_lattice_target_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0")
     assert (code, out) == (2, "")
     assert err == "error: gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined\n"
+
+
+def test_oracle_without_class_or_period_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: --class (or --period) is required here\n"
+
+
+def test_oracle_family_without_k_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--a", "4", "--b", "8", "--class", "Sk1")
+    assert (code, out) == (2, "")
+    assert err == "error: S_{inf,1} designates a family limit; use family_limit()\n"
 
 
 def test_oracle_class_with_period_is_usage_error(capsys):
@@ -377,6 +403,13 @@ def _nested(depth):
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        _json_text(object())
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        json.dumps(object())
 
 
 def test_main_reuses_one_parser_across_subcommands(capsys):

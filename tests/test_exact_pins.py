@@ -1,5 +1,5 @@
-"""Exact values of the catalogue over every pair 2 <= a < b <= 40, and of the
-oracle over the 977-case grid.
+"""Exact values of the catalogue and the norm-Euclidean report over every pair
+2 <= a < b <= 40, and of the oracle over the 977-case grid.
 
 The catalogue pins were recorded from the code before the closed forms were
 split into per-pair coefficients and member functions of z = D^k, the oracle
@@ -38,6 +38,20 @@ def test_catalog_stdout_matches_the_bench_references():
         assert code == 0, (a, b)
         got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert got == ref["digests"][f"{a},{b}"], (a, b)
+
+
+def test_euclid_stdout_is_pinned_at_every_pair():
+    # exit code and stdout of `euclid` at every pair; 19 of the 739 have a
+    # finite points_above_threshold
+    h = hashlib.sha256()
+    for a, b in PAIRS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["euclid", "--a", str(a), "--b", str(b)])
+        h.update(f"{a},{b},{code}:".encode() + buf.getvalue().encode())
+    assert h.hexdigest() == (
+        "7fec5821e47c10508bf21e87f1b60b70ae246f078d5068fdc3504a1409a5425d"
+    )
 
 
 def test_closed_forms_and_limits_are_pinned():

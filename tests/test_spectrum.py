@@ -480,6 +480,21 @@ def test_structure_table_matches_the_abstract():
     assert {ab: r for ab, r in even_even_finite.items() if r != 3} == {(6, 10): 4}
 
 
+def test_decreasing_families_that_go_on_forever_reach_the_first_limit_point():
+    # why the catalogue takes such a family only through its listing
+    n = 0
+    for a, b in covered_pairs(2, 39, 3, 40):
+        al = make_alpha(a, b)
+        c = _Pair(al)
+        limit = spectrum_catalog(al, kmax=1).first_limit_point
+        for (reg, f), entry in _CLASSES.items():
+            if (reg == c.regime and entry.direction == "decreasing"
+                    and entry.applies(c, _LARGE_K)):
+                assert family_limit(f, al) == limit, (a, b, f)
+                n += 1
+    assert n == 378
+
+
 # ------------------------------------------------------- euclid
 
 def test_euclid_4_8():
