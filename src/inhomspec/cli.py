@@ -18,7 +18,7 @@ period within --max-terms, or a --max-terms below 1, a `verify` call with
 --grid and --a or --b, an `oracle` call with an option its target ignores
 (--k or --t with --period, --align with --class) or a target gamma in
 Z + alpha*Z, and an option a subcommand does not read, such as `euclid
---kmax`.
+--kmax` or `sweep --kmax`.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it.
@@ -202,7 +202,7 @@ def _cmd_sweep(args) -> int:
     pairs = _parse_grid(args.grid) if args.grid else list(covered_pairs())
     rows = [["a", "b", "rho_star_label", "rho_star", "second", "gap", "first_limit_point"]]
     for a, b in pairs:
-        cat = spectrum_catalog(make_alpha(a, b), kmax=args.kmax)
+        cat = spectrum_catalog(make_alpha(a, b))
         gap = isolation_gap(cat)
         rows.append([
             a, b, cat.rho_star.label,
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_oracle, need_ab=True)
 
     sp = sub.add_parser("sweep", help="summary rows over an (a,b) grid")
-    common(sp, need_ab=False, fmt=True)
+    common(sp, need_ab=False, kmax=None, fmt=True)
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
     sp.set_defaults(fn=_cmd_sweep, need_ab=False)
 

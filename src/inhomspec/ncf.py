@@ -76,7 +76,7 @@ class PeriodTwoAlpha:
         return f"alpha(a={self.a}, b={self.b})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 4.0 == 4, but only an int is a quotient
 def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     """Exact constants for the period-two expansion with quotients (a, b)."""
     if not (isinstance(a, int) and isinstance(b, int)):

@@ -126,13 +126,6 @@ def _lowest(x: int, y: int, z: int, N: int) -> "QuadNum":
     return new
 
 
-def _sum(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
-    """(x1 + y1*sqrt(N))/z1 plus (x2 + y2*sqrt(N))/z2."""
-    if z1 == z2:
-        return _make(x1 + x2, y1 + y2, z1, N)
-    return _make(x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2, N)
-
-
 def _div(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
     """(x1 + y1*sqrt(N))/z1 divided by (x2 + y2*sqrt(N))/z2."""
     if y2 == 0:
@@ -212,23 +205,23 @@ class QuadNum:
 
     # Each binary operator first takes the two operands that dominate every
     # caller -- a QuadNum of the same field and a plain int -- straight from
-    # their ints; everything else goes through _parts.  Negating, or adding or
-    # subtracting an int k, keeps lowest terms: a common divisor of
-    # (+-x + k*z, +-y, z) divides z, hence x, and gcd(x, y, z) = 1.
+    # their ints; everything else goes through _coerce into the same-field
+    # formula.  That formula works in other's field: a foreign irrational is
+    # only ever coerced for a rational self, whose ints hold in any field.
+    # Negating, or adding or subtracting an int k, keeps lowest terms: a
+    # common divisor of (+-x + k*z, +-y, z) divides z, hence x, and
+    # gcd(x, y, z) = 1.
 
     def __add__(self, other) -> "QuadNum":
-        if type(other) is QuadNum and other._N == self._N:
-            z1, z2 = self._z, other._z
-            if z1 == z2:
-                return _make(self._x + other._x, self._y + other._y, z1, self._N)
-            return _make(self._x * z2 + other._x * z1, self._y * z2 + other._y * z1,
-                         z1 * z2, self._N)
-        if type(other) is int:
-            return _lowest(self._x + other * self._z, self._y, self._z, self._N)
-        t = self._parts(other)
-        if t is None:
-            return other + self
-        return _sum(self._x, self._y, self._z, *t, self._N)
+        if not (type(other) is QuadNum and other._N == self._N):
+            if type(other) is int:
+                return _lowest(self._x + other * self._z, self._y, self._z, self._N)
+            other = self._coerce(other)
+        z1, z2, N = self._z, other._z, other._N
+        if z1 == z2:
+            return _make(self._x + other._x, self._y + other._y, z1, N)
+        return _make(self._x * z2 + other._x * z1, self._y * z2 + other._y * z1,
+                     z1 * z2, N)
 
     __radd__ = __add__
 
@@ -236,37 +229,29 @@ class QuadNum:
         return _lowest(-self._x, -self._y, self._z, self._N)
 
     def __sub__(self, other) -> "QuadNum":
-        if type(other) is QuadNum and other._N == self._N:
-            z1, z2 = self._z, other._z
-            if z1 == z2:
-                return _make(self._x - other._x, self._y - other._y, z1, self._N)
-            return _make(self._x * z2 - other._x * z1, self._y * z2 - other._y * z1,
-                         z1 * z2, self._N)
-        if type(other) is int:
-            return _lowest(self._x - other * self._z, self._y, self._z, self._N)
-        t = self._parts(other)
-        if t is None:
-            return -other + self
-        x2, y2, z2 = t
-        return _sum(self._x, self._y, self._z, -x2, -y2, z2, self._N)
+        if not (type(other) is QuadNum and other._N == self._N):
+            if type(other) is int:
+                return _lowest(self._x - other * self._z, self._y, self._z, self._N)
+            other = self._coerce(other)
+        z1, z2, N = self._z, other._z, other._N
+        if z1 == z2:
+            return _make(self._x - other._x, self._y - other._y, z1, N)
+        return _make(self._x * z2 - other._x * z1, self._y * z2 - other._y * z1,
+                     z1 * z2, N)
 
     def __rsub__(self, other) -> "QuadNum":
         if type(other) is int:
             return _lowest(other * self._z - self._x, -self._y, self._z, self._N)
-        return _sum(*self._parts(other), -self._x, -self._y, self._z, self._N)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "QuadNum":
-        x1, y1, N = self._x, self._y, self._N
-        if type(other) is QuadNum and other._N == N:
-            x2, y2 = other._x, other._y
-            return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * other._z, N)
-        if type(other) is int:
-            return _make(x1 * other, y1 * other, self._z, N)
-        t = self._parts(other)
-        if t is None:
-            return other * self
-        x2, y2, z2 = t
-        return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * z2, N)
+        x1, y1 = self._x, self._y
+        if not (type(other) is QuadNum and other._N == self._N):
+            if type(other) is int:
+                return _make(x1 * other, y1 * other, self._z, self._N)
+            other = self._coerce(other)
+        x2, y2, N = other._x, other._y, other._N
+        return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * other._z, N)
 
     __rmul__ = __mul__
 

@@ -37,11 +37,10 @@ largest limit among the k-families that go on forever at the pair; the
 families with that limit are listed, and every other applicable class or
 member above it is an isolated value.  No regime or pair has a layout of its
 own, except that at (3,6) one family reaching the limit is not listed (see
-_NOT_LISTED).  delta_closed_form,
-family_limit, spectrum_catalog and euclidean_test all reach a value through
-the same member function; the catalogue builds it once per family and call
-and steps z = D^k by one multiply per k.  No value ever touches floating
-point.
+_NOT_LISTED).  delta_closed_form, family_limit and spectrum_catalog reach a
+value through the same member function; the catalogue builds it once per
+family and call and is the only code that steps z = D^k, by one multiply per
+k.  euclidean_test reads catalogues.  No value ever touches floating point.
 """
 
 from __future__ import annotations
@@ -188,7 +187,8 @@ class _Pair:
     """What a table entry reads at one alpha besides eta, beta and D.
 
     For odd a, odd is the pair's OddParams (None otherwise), and m, n, s, r
-    and v are its values.
+    and v are its values.  Every entry writes its period with blocks, in the
+    paper's block notation.
     """
 
     def __init__(self, alpha: PeriodTwoAlpha):
@@ -201,10 +201,6 @@ class _Pair:
     def blocks(self, *specs) -> TSequence:
         """The periodic word of the (block name, t) specs, in order."""
         return tseq_from_blocks([Block(n, t) for n, t in specs], self.alpha)
-
-    def word(self, *ts: int) -> TSequence:
-        """The periodic word of the raw t-values."""
-        return TSequence(ts).validate(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -666,8 +662,8 @@ def _(c, e, B, D):
 
 
 @_entry("two", "S-1", _always,
-        lambda c, k: c.word(0, 0) if c.b % 2 == 0
-        else c.word(c.a, -1, c.a, -3, c.a, -1, c.a, -1))
+        lambda c, k: c.blocks(("A", 0)) if c.b % 2 == 0
+        else c.blocks(("F", 1), ("F", 3), ("F", 1), ("F", 1)))
 def _(c, e, B, D):
     if c.b % 2 == 0:
         return e * (1 - B) ** 2
@@ -678,14 +674,14 @@ def _(c, e, B, D):
 
 
 @_entry("two", "S-2", lambda c, k: c.b % 2 == 1,
-        lambda c, k: c.word(c.a, -3, c.a, -1))
+        lambda c, k: c.blocks(("F", 3), ("F", 1)))
 def _(c, e, B, D):
     return e * (1 - B + B * D / (1 + D)) ** 2
 
 
 @_entry("two", "S2k", lambda c, k: k >= 1,
-        lambda c, k: c.word(c.a, -4, *(c.a, -2) * k) if c.b % 2 == 0
-        else c.word(c.a, -1, *(c.a, -3, c.a, -1) * k),
+        lambda c, k: c.blocks(("F", 4), *[("F", 2)] * k) if c.b % 2 == 0
+        else c.blocks(("F", 1), *(("F", 3), ("F", 1)) * k),
         listed=("decreasing", 1))
 def _(c, e, B, D):
     if c.b % 2 == 0:
@@ -697,8 +693,8 @@ def _(c, e, B, D):
 
 
 @_entry("two", "S2k+1", _always,
-        lambda c, k: c.word(c.a, -2, 0, 0, *(c.a, -2) * k) if c.b % 2 == 0
-        else c.word(c.a, -1, 0, -1, *(c.a, -3, c.a, -1) * k),
+        lambda c, k: c.blocks(("F", 2), ("A", 0), *[("F", 2)] * k) if c.b % 2 == 0
+        else c.blocks(("F", 1), ("A'", 1), *(("F", 3), ("F", 1)) * k),
         listed=("decreasing", 0))
 def _(c, e, B, D):
     # e*((1 - B)^2 - (r*Q)^2) with Q = 1 + d*w, w = z^n/(1 - D^2*z^n)
@@ -708,7 +704,7 @@ def _(c, e, B, D):
 
 
 @_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
-        lambda c, t: c.word(c.a, -t))
+        lambda c, t: c.blocks(("F", t)))
 def _(c, e, B, D):
     g = B / (1 - D)
     y = 2 - 2 * B
@@ -856,20 +852,12 @@ class SpectrumCatalog:
             }
             for p in self.points
         ]
-        # rho* and the limit point are catalogue points: reuse their rendering
-        limit = self.first_limit_point
-        limit_json = next(
-            (d["m_star"] for p, d in zip(self.points, points) if p.m_star == limit),
-            None,
-        )
-        if limit_json is None:
-            limit_json = limit.to_json(digits)
         return {
             "a": self.alpha.a,
             "b": self.alpha.b,
             "N": self.alpha.N,
             "rho_star": points[0]["m_star"],
-            "first_limit_point": limit_json,
+            "first_limit_point": self.first_limit_point.to_json(digits),
             "points": points,
             "kmax": self.kmax,
         }
@@ -1086,11 +1074,12 @@ def euclidean_test(alpha: PeriodTwoAlpha) -> EuclidReport:
     The monic minimal polynomial of the purely periodic value is
     x^2 - b x + b/a, so the threshold is 1/sqrt(b^2 - 4b/a) = 1/(b - 2 eta),
     exact in the working field.  The ring criterion reads: norm-Euclidean
-    iff rho < threshold.  points_above counts the catalogue's values above the
-    threshold, None when the first limit point is not below it.  Isolated
-    values do not depend on kmax, so the count reads the kmax = 1 catalogue
-    and walks each decreasing listed family on from k = 2 until a member
-    falls to the threshold.
+    iff rho < threshold.  points_above counts the catalogue's distinct values
+    above the threshold, None when the first limit point is not below it.
+    Isolated values do not depend on kmax, and a decreasing family's members
+    fall towards the limit as k grows, so the count reads the kmax = 1
+    catalogue and doubles kmax while a decreasing family's last listed member
+    is still above the threshold.
     """
     cat = spectrum_catalog(alpha, kmax=1)
     rho = cat.rho_star.m
@@ -1098,19 +1087,12 @@ def euclidean_test(alpha: PeriodTwoAlpha) -> EuclidReport:
     above = None
     if m_value(cat.first_limit_point, alpha) < threshold:
         # the limit point itself is below the threshold, so it is not counted
-        above = sum(pt.m > threshold for pt in cat.points)
-        c = _Pair(alpha)
-        for fam in cat.families:
-            if fam.direction != "decreasing":
-                continue
-            f, k = _member(c, fam.family), 2
-            z = alpha.D**k
-            while m_value(f(k, z), alpha) > threshold:
-                if k > 500:
-                    raise RuntimeError("family did not cross the threshold")
-                above += 1
-                k += 1
-                z *= alpha.D
+        while any(p.direction == "decreasing" and p.cls.k == cat.kmax
+                  and p.m > threshold for p in cat.points):
+            if cat.kmax > 500:
+                raise RuntimeError("family did not cross the threshold")
+            cat = spectrum_catalog(alpha, kmax=2 * cat.kmax)
+        above = sum(p.m > threshold for p in cat.points)
     return EuclidReport(
         rho=rho, threshold=threshold, verdict=rho < threshold, points_above=above,
         min_poly=(Fraction(-alpha.b), Fraction(alpha.b, alpha.a)),

@@ -136,7 +136,7 @@ def test_oracle_disagreement_exits_1(capsys):
 
 def test_sweep(capsys):
     code, out, _ = run(capsys, "sweep", "--grid", "4..4,5..9",
-                       "--format", "csv", "--kmax", "2", "--digits", "8")
+                       "--format", "csv", "--digits", "8")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("a,b,rho_star_label")
@@ -213,6 +213,7 @@ def test_sweep_and_euclid_byte_stable(capsys):
     ("verify", "--a", "4", "--b", "7", "--format", "json"),
     ("euclid", "--a", "4", "--b", "7", "--format", "json"),
     ("euclid", "--a", "4", "--b", "8", "--kmax", "8"),
+    ("sweep", "--grid", "4..4,5..6", "--kmax", "8"),
 ])
 def test_unread_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as ex:
@@ -400,6 +401,7 @@ def _nested(depth):
 @given(json_trees)
 @example({"a": True, "b": 1, "c": 1.0, "d": None, "e": {}, "f": []})
 @example(_nested(60))
+@example(float("inf"))
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)

@@ -13,6 +13,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from inhomspec.cli import main
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import (
@@ -52,6 +54,19 @@ def test_euclid_stdout_is_pinned_at_every_pair():
     assert h.hexdigest() == (
         "7fec5821e47c10508bf21e87f1b60b70ae246f078d5068fdc3504a1409a5425d"
     )
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "47083c80f8790af2f3eddba2d3e803c54b47d0fd069a900e0bfc6fba3735ab1a"),
+    ("json", "008dd9bc624d5f5fff0ee7be25aece1b815169dc47270f38a5b23ba0d0850a6e"),
+])
+def test_sweep_stdout_is_pinned_over_every_pair(fmt, digest):
+    # exit code and stdout of one `sweep` over all 739 pairs
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["sweep", "--grid", "2..39,3..40", "--format", fmt])
+    got = hashlib.sha256(f"{code}:".encode() + buf.getvalue().encode()).hexdigest()
+    assert got == digest
 
 
 def test_closed_forms_and_limits_are_pinned():

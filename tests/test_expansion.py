@@ -535,3 +535,13 @@ def test_max_digit_bound_dominates():
     al = make_alpha(2, 6)
     for word in ((2, -2), (2, -4, 2, -2), (2, -2, 0, 0)):
         assert m_star(TSequence(word), al) <= al.eta
+
+
+def test_odd_preperiod_is_refused():
+    with pytest.raises(AlignmentError):
+        TSequence((0, 0), preperiod=(0,))
+
+
+def test_d_plus_below_index_one_is_undefined():
+    with pytest.raises(UndefinedTailError):
+        d_plus(TSequence((0, 0)), 0, make_alpha(4, 8))

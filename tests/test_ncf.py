@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction as F
 
 from inhomspec.quadfield import QuadNum, qnum
-from inhomspec.ncf import make_alpha, ncf_expand, NonPeriodicError
+from inhomspec.ncf import NCFExpansion, make_alpha, ncf_expand, NonPeriodicError
 
 
 def test_make_alpha_2_5():
@@ -169,3 +169,18 @@ def test_long_periods_exist_and_terminate():
     e = ncf_expand(qnum(F(-3, 4), F(2, 7), 13), max_terms=4096)
     assert len(e.period) == 2063
     assert all(d >= 2 for d in e.period)
+
+
+def test_alpha_str_and_period_two_with_preperiod():
+    assert str(make_alpha(4, 8)) == "alpha(a=4, b=8)"
+    assert NCFExpansion(0, (3,), (4, 8)).period_two() is None
+
+
+def test_make_alpha_refuses_non_int_quotients_in_either_call_order():
+    # the cache must not hand the int pair's alpha to an equal float or Fraction
+    with pytest.raises(TypeError):
+        make_alpha(17.0, 1000)  # before the int pair is cached
+    assert make_alpha(17, 1000).a == 17
+    for bad in (17.0, F(17)):
+        with pytest.raises(TypeError):
+            make_alpha(bad, 1000)

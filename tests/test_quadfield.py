@@ -307,6 +307,23 @@ def test_public_constructor_checks(args, error):
         QuadNum(*args)
 
 
+def test_non_int_exponent_and_foreign_equality():
+    x = QuadNum(1, 1, 2)
+    with pytest.raises(TypeError):
+        x ** 1.5
+    assert (x == "x") is False
+
+
+@pytest.mark.parametrize("p, q, text", [
+    (3, 0, "3"),
+    (0, 2, "2*sqrt(14)"),
+    (1, -2, "1 - 2*sqrt(14)"),
+    (F(1, 2), F(1, 3), "1/2 + 1/3*sqrt(14)"),
+])
+def test_str(p, q, text):
+    assert str(QuadNum(p, q, 14)) == text
+
+
 def test_coefficients_are_read_only():
     x = qnum(F(1, 2), F(3, 4), 5)
     for name in ("p", "q", "N"):

@@ -497,6 +497,21 @@ def test_decreasing_families_that_go_on_forever_reach_the_first_limit_point():
 
 # ------------------------------------------------------- euclid
 
+def test_euclid_count_matches_a_deep_catalogue():
+    # where the first limit point is below the threshold, points_above is the
+    # number of values above it in a catalogue listed far past any crossing
+    n = 0
+    for a, b in covered_pairs(2, 39, 3, 40):
+        al = make_alpha(a, b)
+        rep = euclidean_test(al)
+        if rep.points_above is None:
+            continue
+        n += 1
+        deep = spectrum_catalog(al, kmax=30)
+        assert rep.points_above == sum(p.m > rep.threshold for p in deep.points), (a, b)
+    assert n == 19
+
+
 def test_euclid_4_8():
     rep = euclidean_test(make_alpha(4, 8))
     assert rep.verdict is False
@@ -584,3 +599,9 @@ def test_a2_wide_b_off_grid():
         assert got == extras
         for res in verify_equivalence(al, kmax=2):
             assert res.ok
+
+
+@pytest.mark.parametrize("family", ["Sx", "S0t"])
+def test_unknown_family_or_missing_t_is_refused(family):
+    with pytest.raises(ApplicabilityError):
+        ClassId(family)
