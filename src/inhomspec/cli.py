@@ -74,43 +74,72 @@ def _class_from_args(args) -> ClassId:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_text(obj, pad: str = "") -> str:
+def _json_float(obj: float) -> str:
+    if obj != obj:
+        return "NaN"
+    if obj == inf:
+        return "Infinity"
+    if obj == -inf:
+        return "-Infinity"
+    return float.__repr__(obj)
+
+
+# the exact type of a scalar -> its JSON text; True is a bool, not an int 1
+_JSON_SCALARS = {
+    str: _json_str,
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: _json_float,
+}
+
+
+def _json_write(obj, pad: str, out) -> None:
+    """Pass the fragments of obj's text, at indent pad, to out in order."""
+    render = _JSON_SCALARS.get(type(obj))
+    if render is not None:
+        out(render(obj))
+        return
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        head = "[\n" + inner
+        for v in obj:
+            out(head)
+            _json_write(v, inner, out)
+            head = ",\n" + inner
+        out("\n" + pad + "]")
+        return
+    if isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        head = "{\n" + inner
+        for k, v in sorted(obj.items()):
+            out(head + _json_str(k) + ": ")
+            _json_write(v, inner, out)
+            head = ",\n" + inner
+        out("\n" + pad + "}")
+        return
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.
 
     json's indenting encoder is pure Python and slow; this writes the same
     bytes for the str-keyed trees of str, int, float, bool, None, list, tuple
-    and dict the subcommands print.
+    and dict the subcommands print.  _json_write appends the whole document
+    to one flat list of fragments, which is joined once.  It is a
+    module-level function, not a closure nested in this one: a recursive
+    closure would form a reference cycle and keep each render's fragments
+    alive until the cyclic collector ran.
     """
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == inf:
-            return "Infinity"
-        if obj == -inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = [_json_text(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    parts = []
+    _json_write(obj, "", parts.append)
+    return "".join(parts)
 
 
 def _emit_json(obj) -> None:

@@ -20,9 +20,11 @@ which evaluates only the part in z; a t-family does the same with t.
 Because 0 < D < 1, z -> 0 as k -> infinity, so the family limit delta_inf is
 the member function at z = 0 and is not written down separately.
 
-Twenty k-families have the shape (x + p*w)(y + q*w) with
-w = z^n / (1 + h*z^n), a leading factor eta folded into x and p; their
-entries return the shared member _rational(n, h, x, p, y, q).  Three
+Twenty k-families have the shape (x + p*w)(y + q*w) with w = u / (1 + h*u)
+and u = z^n, a leading factor eta folded into x and p; their entries return
+the shared member _rational(n, h, x, p, y, q).  That member is
+(x(1 + h*u) + p*u)(y(1 + h*u) + q*u) / (1 + h*u)^2, evaluated on the ints of
+the operands and reduced once.  Three
 entries keep a member of their own: even-even Sk4, whose k = 0 member and
 (6,10) k = 1 member the family formula does not give (its other members go
 through _rational); odd Sk6, which has two different numerators over
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _make
 from .ncf import PeriodTwoAlpha
 from .expansion import Block, TSequence, m_star, m_value, tseq_from_blocks
 
@@ -117,6 +119,17 @@ class ClassId:
 
     def __str__(self) -> str:
         return self.label
+
+
+def _member_id(family: str, k: int) -> ClassId:
+    """ClassId(family, k=k) for a known k-family and k, without the checks.
+
+    It is to ClassId what quadfield's _make is to QuadNum: for a family of
+    the table and its own parameter, both valid by construction.
+    """
+    cls = object.__new__(ClassId)
+    cls.__dict__.update(family=family, k=k, t=None)
+    return cls
 
 
 def _class_label(cls: ClassId) -> str:
@@ -215,9 +228,12 @@ class _Class:
     the member function member(p, z): the value at parameter p, with
     z = D^p for a k-family (None for a t-class).  The family limit is
     member(None, 0).  A family's form returns the shared member of
-    _rational, except even-even Sk4 (its k = 0 and (6,10) k = 1 overrides),
-    odd Sk6 (two numerators over 1 - D*z^3) and the t-class S0t (a branch on
-    t).  A k-family's members approach the limit in `direction`, and the
+    _rational, the integer kernel for (x + p*w)(y + q*w) with
+    w = z^n / (1 + h*z^n), except even-even Sk4 (its k = 0 and (6,10) k = 1
+    overrides; its other members go through _rational), odd Sk6 (two
+    numerators over 1 - D*z^3) and the t-class S0t (a branch on t).  The
+    coefficients x, p, y, q and h are QuadNums, ints or Fractions.  A
+    k-family's members approach the limit in `direction`, and the
     catalogue lists or evaluates them from k = k0.
 
     A k-family goes on forever at a pair when applies(c, _LARGE_K) holds.
@@ -260,18 +276,57 @@ def _always(c: _Pair, p: Optional[int]) -> bool:
     return True
 
 
-def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNum]:
-    """The member (k, z) -> (x + p*w)(y + q*w), with w = z^n / (1 + h*z^n).
+def _ints(v) -> tuple[int, int, int]:
+    """(X, Y, Z) with v = (X + Y*sqrt(N))/Z, for a QuadNum, int or Fraction v."""
+    if type(v) is QuadNum:
+        return v._x, v._y, v._z
+    return v.numerator, 0, v.denominator
 
-    At z = 0 it is x*y, the family limit.
+
+def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNum]:
+    """The member (k, z) -> (x + p*w)(y + q*w), with w = u / (1 + h*u), u = z^n.
+
+    At z = 0 it is x*y, the family limit.  Otherwise it is evaluated in ints.
+    Write x = X/x_z with X = x_0 + x_1*sqrt(N) for int x_0, x_1, x_z, and
+    likewise p, y, q, h and u = U/u_z.  With E = h_z*u_z + H*U,
+    1 + h*u = E/(h_z*u_z) and w = h_z*U/E, so
+
+        x + p*w = (p_z*X*E + x_z*h_z*P*U) / (x_z*p_z*E),
+        y + q*w = (q_z*Y*E + y_z*h_z*Q*U) / (y_z*q_z*E),
+
+    and the member is the product of the two numerators times conj(E)^2,
+    over x_z*p_z*y_z*q_z*norm(E)^2, reduced once by _make.  The scaled pairs
+    p_z*X, x_z*h_z*P, q_z*Y, y_z*h_z*Q and the product of the four
+    denominators do not depend on k; building them costs a few int products.
     """
+    hx, hy, hz = _ints(h)
+    (xx, xy, xz), (px, py, pz) = _ints(x), _ints(p)
+    (yx, yy, yz), (qx, qy, qz) = _ints(y), _ints(q)
+    xx, xy, px, py = pz * xx, pz * xy, xz * hz * px, xz * hz * py
+    yx, yy, qx, qy = qz * yx, qz * yy, yz * hz * qx, yz * hz * qy
+    den = xz * pz * yz * qz
 
     def member(k, z):
-        if not z:  # with an int h, 0 / (1 + h*0) would be the float 0.0
+        if not z:
             return x * y
-        zn = z**n
-        w = zn / (1 + h * zn)
-        return (x + p * w) * (y + q * w)
+        N, zx, zy, zz, bits = z._N, z._x, z._y, z._z, n
+        ux, uy, uz = 1, 0, 1
+        while True:  # U/u_z = z^n by repeated squaring
+            if bits & 1:
+                ux, uy, uz = ux * zx + uy * zy * N, ux * zy + uy * zx, uz * zz
+            bits >>= 1
+            if not bits:
+                break
+            zx, zy, zz = zx * zx + zy * zy * N, 2 * zx * zy, zz * zz
+        ex, ey = hz * uz + hx * ux + hy * uy * N, hx * uy + hy * ux
+        ax = xx * ex + xy * ey * N + px * ux + py * uy * N
+        ay = xx * ey + xy * ex + px * uy + py * ux
+        bx = yx * ex + yy * ey * N + qx * ux + qy * uy * N
+        by = yx * ey + yy * ex + qx * uy + qy * ux
+        ax, ay = ax * bx + ay * by * N, ax * by + ay * bx
+        cx, cy = ex * ex + ey * ey * N, -2 * ex * ey  # conj(E)^2
+        norm = ex * ex - ey * ey * N
+        return _make(ax * cx + ay * cy * N, ax * cy + ay * cx, den * norm * norm, N)
 
     return member
 
@@ -892,9 +947,10 @@ def _build_points(alpha, entries):
     # first-branch delta_{0,6} collapses onto delta_{-1}); keep one point
     out = [pts[0]]
     for y in pts[1:]:
-        if y.m_star == out[-1].m_star:
+        order = out[-1].m_star._cmp(y.m_star)
+        if order == 0:
             continue
-        if not out[-1].m_star > y.m_star:
+        if order < 0:
             raise RuntimeError(
                 f"catalogue values not strictly decreasing: {out[-1].label}, {y.label}"
             )
@@ -967,7 +1023,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
                     f"listed family {fam} does not apply at k={k}, "
                     f"(a,b)=({c.a},{c.b})"
                 )
-            entries.append((ClassId(fam, k=k), f(k, z), "family_member", spec.direction))
+            entries.append((_member_id(fam, k), f(k, z), "family_member", spec.direction))
             z *= D
     entries.append((ClassId(fams[-1]), limit, "limit_point", "none"))
     return SpectrumCatalog(

@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 
 import pytest
@@ -412,6 +415,28 @@ def test_json_writer_refuses_what_json_dumps_refuses():
         _json_text(object())
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
         json.dumps(object())
+
+
+def test_json_writer_leaves_no_reference_cycles():
+    # a writer that leaves cycles keeps its fragments alive until the cyclic
+    # collector runs; each render runs once first, so lazy imports and caches
+    # are not counted
+    argvs = (["catalog", "--a", "3", "--b", "5"],
+             ["oracle", "--a", "5", "--b", "7", "--class", "S0",
+              "--nmin", "1000", "--nmax", "20000"])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for argv in argvs:
+            assert main(argv) == 0
+    gc.disable()
+    try:
+        gc.collect()
+        with contextlib.redirect_stdout(buf):
+            for argv in argvs:
+                assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_main_reuses_one_parser_across_subcommands(capsys):

@@ -118,3 +118,20 @@ def test_oracle_walk_is_pinned_on_wide_windows():
     assert h.hexdigest() == (
         "20e8ebbb8d4a548cf4b0e611da9d79b38f838908e8de2aba305cce1371d036df"
     )
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "9361531f7ba836bf7fc9cba3a119e29931c4654ee7ae46fe5f79f5bbfbf36d39"),
+    ("table", "69ce8a4e2e0393193bcd67da54c9061a049e324ce24642be8052d85be86e584e"),
+])
+def test_catalog_csv_and_table_stdout_is_pinned_at_every_pair(fmt, digest):
+    # exit code and stdout of `catalog --kmax 8` in the csv and table forms;
+    # the json form is pinned pair by pair against the bench references above
+    h = hashlib.sha256()
+    for a, b in PAIRS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["catalog", "--a", str(a), "--b", str(b), "--kmax", "8",
+                         "--format", fmt])
+        h.update(f"{a},{b},{code}:".encode() + buf.getvalue().encode())
+    assert h.hexdigest() == digest

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from inhomspec import spectrum
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_star, reflect
 from inhomspec.spectrum import (
     _CLASSES,
     _LARGE_K,
+    _member,
     _Pair,
     ApplicabilityError,
     ClassId,
@@ -277,6 +279,48 @@ def test_closed_forms_match_the_evaluator_past_k_4():
     assert len(reached) == 22
     assert disagree == {(8, 12, "even-even", "Sk6", 8), (8, 12, "even-even", "Sk6", 16)}
     assert n == 268
+
+
+def test_rational_members_match_the_plain_formula_past_k_8(monkeypatch):
+    # every member _rational returns, at every covered pair and the two
+    # off-grid pairs, for k = k0..24 and at z = 0, against the formula
+    # (x + p*w)(y + q*w), w = u / (1 + h*u), u = z^n, in plain QuadNum operators
+    def plain(n, h, x, p, y, q, z):
+        if z == 0:
+            return x * y
+        u = z**n
+        w = u / (1 + h * u)
+        return (x + p * w) * (y + q * w)
+
+    calls = []
+    real = spectrum._rational
+
+    def recording(*args):
+        member = real(*args)
+        calls.append((args, member))
+        return member
+
+    monkeypatch.setattr(spectrum, "_rational", recording)
+    reached, n = set(), 0
+    for a, b in [*covered_pairs(), (10, 16), (12, 18)]:
+        c = _Pair(make_alpha(a, b))
+        D = c.alpha.D
+        for (reg, family), entry in _CLASSES.items():
+            if reg != c.regime or entry.param != "k":
+                continue
+            calls.clear()
+            _member(c, family)
+            if not calls:
+                continue
+            (args, member), = calls
+            reached.add((reg, family))
+            assert member(None, 0) == plain(*args, 0), (a, b, family)
+            for k in range(entry.k0, 25):
+                z = D**k
+                assert member(k, z) == plain(*args, z), (a, b, family, k)
+                n += 1
+    assert len(reached) == 21  # the 20 shared members and even-even Sk4's family
+    assert n == 13401
 
 
 def test_negative_kmax_is_refused():
