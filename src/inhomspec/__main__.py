@@ -1,0 +1,8 @@
+"""``python -m inhomspec``: the ``inhomspec`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,8 @@ Z + alpha*Z, and an option a subcommand does not read, such as `euclid
 --kmax` or `sweep --kmax`.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
-sort_keys=True, indent=2) writes it.
+sort_keys=True, indent=2) writes it, each exact value as QuadNum.to_json's
+dict.
 """
 
 from __future__ import annotations
@@ -94,11 +95,19 @@ _JSON_SCALARS = {
 }
 
 
-def _json_write(obj, pad: str, out) -> None:
-    """Pass the fragments of obj's text, at indent pad, to out in order."""
+def _json_write(obj, pad: str, out, digits: int) -> None:
+    """Pass the fragments of obj's text, at indent pad, to out in order.
+
+    A QuadNum is written as its to_json(digits) dict, in one fragment from
+    QuadNum._json_leaf.  The list and dict loops write scalar and QuadNum
+    children in place and recurse only into child containers.
+    """
     render = _JSON_SCALARS.get(type(obj))
     if render is not None:
         out(render(obj))
+        return
+    if type(obj) is QuadNum:
+        out(obj._json_leaf(digits, pad))
         return
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
@@ -107,8 +116,14 @@ def _json_write(obj, pad: str, out) -> None:
             return
         head = "[\n" + inner
         for v in obj:
-            out(head)
-            _json_write(v, inner, out)
+            render = _JSON_SCALARS.get(type(v))
+            if render is not None:
+                out(head + render(v))
+            elif type(v) is QuadNum:
+                out(head + v._json_leaf(digits, inner))
+            else:
+                out(head)
+                _json_write(v, inner, out, digits)
             head = ",\n" + inner
         out("\n" + pad + "]")
         return
@@ -118,32 +133,40 @@ def _json_write(obj, pad: str, out) -> None:
             return
         head = "{\n" + inner
         for k, v in sorted(obj.items()):
-            out(head + _json_str(k) + ": ")
-            _json_write(v, inner, out)
+            render = _JSON_SCALARS.get(type(v))
+            if render is not None:
+                out(f"{head}{_json_str(k)}: {render(v)}")
+            elif type(v) is QuadNum:
+                out(f"{head}{_json_str(k)}: {v._json_leaf(digits, inner)}")
+            else:
+                out(f"{head}{_json_str(k)}: ")
+                _json_write(v, inner, out, digits)
             head = ",\n" + inner
         out("\n" + pad + "}")
         return
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(obj) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.
+def _json_text(obj, digits: int = 18) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, where each
+    QuadNum leaf stands for its to_json(digits) dict.
 
     json's indenting encoder is pure Python and slow; this writes the same
-    bytes for the str-keyed trees of str, int, float, bool, None, list, tuple
-    and dict the subcommands print.  _json_write appends the whole document
-    to one flat list of fragments, which is joined once.  It is a
-    module-level function, not a closure nested in this one: a recursive
-    closure would form a reference cycle and keep each render's fragments
-    alive until the cyclic collector ran.
+    bytes for the str-keyed trees of str, int, float, bool, None, QuadNum,
+    list, tuple and dict the subcommands print, without first turning each
+    QuadNum into a dict.  _json_write appends the whole document to one flat
+    list of fragments, which is joined once; a --digits below 1 raises before
+    anything is printed.  It is a module-level function, not a closure nested
+    in this one: a recursive closure would form a reference cycle and keep
+    each render's fragments alive until the cyclic collector ran.
     """
     parts = []
-    _json_write(obj, "", parts.append)
+    _json_write(obj, "", parts.append, digits)
     return "".join(parts)
 
 
-def _emit_json(obj) -> None:
-    print(_json_text(obj))
+def _emit_json(obj, digits: int) -> None:
+    print(_json_text(obj, digits))
 
 
 def _emit_csv(rows) -> None:
@@ -162,7 +185,7 @@ def _emit_table(rows) -> None:
 def _cmd_catalog(args) -> int:
     cat = spectrum_catalog(make_alpha(args.a, args.b), kmax=args.kmax)
     if args.format == "json":
-        _emit_json(cat.to_json_dict(digits=args.digits))
+        _emit_json(cat.json_tree(), args.digits)
     else:
         rows = cat.to_csv_rows(digits=args.digits)
         (_emit_csv if args.format == "csv" else _emit_table)(rows)
@@ -204,13 +227,11 @@ def _cmd_oracle(args) -> int:
         label = cls.delta_label
     gamma = gamma_value(tseq, alpha)
     target = m_value(m_star(tseq, alpha), alpha)
-    out = {"a": args.a, "b": args.b, "class": label,
-           "gamma": gamma.to_json(args.digits)}
+    out = {"a": args.a, "b": args.b, "class": label, "gamma": gamma}
     failed = False
     if args.nmin is None and args.nmax is None:
         got = oracle_m(alpha, gamma)
-        out.update(exact_m=target.to_json(args.digits),
-                   oracle_m=got.m.to_json(args.digits),
+        out.update(exact_m=target, oracle_m=got.m,
                    cycle_records=got.cycle_records,
                    cycle_start_n=got.cycle_start_n)
         failed = got.m != target
@@ -218,8 +239,8 @@ def _cmd_oracle(args) -> int:
         lo = 10**3 if args.nmin is None else args.nmin
         hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)
-        out["report"] = rep.to_json_dict(args.digits)
-    _emit_json(out)
+        out["report"] = rep.json_tree()
+    _emit_json(out, args.digits)
     if failed:
         print(f"FAIL: oracle_m={got.m.decimal(args.digits)} "
               f"exact_m={target.decimal(args.digits)}", file=sys.stderr)
@@ -242,7 +263,7 @@ def _cmd_sweep(args) -> int:
         ])
     if args.format == "json":
         head, *body = rows
-        _emit_json([dict(zip(head, r)) for r in body])
+        _emit_json([dict(zip(head, r)) for r in body], args.digits)
     else:
         (_emit_csv if args.format == "csv" else _emit_table)(rows)
     return 0
@@ -252,13 +273,13 @@ def _cmd_ncf(args) -> int:
     x = QuadNum(Fraction(args.p), Fraction(args.q), args.N)
     exp = ncf_expand(x, max_terms=args.max_terms)
     out = {
-        "value": x.to_json(args.digits),
+        "value": x,
         "integer_part": exp.integer_part,
         "preperiod": list(exp.preperiod),
         "period": list(exp.period),
         "display": str(exp),
     }
-    _emit_json(out)
+    _emit_json(out, args.digits)
     return 0
 
 
@@ -268,11 +289,11 @@ def _cmd_euclid(args) -> int:
     _emit_json({
         "a": args.a, "b": args.b,
         "min_poly": {"B": str(B), "C": str(C)},
-        "rho": rep.rho.to_json(args.digits),
-        "threshold": rep.threshold.to_json(args.digits),
+        "rho": rep.rho,
+        "threshold": rep.threshold,
         "norm_euclidean": rep.verdict,
         "points_above_threshold": rep.points_above,
-    })
+    }, args.digits)
     return 0
 
 

@@ -48,7 +48,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .quadfield import QuadNum, _div, _floor, _make, _sign
+from .quadfield import QuadNum, _div, _floor, _json_plain, _make, _sign
 from .ncf import PeriodTwoAlpha
 
 __all__ = ["OracleM", "OracleReport", "brute_force_min", "oracle_m"]
@@ -63,17 +63,23 @@ class OracleReport:
     records: int  # distance records visited, summed over the sides searched
     target_m: Optional[QuadNum] = None
 
-    def to_json_dict(self, digits: int = 18) -> dict:
+    def json_tree(self) -> dict:
+        """The JSON layout of the report, with the exact values as QuadNum
+        leaves; `oracle` writes it as it stands."""
         out = {
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
-            "window_min": self.window_min.to_json(digits),
+            "window_min": self.window_min,
             "argmin_n": self.argmin_n,
             "records": self.records,
         }
         if self.target_m is not None:
-            out["target_m"] = self.target_m.to_json(digits)
+            out["target_m"] = self.target_m
         return out
+
+    def to_json_dict(self, digits: int = 18) -> dict:
+        """json_tree() with each value as its to_json(digits) dict."""
+        return _json_plain(self.json_tree(), digits)
 
 
 @dataclass(frozen=True)

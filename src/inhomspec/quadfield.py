@@ -402,15 +402,29 @@ class QuadNum:
         """Equality as real numbers, across field contexts."""
         return self.reduced() == other.reduced()
 
-    def to_json(self, digits: int = 18) -> dict:
+    def _json_fields(self, digits: int) -> tuple[str, str, str]:
+        """The texts of p, q and approx, for to_json and _json_leaf."""
         x, y, z = self._x, self._y, self._z
         g, h = gcd(x, z), gcd(y, z)  # p = x/z and q = y/z in lowest terms
-        return {
-            "p": f"{x // g}/{z // g}",
-            "q": f"{y // h}/{z // h}",
-            "N": self._N,
-            "approx": self.decimal(digits),
-        }
+        return f"{x // g}/{z // g}", f"{y // h}/{z // h}", self.decimal(digits)
+
+    def to_json(self, digits: int = 18) -> dict:
+        """{"p", "q", "N", "approx"}: exact p and q as "num/den", approx to
+        `digits` places.
+
+        _json_leaf writes the same dict as JSON text; both take p, q and
+        approx from _json_fields, so the two cannot drift apart.
+        """
+        p, q, approx = self._json_fields(digits)
+        return {"p": p, "q": q, "N": self._N, "approx": approx}
+
+    def _json_leaf(self, digits: int, pad: str) -> str:
+        """to_json(digits) as json.dumps(..., sort_keys=True, indent=2)
+        writes it at indent pad; none of its strings needs escaping."""
+        p, q, approx = self._json_fields(digits)
+        inner = pad + "  "
+        return (f'{{\n{inner}"N": {self._N},\n{inner}"approx": "{approx}",\n'
+                f'{inner}"p": "{p}",\n{inner}"q": "{q}"\n{pad}}}')
 
     @staticmethod
     def from_json(obj: dict) -> "QuadNum":
@@ -434,3 +448,18 @@ class QuadNum:
 def qnum(p: RationalLike, q: RationalLike, N: int) -> QuadNum:
     """Construct p + q*sqrt(N); N must be a positive non-square integer."""
     return QuadNum(p, q, N)
+
+
+def _json_plain(tree, digits: int):
+    """tree with each QuadNum leaf replaced by its to_json(digits) dict.
+
+    tree is a JSON layout whose leaves may be QuadNums: the form the CLI's
+    writer renders directly, and the to_json_dict methods map through here.
+    """
+    if isinstance(tree, QuadNum):
+        return tree.to_json(digits)
+    if isinstance(tree, dict):
+        return {k: _json_plain(v, digits) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_json_plain(v, digits) for v in tree]
+    return tree

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .quadfield import QuadNum, _make
+from .quadfield import QuadNum, _json_plain, _make
 from .ncf import PeriodTwoAlpha
 from .expansion import Block, TSequence, m_star, m_value, tseq_from_blocks
 
@@ -895,27 +895,32 @@ class SpectrumCatalog:
     def rho_star(self) -> SpectrumPoint:
         return self.points[0]
 
-    def to_json_dict(self, digits: int = 18) -> dict:
-        points = [
-            {
-                "label": p.label,
-                "k": _param(p.cls),
-                "m_star": p.m_star.to_json(digits),
-                "m": p.m.to_json(digits),
-                "kind": p.kind,
-                "direction": p.direction,
-            }
-            for p in self.points
-        ]
+    def json_tree(self) -> dict:
+        """The JSON layout of the catalogue, with the exact values as
+        QuadNum leaves; `catalog` writes it as it stands."""
         return {
             "a": self.alpha.a,
             "b": self.alpha.b,
             "N": self.alpha.N,
-            "rho_star": points[0]["m_star"],
-            "first_limit_point": self.first_limit_point.to_json(digits),
-            "points": points,
+            "rho_star": self.points[0].m_star,
+            "first_limit_point": self.first_limit_point,
+            "points": [
+                {
+                    "label": p.label,
+                    "k": _param(p.cls),
+                    "m_star": p.m_star,
+                    "m": p.m,
+                    "kind": p.kind,
+                    "direction": p.direction,
+                }
+                for p in self.points
+            ],
             "kmax": self.kmax,
         }
+
+    def to_json_dict(self, digits: int = 18) -> dict:
+        """json_tree() with each value as its to_json(digits) dict."""
+        return _json_plain(self.json_tree(), digits)
 
     def to_csv_rows(self, digits: int = 15) -> list[list[str]]:
         rows = [["label", "k", "kind", "direction", "m_star", "m"]]

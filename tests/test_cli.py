@@ -3,13 +3,22 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import inhomspec
 from inhomspec.cli import _json_text, main
+from inhomspec.expansion import gamma_value, m_star, m_value
+from inhomspec.ncf import make_alpha
+from inhomspec.oracle import brute_force_min
 from inhomspec.quadfield import QuadNum
-from inhomspec.spectrum import BranchDisagreement
+from inhomspec.spectrum import BranchDisagreement, ClassId, class_tsequence, spectrum_catalog
 
 
 def run(capsys, *argv):
@@ -408,6 +417,104 @@ def _nested(depth):
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def _plain(tree, digits):
+    # the same tree with each QuadNum leaf replaced by its to_json dict
+    if isinstance(tree, QuadNum):
+        return tree.to_json(digits)
+    if isinstance(tree, dict):
+        return {k: _plain(v, digits) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_plain(v, digits) for v in tree]
+    return tree
+
+
+_coeffs = st.one_of(st.just(0), st.integers(-9, 9),
+                    st.integers(-10**60, 10**60))
+quad_leaves = st.builds(
+    lambda x, y, z, N: QuadNum(Fraction(x, z), Fraction(y, z), N),
+    _coeffs,
+    st.one_of(st.just(0), _coeffs),
+    st.one_of(st.just(1), st.integers(1, 10**60)),
+    st.sampled_from([2, 3, 14, 1085, 2300, 10**12 + 1]),
+)
+
+
+def _quad_trees(depth):
+    leaves = st.one_of(quad_leaves, st.none(), st.integers(-10, 10), st.text(max_size=3))
+    if depth == 0:
+        return leaves
+    kids = _quad_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=2).map(tuple),
+        st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    )
+
+
+@given(_quad_trees(6), st.integers(1, 40))
+@example(QuadNum(0, 0, 2), 1)
+@example({"m": [QuadNum(Fraction(-7, 3), Fraction(10**60, 11), 5)], "k": None}, 40)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_renders_quadnum_leaves_as_their_dicts(tree, digits):
+    assert _json_text(tree, digits) == json.dumps(
+        _plain(tree, digits), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("a, b", [(5, 7), (4, 7), (4, 8), (2, 9)])
+def test_catalog_json_is_the_to_json_dict_layout(capsys, a, b):
+    # one pair per regime: odd, even-odd, even-even, a = 2
+    code, out, _ = run(capsys, "catalog", "--a", str(a), "--b", str(b))
+    assert code == 0
+    assert json.loads(out) == spectrum_catalog(make_alpha(a, b), 8).to_json_dict(15)
+
+
+def test_oracle_window_json_is_the_to_json_dict_layout(capsys):
+    code, out, _ = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
+                       "--nmin", "1000", "--nmax", "20000")
+    assert code == 0
+    alpha = make_alpha(5, 7)
+    tseq = class_tsequence(ClassId("S0"), alpha)
+    target = m_value(m_star(tseq, alpha), alpha)
+    rep = brute_force_min(alpha, gamma_value(tseq, alpha), 1000, 20000,
+                          target_m=target, two_sided=True)
+    assert json.loads(out)["report"] == rep.to_json_dict(15)
+
+
+@pytest.mark.parametrize("digits", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--a", "4", "--b", "7"),
+    ("catalog", "--a", "4", "--b", "7", "--format", "csv"),
+    ("catalog", "--a", "4", "--b", "7", "--format", "table"),
+    ("oracle", "--a", "5", "--b", "7", "--class", "S0"),
+    ("oracle", "--a", "5", "--b", "7", "--class", "S0", "--nmin", "1000",
+     "--nmax", "2000"),
+    ("euclid", "--a", "5", "--b", "10"),
+    ("ncf", "0", "1", "14"),
+    ("sweep", "--grid", "4..5,7..8"),
+    ("verify", "--a", "4", "--b", "7"),
+])
+def test_digits_below_one_is_usage_error(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "--digits", digits)
+    assert (code, out, err) == (2, "", "error: digits must be >= 1\n")
+
+
+def _python_m(*argv):
+    src = str(Path(inhomspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "inhomspec", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_inhomspec_runs_the_cli(capsys):
+    argv = ("catalog", "--a", "3", "--b", "5")
+    got = _python_m(*argv)
+    assert (got.returncode, got.stdout) == run(capsys, *argv)[:2]
+    assert got.returncode == 0
+    assert _python_m("catalog", "--no-such-option").returncode == 2
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():

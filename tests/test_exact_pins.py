@@ -135,3 +135,36 @@ def test_catalog_csv_and_table_stdout_is_pinned_at_every_pair(fmt, digest):
                          "--format", fmt])
         h.update(f"{a},{b},{code}:".encode() + buf.getvalue().encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("digits, digest", [
+    ("1", "662b5d550d679a7d41fa8cc920c7346444656a7c388b60d06f0de0de30ec2340"),
+    ("40", "cff0a3cd1e3e1f746d62781cd981bbc3823f1f049de2e1d1a872e4f573aa2d97"),
+])
+def test_catalog_json_stdout_is_pinned_at_other_digits(digits, digest):
+    # exit code and stdout of `catalog --kmax 8 --digits` at the 739 pairs,
+    # recorded from the writer that rendered each value as a to_json dict
+    h = hashlib.sha256()
+    for a, b in PAIRS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["catalog", "--a", str(a), "--b", str(b), "--kmax", "8",
+                         "--digits", digits])
+        h.update(f"{a},{b},{code}:".encode() + buf.getvalue().encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["oracle", "--a", "5", "--b", "7", "--class", "S0", "--digits", "3"],
+     "67cb049534168781530e5d94c6aa267d1e2f4a2f9d64ac01d3e49a9b5fc3d78b"),
+    (["euclid", "--a", "5", "--b", "10", "--digits", "3"],
+     "18711b56b68c1c1f91e3cc927c71bc188c178dc0d7057d46541afa73acc7176d"),
+    (["ncf", "0", "1", "14", "--digits", "3"],
+     "fb7711ce164bbb34f27a73fe5c7722df403470f86a9ffb2e46eb5b0ca0c36870"),
+])
+def test_json_stdout_is_pinned_at_three_digits(argv, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    got = hashlib.sha256(f"{code}:".encode() + buf.getvalue().encode()).hexdigest()
+    assert got == digest
