@@ -9,7 +9,9 @@ Subcommands:
 * ncf      -- minus continued fraction expansion of p/q + r/s * sqrt(N)
 * euclid   -- norm-Euclidean criterion for one (a, b)
 
-Exit status: 0 on success; 1 when a verification fails (including an
+Exit status: 0 on success; 1 when a verification fails (a `verify` case
+whose closed form and evaluated value differ, printed as a FAIL line that
+ends in residual=, the closed form minus the evaluated value; or an
 `oracle` call without a window whose oracle_m differs from exact_m, with
 stdout as usual and one "FAIL: ..." line on stderr) or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
@@ -201,11 +203,15 @@ def _cmd_verify(args) -> int:
     failures = 0
     for a, b in pairs:
         for res in verify_equivalence(make_alpha(a, b), kmax=args.kmax):
-            ok = res.ok
-            failures += 0 if ok else 1
-            print(f"{'PASS' if ok else 'FAIL'} ({a},{b}) {res.cls.delta_label}: "
-                  f"closed={res.closed_form.decimal(args.digits)} "
-                  f"evaluated={res.evaluated.decimal(args.digits)}")
+            line = (f"({a},{b}) {res.cls.delta_label}: "
+                    f"closed={res.closed_form.decimal(args.digits)} "
+                    f"evaluated={res.evaluated.decimal(args.digits)}")
+            if res.ok:
+                print(f"PASS {line}")
+            else:
+                failures += 1
+                residual = res.closed_form - res.evaluated
+                print(f"FAIL {line} residual={residual.decimal(args.digits)}")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} mismatches")
     return 0 if failures == 0 else 1
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _make
 
 __all__ = [
     "Block",
@@ -265,14 +265,28 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
 # ----------------------------------------------------------------------
 
 
-def _tails(ts: Sequence[int], alpha: PeriodTwoAlpha, d: QuadNum) -> list[QuadNum]:
+def _tails(
+    ts: Sequence[int], alpha: PeriodTwoAlpha, d: QuadNum | int
+) -> list[QuadNum]:
     """Forward tails [d_0^+, ..., d_n^+] over the word ts = (t_1, ..., t_n).
 
-    Walks d_{i-1}^+ = alpha_{i-1} (t_i + d_i^+) back from d_n^+ = d.
+    Walks d_{i-1}^+ = alpha_{i-1} (t_i + d_i^+) back from d_n^+ = d, a value
+    of alpha's field or an int, which is listed as given.  Each step works
+    on the int triples (x, y, z) of (x + y*sqrt(N))/z: with alpha_{i-1} =
+    (p + q*sqrt(N))/r and u = x + t_i*z the next tail is
+    (p*u + q*y*N + (p*y + q*u)*sqrt(N))/(r*z), reduced by one _make.
     """
+    N = alpha.N
+    eta, beta = alpha.eta, alpha.beta
+    # alpha_{i-1} is eta at odd i and beta at even i
+    odd, even = (eta._x, eta._y, eta._z), (beta._x, beta._y, beta._z)
+    x, y, z = (d, 0, 1) if type(d) is int else (d._x, d._y, d._z)
     out = [d]
     for i in range(len(ts), 0, -1):
-        d = alpha.alpha_at(i - 1) * (ts[i - 1] + d)
+        p, q, r = odd if i % 2 else even
+        u = x + ts[i - 1] * z
+        d = _make(p * u + q * y * N, p * y + q * u, r * z, N)
+        x, y, z = d._x, d._y, d._z
         out.append(d)
     out.reverse()
     return out
@@ -281,9 +295,9 @@ def _tails(ts: Sequence[int], alpha: PeriodTwoAlpha, d: QuadNum) -> list[QuadNum
 def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> QuadNum:
     """d_0^+ = d_L^+ of the bi-infinite period.
 
-    A walk round the period from 0 ends at c = (1 - D^(L/2)) d_0^+.
+    A walk round the period from the int 0 ends at c = (1 - D^(L/2)) d_0^+.
     """
-    c = _tails(period, alpha, QuadNum(0, 0, alpha.N))[0]
+    c = _tails(period, alpha, 0)[0]
     return c / (1 - alpha.D ** (len(period) // 2))
 
 
@@ -352,14 +366,18 @@ def s_star(
 
 
 def _s_products(alpha, i, dm, dp):
-    ai = alpha.alpha_at(i)
-    ap = alpha.alpha_at(i - 1)
-    return (
-        (1 - ai + dp) * (1 - ap + dm),
-        (1 + ai - dp) * (1 + ap + dm),
-        (1 - ai - dp) * (1 - ap - dm),
-        (1 + ai + dp) * (1 + ap - dm),
-    )
+    """(s1*, s2*, s3*, s4*) at index i from the tails dm = d_i^-, dp = d_i^+.
+
+    The eight factors (1 -+ alpha_i +- dp), (1 -+ alpha_{i-1} +- dm) come
+    from two per side, since 1 + alpha_i - dp = 2 - (1 - alpha_i + dp) and
+    so on:  with u, v = 1 - alpha_i +- dp and f, g = 1 - alpha_{i-1} +- dm,
+    s1 = u f, s2 = (2 - u)(2 - g), s3 = v g and s4 = (2 - v)(2 - f).
+    """
+    ci = 1 - alpha.alpha_at(i)
+    cp = 1 - alpha.alpha_at(i - 1)
+    u, v = ci + dp, ci - dp
+    f, g = cp + dm, cp - dm
+    return u * f, (2 - u) * (2 - g), v * g, (2 - v) * (2 - f)
 
 
 def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
@@ -408,6 +426,11 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     s1 <-> s3 and s2 <-> s4, so the reflection adds nothing).  With maximal
     digits in the period only s1*, s2*, s4* participate, for the sequence
     and for its reflection.
+
+    Per variant the tails take four int walks of _tails (two to close the
+    cycle, then d^+ and d^-), and each index's products take four QuadNum
+    sums and four multiplies in _s_products; the minimum is found by exact
+    comparison.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)

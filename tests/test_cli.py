@@ -201,14 +201,17 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     class FakeResult:
         cls = ClassId("S0")
         closed_form = QuadNum(1, 0, 5)
-        evaluated = QuadNum(2, 0, 5)
+        evaluated = QuadNum(Fraction(1, 2), Fraction(1, 3), 5)
         ok = False
 
     monkeypatch.setattr(cli_mod, "verify_equivalence", lambda *a, **k: [FakeResult()])
-    code = cli_mod.main(["verify", "--a", "5", "--b", "7"])
+    code = cli_mod.main(["verify", "--a", "5", "--b", "7", "--digits", "6"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out and "FAILED: 1 mismatches" in out
+    # the residual is closed - evaluated = 1/2 - sqrt(5)/3 = -0.245356...
+    assert out == (f"FAIL (5,7) {ClassId('S0').delta_label}: closed=1.000000 "
+                   "evaluated=1.245356 residual=-0.245356\n"
+                   "FAILED: 1 mismatches\n")
 
 
 def test_sweep_and_euclid_byte_stable(capsys):

@@ -1,25 +1,30 @@
 """Exact values of the catalogue and the norm-Euclidean report over every pair
-2 <= a < b <= 40, and of the oracle over the 977-case grid.
+2 <= a < b <= 40, of the oracle over the 977-case grid, and of the exact
+evaluator over the grid and every short word at four pairs.
 
 The catalogue pins were recorded from the code before the closed forms were
 split into per-pair coefficients and member functions of z = D^k, the oracle
-pin from the walk in QuadNum arithmetic; a faster evaluation must leave every
-exact value, and every printed byte, unchanged.
+pin from the walk in QuadNum arithmetic, the evaluator pins from the tail walk
+in QuadNum operators; a faster evaluation must leave every exact value, and
+every printed byte, unchanged.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from inhomspec.cli import main
+from inhomspec.expansion import DigitRangeError, TSequence, gamma_value, m_star
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import (
     _CLASSES,
     ApplicabilityError,
+    class_tsequence,
     covered_pairs,
     delta_closed_form,
     equivalence_cases,
@@ -98,9 +103,7 @@ def test_oracle_walk_is_pinned_on_wide_windows():
     # covered_pairs(), at [10^3, 10^6] and at [10^20, 10^30]: exact minimum,
     # argmin and record count, recorded from the QuadNum walk before the walk
     # moved to integer pairs over one common denominator
-    from inhomspec.expansion import gamma_value
     from inhomspec.oracle import brute_force_min
-    from inhomspec.spectrum import class_tsequence
 
     h = hashlib.sha256()
     n = 0
@@ -168,3 +171,48 @@ def test_json_stdout_is_pinned_at_three_digits(argv, digest):
         code = main(argv)
     got = hashlib.sha256(f"{code}:".encode() + buf.getvalue().encode()).hexdigest()
     assert got == digest
+
+
+def _evaluator_words():
+    """(alpha, word) for every equivalence case at kmax 4 of covered_pairs(),
+    then every valid word of length 2 and 4 at four pairs, once bare and once
+    behind a 2-digit preperiod (the valid pairs taken in turn)."""
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            yield al, class_tsequence(cls, al)
+    for a, b in ((3, 4), (4, 8), (5, 7), (2, 7)):
+        al = make_alpha(a, b)
+        pairs = list(product(range(2 - a, a + 1, 2), range(2 - b, b + 1, 2)))
+        for n, word in enumerate((*pairs, *(p + q for p in pairs for q in pairs))):
+            yield al, TSequence(word)
+            yield al, TSequence(word, pairs[n % len(pairs)])
+
+
+def test_evaluator_outcomes_are_pinned():
+    # repr of m_star and gamma_value on every word, as the word makes it: 32
+    # m_star zeros (lattice targets), 316 negative m_star values (inadmissible
+    # words) and 1,292 DigitRangeErrors (a reflection's carry out of range)
+    h = hashlib.sha256()
+    n = 0
+    for al, seq in _evaluator_words():
+        for f in (m_star, gamma_value):
+            try:
+                value = repr(f(seq, al))
+            except DigitRangeError as ex:
+                value = type(ex).__name__
+            h.update(f"{al.a},{al.b},{seq}:{value};".encode())
+        n += 1
+    assert n == 6341
+    assert h.hexdigest() == (
+        "37e444383079833bde546633f21e07769329e388627dacfae13d2e3bd0cca50d"
+    )
+
+
+def test_verify_grid_stdout_is_pinned():
+    # exit code and stdout of `verify` over the 977 grid cases at 30 digits
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "--grid", "2..13,3..14", "--digits", "30"])
+    got = hashlib.sha256(f"{code}:".encode() + buf.getvalue().encode()).hexdigest()
+    assert got == "63dbdc4f721ff71c5361abc8d7b54fec7dba98cea925f7b5175f3080d7b30334"

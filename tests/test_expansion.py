@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
-from inhomspec.spectrum import ClassId, class_tsequence
+from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs
 from inhomspec.expansion import (
+    _s_products,
+    _tails,
     AlignmentError,
     Block,
     DigitRangeError,
@@ -364,6 +367,67 @@ def test_tails_match_defining_series():
                 (1 - ai - plus) * (1 - ap - minus),
                 (1 + ai + plus) * (1 + ap - minus),
             )
+
+
+# The tail walk and the s-products against the plain QuadNum formulas, at
+# every covered pair and at two pairs beyond the grid.
+PROPERTY_PAIRS = [*covered_pairs(), (10, 16), (12, 18)]
+
+
+@st.composite
+def field_values(draw, al):
+    """A value of al's field: zero, rational, irrational or negative."""
+    kind = draw(st.sampled_from(["zero", "rational", "irrational", "negative"]))
+    if kind == "zero":
+        return draw(st.sampled_from([0, qnum(0, 0, al.N)]))
+    p = draw(st.fractions(min_value=0, max_value=4, max_denominator=50))
+    q = draw(st.fractions(min_value=-1, max_value=1, max_denominator=50))
+    if kind == "rational":
+        return qnum(p, 0, al.N)
+    if kind == "irrational":
+        return qnum(p, q or 1, al.N)
+    return -qnum(p + 1, 0, al.N) + draw(st.sampled_from([0, al.eta, al.D]))
+
+
+@st.composite
+def walks(draw):
+    al = make_alpha(*draw(st.sampled_from(PROPERTY_PAIRS)))
+    n = draw(st.integers(2, 12))
+    ts = [2 * draw(st.integers(0, q - 1)) - (q - 2)
+          for q in map(al.partial_quotient, range(1, n + 1))]
+    return al, ts, draw(field_values(al))
+
+
+@given(walks())
+@settings(max_examples=200, deadline=None)
+def test_tail_walk_matches_the_plain_recurrence(walk):
+    al, ts, d = walk
+    want = [d]
+    for i in range(len(ts), 0, -1):
+        want.append(al.alpha_at(i - 1) * (ts[i - 1] + want[-1]))
+    want.reverse()
+    got = _tails(ts, al, d)
+    assert got == want
+    assert got[-1] is d
+
+
+@st.composite
+def tail_pairs(draw):
+    al = make_alpha(*draw(st.sampled_from(PROPERTY_PAIRS)))
+    return al, draw(st.integers(-3, 3)), draw(field_values(al)), draw(field_values(al))
+
+
+@given(tail_pairs())
+@settings(max_examples=200, deadline=None)
+def test_s_products_match_the_four_products(case):
+    al, i, dm, dp = case
+    ai, ap = al.alpha_at(i), al.alpha_at(i - 1)
+    assert _s_products(al, i, dm, dp) == (
+        (1 - ai + dp) * (1 - ap + dm),
+        (1 + ai - dp) * (1 + ap + dm),
+        (1 - ai - dp) * (1 - ap - dm),
+        (1 + ai + dp) * (1 + ap - dm),
+    )
 
 
 def test_d_minus_undefined_in_preperiod():
