@@ -24,7 +24,8 @@ Z + alpha*Z, and an option a subcommand does not read, such as `euclid
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it, each exact value as QuadNum.to_json's
-dict.
+dict.  `catalog` and an `oracle` window print SpectrumCatalog.json_tree()
+and OracleReport.json_tree() as they stand; that tree is the one layout.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import inf
 
 from .quadfield import QuadNum
 from .ncf import PeriodNotFoundError, make_alpha, ncf_expand
@@ -76,24 +76,12 @@ def _class_from_args(args) -> ClassId:
 
 _json_str = json.encoder.encode_basestring_ascii
 
-
-def _json_float(obj: float) -> str:
-    if obj != obj:
-        return "NaN"
-    if obj == inf:
-        return "Infinity"
-    if obj == -inf:
-        return "-Infinity"
-    return float.__repr__(obj)
-
-
 # the exact type of a scalar -> its JSON text; True is a bool, not an int 1
 _JSON_SCALARS = {
     str: _json_str,
     type(None): lambda obj: "null",
     bool: lambda obj: "true" if obj else "false",
     int: int.__repr__,
-    float: _json_float,
 }
 
 
@@ -101,8 +89,9 @@ def _json_write(obj, pad: str, out, digits: int) -> None:
     """Pass the fragments of obj's text, at indent pad, to out in order.
 
     A QuadNum is written as its to_json(digits) dict, in one fragment from
-    QuadNum._json_leaf.  The list and dict loops write scalar and QuadNum
-    children in place and recurse only into child containers.
+    QuadNum._json_leaf.  Lists, tuples and dicts share one child loop, which
+    writes scalar and QuadNum children in place and recurses only into child
+    containers.  Any other type, float included, raises TypeError.
     """
     render = _JSON_SCALARS.get(type(obj))
     if render is not None:
@@ -111,42 +100,31 @@ def _json_write(obj, pad: str, out, digits: int) -> None:
     if type(obj) is QuadNum:
         out(obj._json_leaf(digits, pad))
         return
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        head = "[\n" + inner
-        for v in obj:
-            render = _JSON_SCALARS.get(type(v))
-            if render is not None:
-                out(head + render(v))
-            elif type(v) is QuadNum:
-                out(head + v._json_leaf(digits, inner))
-            else:
-                out(head)
-                _json_write(v, inner, out, digits)
-            head = ",\n" + inner
-        out("\n" + pad + "]")
-        return
     if isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        head = "{\n" + inner
-        for k, v in sorted(obj.items()):
-            render = _JSON_SCALARS.get(type(v))
-            if render is not None:
-                out(f"{head}{_json_str(k)}: {render(v)}")
-            elif type(v) is QuadNum:
-                out(f"{head}{_json_str(k)}: {v._json_leaf(digits, inner)}")
-            else:
-                out(f"{head}{_json_str(k)}: ")
-                _json_write(v, inner, out, digits)
-            head = ",\n" + inner
-        out("\n" + pad + "}")
+        keyed, children, brackets = True, sorted(obj.items()), "{}"
+    elif isinstance(obj, (list, tuple)):
+        keyed, children, brackets = False, obj, "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not children:
+        out(brackets)
         return
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    inner = pad + "  "
+    head = brackets[0] + "\n" + inner
+    for v in children:
+        if keyed:
+            k, v = v
+            head = f"{head}{_json_str(k)}: "
+        render = _JSON_SCALARS.get(type(v))
+        if render is not None:
+            out(head + render(v))
+        elif type(v) is QuadNum:
+            out(head + v._json_leaf(digits, inner))
+        else:
+            out(head)
+            _json_write(v, inner, out, digits)
+        head = ",\n" + inner
+    out("\n" + pad + brackets[1])
 
 
 def _json_text(obj, digits: int = 18) -> str:
@@ -154,13 +132,15 @@ def _json_text(obj, digits: int = 18) -> str:
     QuadNum leaf stands for its to_json(digits) dict.
 
     json's indenting encoder is pure Python and slow; this writes the same
-    bytes for the str-keyed trees of str, int, float, bool, None, QuadNum,
-    list, tuple and dict the subcommands print, without first turning each
-    QuadNum into a dict.  _json_write appends the whole document to one flat
-    list of fragments, which is joined once; a --digits below 1 raises before
-    anything is printed.  It is a module-level function, not a closure nested
-    in this one: a recursive closure would form a reference cycle and keep
-    each render's fragments alive until the cyclic collector ran.
+    bytes for the str-keyed trees of str, int, bool, None, QuadNum, list,
+    tuple and dict the subcommands print, without first turning each QuadNum
+    into a dict.  A float, which no subcommand prints, raises the TypeError
+    json raises for an unknown type.  _json_write appends the whole document
+    to one flat list of fragments, which is joined once; a --digits below 1
+    raises before anything is printed.  It is a module-level function, not a
+    closure nested in this one: a recursive closure would form a reference
+    cycle and keep each render's fragments alive until the cyclic collector
+    ran.
     """
     parts = []
     _json_write(obj, "", parts.append, digits)

@@ -362,19 +362,24 @@ def s_star(
     tseq.validate(alpha)
     minus, plus = _period_tails(tseq.period, alpha)
     j = i % len(tseq.period)
-    return _s_products(alpha, i, minus[j], plus[j])
+    return _s_products(*_one_minus(alpha)[i % 2], minus[j], plus[j])
 
 
-def _s_products(alpha, i, dm, dp):
-    """(s1*, s2*, s3*, s4*) at index i from the tails dm = d_i^-, dp = d_i^+.
+def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[QuadNum, QuadNum], ...]:
+    """(1 - alpha_i, 1 - alpha_{i-1}) at even i and at odd i."""
+    ce, cb = 1 - alpha.eta, 1 - alpha.beta
+    return (ce, cb), (cb, ce)
+
+
+def _s_products(ci, cp, dm, dp):
+    """(s1*, s2*, s3*, s4*) at index i from ci = 1 - alpha_i,
+    cp = 1 - alpha_{i-1} and the tails dm = d_i^-, dp = d_i^+.
 
     The eight factors (1 -+ alpha_i +- dp), (1 -+ alpha_{i-1} +- dm) come
     from two per side, since 1 + alpha_i - dp = 2 - (1 - alpha_i + dp) and
-    so on:  with u, v = 1 - alpha_i +- dp and f, g = 1 - alpha_{i-1} +- dm,
+    so on:  with u, v = ci +- dp and f, g = cp +- dm,
     s1 = u f, s2 = (2 - u)(2 - g), s3 = v g and s4 = (2 - v)(2 - f).
     """
-    ci = 1 - alpha.alpha_at(i)
-    cp = 1 - alpha.alpha_at(i - 1)
     u, v = ci + dp, ci - dp
     f, g = cp + dm, cp - dm
     return u * f, (2 - u) * (2 - g), v * g, (2 - v) * (2 - f)
@@ -429,8 +434,8 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
 
     Per variant the tails take four int walks of _tails (two to close the
     cycle, then d^+ and d^-), and each index's products take four QuadNum
-    sums and four multiplies in _s_products; the minimum is found by exact
-    comparison.
+    sums and four multiplies in _s_products, from 1 - eta and 1 - beta
+    computed once per call; the minimum is found by exact comparison.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)
@@ -441,10 +446,11 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     else:
         variants = (period,)
         picks = (0, 1, 2, 3)
+    one_minus = _one_minus(alpha)
     for seq in variants:
         minus, plus = _period_tails(seq.period, alpha)
         for i in range(len(seq.period)):
-            s = _s_products(alpha, i, minus[i], plus[i])
+            s = _s_products(*one_minus[i % 2], minus[i], plus[i])
             candidates.extend(s[j] for j in picks)
     return min(candidates)
 

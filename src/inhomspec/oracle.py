@@ -48,7 +48,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .quadfield import QuadNum, _div, _floor, _json_plain, _make, _sign
+from .quadfield import QuadNum, _div, _floor, _make, _sign
 from .ncf import PeriodTwoAlpha
 
 __all__ = ["OracleM", "OracleReport", "brute_force_min", "oracle_m"]
@@ -76,10 +76,6 @@ class OracleReport:
         if self.target_m is not None:
             out["target_m"] = self.target_m
         return out
-
-    def to_json_dict(self, digits: int = 18) -> dict:
-        """json_tree() with each value as its to_json(digits) dict."""
-        return _json_plain(self.json_tree(), digits)
 
 
 @dataclass(frozen=True)

@@ -448,18 +448,3 @@ class QuadNum:
 def qnum(p: RationalLike, q: RationalLike, N: int) -> QuadNum:
     """Construct p + q*sqrt(N); N must be a positive non-square integer."""
     return QuadNum(p, q, N)
-
-
-def _json_plain(tree, digits: int):
-    """tree with each QuadNum leaf replaced by its to_json(digits) dict.
-
-    tree is a JSON layout whose leaves may be QuadNums: the form the CLI's
-    writer renders directly, and the to_json_dict methods map through here.
-    """
-    if isinstance(tree, QuadNum):
-        return tree.to_json(digits)
-    if isinstance(tree, dict):
-        return {k: _json_plain(v, digits) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_json_plain(v, digits) for v in tree]
-    return tree

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .quadfield import QuadNum, _json_plain, _make
+from .quadfield import QuadNum, _make
 from .ncf import PeriodTwoAlpha
 from .expansion import Block, TSequence, m_star, m_value, tseq_from_blocks
 
@@ -169,26 +169,17 @@ class OddParams:
     s: int
     r: int
 
-    @staticmethod
-    def of(alpha: PeriodTwoAlpha) -> "OddParams":
-        a, b = alpha.a, alpha.b
-        m0, r0 = divmod(b, a)
-        if r0 == 0:
-            m, r = m0 - 2, 2 * a
-        elif r0 % 2 == 0:
-            m, r = m0, r0
-        else:
-            m, r = m0 - 1, r0 + a
-        return OddParams(m=m, n=m + 2, s=m - 2, r=r)
-
-    def v(self, alpha: PeriodTwoAlpha) -> QuadNum:
-        return (self.m * alpha.beta - alpha.D) / (1 - alpha.D)
-
 
 def odd_params(alpha: PeriodTwoAlpha) -> OddParams:
-    if alpha.a % 2 == 0:
+    a, b = alpha.a, alpha.b
+    if a % 2 == 0:
         raise ApplicabilityError("m, n, s, r are defined for odd a only")
-    return OddParams.of(alpha)
+    m, r = divmod(b, a)
+    if r == 0:
+        m, r = m - 2, 2 * a
+    elif r % 2 == 1:
+        m, r = m - 1, r + a
+    return OddParams(m=m, n=m + 2, s=m - 2, r=r)
 
 
 # ----------------------------------------------------------------------
@@ -199,17 +190,18 @@ def odd_params(alpha: PeriodTwoAlpha) -> OddParams:
 class _Pair:
     """What a table entry reads at one alpha besides eta, beta and D.
 
-    For odd a, odd is the pair's OddParams (None otherwise), and m, n, s, r
-    and v are its values.  Every entry writes its period with blocks, in the
-    paper's block notation.
+    For odd a, odd is the pair's odd_params (None otherwise), m, n, s and r
+    are its values, and v = (m*beta - D)/(1 - D).  Every entry writes its
+    period with blocks, in the paper's block notation.
     """
 
     def __init__(self, alpha: PeriodTwoAlpha):
         self.alpha, self.a, self.b = alpha, alpha.a, alpha.b
         self.regime = regime(alpha)
-        self.odd = p = OddParams.of(alpha) if self.regime == "odd" else None
+        self.odd = p = odd_params(alpha) if self.regime == "odd" else None
         if p is not None:
-            self.m, self.n, self.s, self.r, self.v = p.m, p.n, p.s, p.r, p.v(alpha)
+            self.m, self.n, self.s, self.r = p.m, p.n, p.s, p.r
+            self.v = (p.m * alpha.beta - alpha.D) / (1 - alpha.D)
 
     def blocks(self, *specs) -> TSequence:
         """The periodic word of the (block name, t) specs, in order."""
@@ -917,10 +909,6 @@ class SpectrumCatalog:
             ],
             "kmax": self.kmax,
         }
-
-    def to_json_dict(self, digits: int = 18) -> dict:
-        """json_tree() with each value as its to_json(digits) dict."""
-        return _json_plain(self.json_tree(), digits)
 
     def to_csv_rows(self, digits: int = 15) -> list[list[str]]:
         rows = [["label", "k", "kind", "direction", "m_star", "m"]]

@@ -11,12 +11,12 @@ import math
 from inhomspec.spectrum import (
     _CLASSES,
     ClassId,
-    OddParams,
     _build_points,
     _member,
     _Pair,
     _require,
     _value,
+    odd_params,
     regime,
 )
 
@@ -36,7 +36,7 @@ def expected_rho(alpha):
             return ClassId("S-6")
         if (a, b) == (3, 5):
             return ClassId("S-7")
-        p = OddParams.of(alpha)
+        p = odd_params(alpha)
         if 2 <= p.r <= a - 1:
             return ClassId("S0")
         if p.r == a + 1:

@@ -20,6 +20,8 @@ from inhomspec.oracle import brute_force_min
 from inhomspec.quadfield import QuadNum
 from inhomspec.spectrum import BranchDisagreement, ClassId, class_tsequence, spectrum_catalog
 
+from json_reference import _plain
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -392,7 +394,6 @@ def test_json_stdout_is_pinned(capsys, argv, digest):
 json_leaves = st.one_of(
     st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
     st.integers(min_value=-2**200, max_value=2**200),
-    st.floats(allow_nan=True, allow_infinity=True),
     st.text(), st.sampled_from(["", "\x00\x1f\n\t\"\\/", "é ∑ \u2028 😀", "\x7f"]),
 )
 json_trees = st.recursive(
@@ -414,23 +415,18 @@ def _nested(depth):
 
 
 @given(json_trees)
-@example({"a": True, "b": 1, "c": 1.0, "d": None, "e": {}, "f": []})
+@example({"a": True, "b": 1, "d": None, "e": {}, "f": []})
 @example(_nested(60))
-@example(float("inf"))
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
-def _plain(tree, digits):
-    # the same tree with each QuadNum leaf replaced by its to_json dict
-    if isinstance(tree, QuadNum):
-        return tree.to_json(digits)
-    if isinstance(tree, dict):
-        return {k: _plain(v, digits) for k, v in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return [_plain(v, digits) for v in tree]
-    return tree
+@pytest.mark.parametrize("tree", [1.0, [0, float("inf")], {"a": [], "b": -0.5}])
+def test_json_writer_refuses_floats(tree):
+    # no subcommand prints a float, so the writer renders none
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        _json_text(tree)
 
 
 _coeffs = st.one_of(st.just(0), st.integers(-9, 9),
@@ -471,7 +467,7 @@ def test_catalog_json_is_the_to_json_dict_layout(capsys, a, b):
     # one pair per regime: odd, even-odd, even-even, a = 2
     code, out, _ = run(capsys, "catalog", "--a", str(a), "--b", str(b))
     assert code == 0
-    assert json.loads(out) == spectrum_catalog(make_alpha(a, b), 8).to_json_dict(15)
+    assert json.loads(out) == _plain(spectrum_catalog(make_alpha(a, b), 8).json_tree(), 15)
 
 
 def test_oracle_window_json_is_the_to_json_dict_layout(capsys):
@@ -483,7 +479,7 @@ def test_oracle_window_json_is_the_to_json_dict_layout(capsys):
     target = m_value(m_star(tseq, alpha), alpha)
     rep = brute_force_min(alpha, gamma_value(tseq, alpha), 1000, 20000,
                           target_m=target, two_sided=True)
-    assert json.loads(out)["report"] == rep.to_json_dict(15)
+    assert json.loads(out)["report"] == _plain(rep.json_tree(), 15)
 
 
 @pytest.mark.parametrize("digits", ["0", "-3"])

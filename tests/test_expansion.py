@@ -422,7 +422,7 @@ def tail_pairs(draw):
 def test_s_products_match_the_four_products(case):
     al, i, dm, dp = case
     ai, ap = al.alpha_at(i), al.alpha_at(i - 1)
-    assert _s_products(al, i, dm, dp) == (
+    assert _s_products(1 - ai, 1 - ap, dm, dp) == (
         (1 - ai + dp) * (1 - ap + dm),
         (1 + ai - dp) * (1 + ap + dm),
         (1 - ai - dp) * (1 - ap - dm),

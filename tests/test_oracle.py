@@ -5,9 +5,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_value
-from inhomspec.spectrum import ClassId, class_tsequence, delta_closed_form
+from inhomspec.spectrum import (
+    ClassId,
+    class_tsequence,
+    covered_pairs,
+    delta_closed_form,
+    spectrum_catalog,
+)
 from inhomspec.oracle import brute_force_min, oracle_m
 from inhomspec.quadfield import QuadNum
+from json_reference import _plain
 from oracle_reference import loop_min
 
 A48 = make_alpha(4, 8)
@@ -176,7 +183,7 @@ def test_window_bounds_must_be_ints(lo, hi):
 def test_report_json():
     g = _gamma_of(ClassId("Sk1", k=0), A48)
     rep = brute_force_min(A48, g, 10**3, 10**4, target_m=g)
-    d = rep.to_json_dict(10)
+    d = _plain(rep.json_tree(), 10)
     assert list(d) == ["n_lo", "n_hi", "window_min", "argmin_n", "records", "target_m"]
 
 
@@ -298,12 +305,29 @@ def test_wide_window_corroborates(ab, cls):
     assert oracle_m(al, g).m == M
 
 
+def test_oracle_judges_every_listed_catalogue_point():
+    # every value the catalogue lists, limit points aside, against the exact
+    # M of its own target; (8,12) Sk6 disagrees in the open: the catalogue
+    # lists its closed form, which m_star and oracle_m both contradict
+    judged, disagree = 0, set()
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for p in spectrum_catalog(al, kmax=2).points:
+            if p.kind == "limit_point":
+                continue
+            judged += 1
+            if oracle_m(al, _gamma_of(p.cls, al)).m != p.m:
+                disagree.add((a, b, p.label))
+    assert judged == 342
+    assert disagree == {(8, 12, "delta_{1,6}"), (8, 12, "delta_{2,6}")}
+
+
 def test_report_records_pinned():
     al = make_alpha(5, 7)
     g = _gamma_of(ClassId("S0"), al)
     rep = brute_force_min(al, g, 10**3, 10**6, two_sided=True)
     assert rep.records == 28
-    assert list(rep.to_json_dict()) == ["n_lo", "n_hi", "window_min", "argmin_n", "records"]
+    assert list(_plain(rep.json_tree(), 18)) == ["n_lo", "n_hi", "window_min", "argmin_n", "records"]
 
 
 _N_VALUES = (2, 3, 5, 7, 8, 12, 14, 21, 60, 77)

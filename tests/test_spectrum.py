@@ -32,6 +32,7 @@ from inhomspec.spectrum import (
 )
 
 from catalog_reference import expected_rho, reference_catalog
+from json_reference import _plain
 
 
 # ---------------------------------------------------------------- plumbing
@@ -408,7 +409,7 @@ def test_catalog_values_positive_below_one():
 
 def test_catalog_json_schema():
     cat = spectrum_catalog(make_alpha(4, 8), kmax=2)
-    d = cat.to_json_dict(digits=10)
+    d = _plain(cat.json_tree(), 10)
     assert set(d) == {"a", "b", "N", "rho_star", "first_limit_point", "points", "kmax"}
     assert d["a"] == 4 and d["b"] == 8 and d["N"] == 896
     for pt in d["points"]:
@@ -417,7 +418,7 @@ def test_catalog_json_schema():
     # rho* and the limit point reuse their points' rendering, or render anew
     assert d["rho_star"] == cat.rho_star.m_star.to_json(10)
     assert d["first_limit_point"] == cat.first_limit_point.to_json(10)
-    top = dataclasses.replace(cat, points=cat.points[:1]).to_json_dict(digits=10)
+    top = _plain(dataclasses.replace(cat, points=cat.points[:1]).json_tree(), 10)
     assert top["first_limit_point"] == cat.first_limit_point.to_json(10)
 
 
