@@ -34,7 +34,7 @@ The brute-force oracle exposes such cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
 from .quadfield import QuadNum, _make
@@ -98,12 +98,15 @@ def _digit(t: int, q: int) -> int:
     return (q - 2 + t) // 2
 
 
-def _check_digit(t: int, q: int, where: str) -> None:
-    """t must have the parity of q and lie in [-(q-2), q], i.e. b in [0, q-1]."""
+def _check_digit(t: int, q: int, where: Callable[[], str]) -> None:
+    """t must have the parity of q and lie in [-(q-2), q], i.e. b in [0, q-1].
+
+    where() names the digit in the error message; it is called only to raise.
+    """
     if (t - q) % 2 != 0:
-        raise InvalidBlockError(f"{where}: t={t} has wrong parity for quotient {q}")
+        raise InvalidBlockError(f"{where()}: t={t} has wrong parity for quotient {q}")
     if not -(q - 2) <= t <= q:
-        raise DigitRangeError(f"{where}: t={t} outside [-(q-2), q] for quotient {q}")
+        raise DigitRangeError(f"{where()}: t={t} outside [-(q-2), q] for quotient {q}")
 
 
 # Centered words of the named blocks as functions of (t, a); see the module
@@ -130,7 +133,10 @@ def block_tvalues(block: Block, alpha: PeriodTwoAlpha) -> list[tuple[str, int]]:
             raise InvalidBlockError(f"block {block.name} takes no t parameter")
     elif block.t is None:
         raise InvalidBlockError(f"block {block.name} needs a t parameter")
-    where = f"{block} at (a,b)=({alpha.a},{alpha.b})"
+
+    def where() -> str:
+        return f"{block} at (a,b)=({alpha.a},{alpha.b})"
+
     out = []
     for i, t in enumerate(word(block.t, alpha.a), start=1 + (block.name == "G")):
         _check_digit(t, alpha.partial_quotient(i), where)
@@ -175,8 +181,11 @@ class TSequence:
         return self.period[(i - 1) % len(self.period)]
 
     def validate(self, alpha: PeriodTwoAlpha) -> "TSequence":
+        def where() -> str:  # reads the loop's i when a digit fails
+            return f"t_{i}"
+
         for i, t in enumerate(self.preperiod + self.period, start=1):
-            _check_digit(t, alpha.partial_quotient(i), f"t_{i}")
+            _check_digit(t, alpha.partial_quotient(i), where)
         return self
 
     def rotated(self, pairs: int) -> "TSequence":
@@ -379,10 +388,34 @@ def _s_products(ci, cp, dm, dp):
     from two per side, since 1 + alpha_i - dp = 2 - (1 - alpha_i + dp) and
     so on:  with u, v = ci +- dp and f, g = cp +- dm,
     s1 = u f, s2 = (2 - u)(2 - g), s3 = v g and s4 = (2 - v)(2 - f).
+
+    ci and cp are QuadNums; dm and dp are QuadNums of the same field or
+    ints.  Everything runs on the int triples (x, y, z) of
+    (x + y*sqrt(N))/z: u and v are numerator pairs over one denominator
+    zu = z(ci)*z(dp), f and g over zf = z(cp)*z(dm), 2 - u is
+    (2*zu - u_x, -u_y) over zu, and each product is one _make over zu*zf.
+    No intermediate sum is built or reduced.
     """
-    u, v = ci + dp, ci - dp
-    f, g = cp + dm, cp - dm
-    return u * f, (2 - u) * (2 - g), v * g, (2 - v) * (2 - f)
+    N = ci._N
+    ax, ay, az = ci._x, ci._y, ci._z
+    bx, by, bz = cp._x, cp._y, cp._z
+    px, py, pz = (dp, 0, 1) if type(dp) is int else (dp._x, dp._y, dp._z)
+    mx, my, mz = (dm, 0, 1) if type(dm) is int else (dm._x, dm._y, dm._z)
+    ax, ay, px, py = ax * pz, ay * pz, px * az, py * az
+    bx, by, mx, my = bx * mz, by * mz, mx * bz, my * bz
+    zu, zf = az * pz, bz * mz
+    ux, uy, vx, vy = ax + px, ay + py, ax - px, ay - py
+    fx, fy, gx, gy = bx + mx, by + my, bx - mx, by - my
+    z = zu * zf
+    # 2 - w over the same denominator, for w = u, g, v, f
+    ux2, uy2, vx2, vy2 = 2 * zu - ux, -uy, 2 * zu - vx, -vy
+    gx2, gy2, fx2, fy2 = 2 * zf - gx, -gy, 2 * zf - fx, -fy
+    return (
+        _make(ux * fx + uy * fy * N, ux * fy + uy * fx, z, N),
+        _make(ux2 * gx2 + uy2 * gy2 * N, ux2 * gy2 + uy2 * gx2, z, N),
+        _make(vx * gx + vy * gy * N, vx * gy + vy * gx, z, N),
+        _make(vx2 * fx2 + vy2 * fy2 * N, vx2 * fy2 + vy2 * fx2, z, N),
+    )
 
 
 def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
@@ -433,9 +466,10 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     and for its reflection.
 
     Per variant the tails take four int walks of _tails (two to close the
-    cycle, then d^+ and d^-), and each index's products take four QuadNum
-    sums and four multiplies in _s_products, from 1 - eta and 1 - beta
-    computed once per call; the minimum is found by exact comparison.
+    cycle, then d^+ and d^-), and _s_products builds each index's four
+    products with four _makes straight from the ints of the two tails and of
+    1 - eta and 1 - beta (computed once per call), with no intermediate
+    sums; the minimum is found by exact QuadNum comparison.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)

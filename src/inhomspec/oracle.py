@@ -286,6 +286,7 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
         raise ValueError("gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined")
     ex, ey, gx, gy, z, N = _pairs(eta, gamma)
     table, entries = [], _errors(ex, ey, z, N)  # both sides extend one table
+    quotients = {}  # t -> |e_{t-1}|/|e_t|, shared by both sides like the table
 
     def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
         seen = {}  # key -> (record index, n)
@@ -293,8 +294,11 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
         for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, 1, table, entries):
             if t >= 2:
                 u0, v0 = table[t][3:]
-                u, v = table[t - 1][3:]
-                key = (_div(x, y, 1, u0, v0, 1, N), _div(u, v, 1, u0, v0, 1, N))
+                quotient = quotients.get(t)
+                if quotient is None:
+                    u, v = table[t - 1][3:]
+                    quotient = quotients[t] = _div(u, v, 1, u0, v0, 1, N)
+                key = (_div(x, y, 1, u0, v0, 1, N), quotient)
                 if key in seen:
                     first, first_n = seen[key]
                     m = _make(0, min(norms[first:]), 2 * abs(ey) * z * N, N)

@@ -463,14 +463,14 @@ def test_json_writer_renders_quadnum_leaves_as_their_dicts(tree, digits):
 
 
 @pytest.mark.parametrize("a, b", [(5, 7), (4, 7), (4, 8), (2, 9)])
-def test_catalog_json_is_the_to_json_dict_layout(capsys, a, b):
+def test_catalog_json_is_its_json_tree_with_plain_leaves(capsys, a, b):
     # one pair per regime: odd, even-odd, even-even, a = 2
     code, out, _ = run(capsys, "catalog", "--a", str(a), "--b", str(b))
     assert code == 0
     assert json.loads(out) == _plain(spectrum_catalog(make_alpha(a, b), 8).json_tree(), 15)
 
 
-def test_oracle_window_json_is_the_to_json_dict_layout(capsys):
+def test_oracle_window_json_is_its_json_tree_with_plain_leaves(capsys):
     code, out, _ = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
                        "--nmin", "1000", "--nmax", "20000")
     assert code == 0

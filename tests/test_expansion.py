@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mstar_reference
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs
@@ -428,6 +429,35 @@ def test_s_products_match_the_four_products(case):
         (1 - ai - dp) * (1 - ap - dm),
         (1 + ai + dp) * (1 + ap - dm),
     )
+
+
+@st.composite
+def periodic_words(draw):
+    """A valid period of length 2-16 at a property pair; about half of them
+    are given a maximal digit, so the reflection path is taken."""
+    al = make_alpha(*draw(st.sampled_from(PROPERTY_PAIRS)))
+    qs = [al.partial_quotient(i) for i in range(1, 2 * draw(st.integers(1, 8)) + 1)]
+    bs = [draw(st.integers(0, q - 1)) for q in qs]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(qs) - 1))
+        bs[k] = qs[k] - 1
+    return al, TSequence(tuple(2 * b - (q - 2) for b, q in zip(bs, qs)))
+
+
+@given(periodic_words())
+@settings(max_examples=300, deadline=None)
+def test_m_star_matches_the_quadnum_reference(case):
+    al, seq = case
+    want = mstar_reference.m_star(seq.period, al)
+    if want is None:  # the reflection carries a digit out of range
+        with pytest.raises(DigitRangeError):
+            m_star(seq, al)
+    else:
+        assert m_star(seq, al) == want
+    # every product, also those that never reach the minimum
+    minus, plus = mstar_reference.tails(seq.period, al)
+    for i in range(len(seq.period)):
+        assert s_star(seq, i, al) == mstar_reference.products(al, i, minus[i], plus[i])
 
 
 def test_d_minus_undefined_in_preperiod():
