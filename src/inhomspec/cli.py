@@ -20,7 +20,9 @@ period within --max-terms, or a --max-terms below 1, a `verify` call with
 --grid and --a or --b, an `oracle` call with an option its target ignores
 (--k or --t with --period, --align with --class) or a target gamma in
 Z + alpha*Z, and an option a subcommand does not read, such as `euclid
---kmax` or `sweep --kmax`.
+--kmax` or `sweep --kmax`; 2 also when stdout is closed before the output
+is written (`verify --grid ... | head -1`), since the output was not
+delivered and a `verify` cut short has not checked every case.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it, each exact value as QuadNum.to_json's
@@ -33,8 +35,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -152,10 +154,7 @@ def _emit_json(obj, digits: int) -> None:
 
 
 def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _emit_table(rows) -> None:
@@ -353,7 +352,13 @@ def main(argv=None) -> int:
         print("error: --a and --b are required", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point fd 1 at devnull so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, ZeroDivisionError, PeriodNotFoundError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
-from .quadfield import QuadNum, _make
+from .quadfield import QuadNum, _ints, _make
 
 __all__ = [
     "Block",
@@ -217,13 +217,13 @@ def _start_shift(start: str) -> int:
     return int(start == "even")
 
 
-def _odd_start(ts: list[int], shift: int, alpha: PeriodTwoAlpha) -> TSequence:
-    """Validated period of a word whose first digit sits at parity `shift`.
+def _odd_start(ts: list[int], shift: int) -> TSequence:
+    """Period of a word whose first digit sits at parity `shift`, unchecked.
 
     An even-start word is rotated by one digit into the canonical odd-start
     form, which leaves the bi-infinite sequence unchanged.
     """
-    return TSequence(tuple(ts[shift:] + ts[:shift])).validate(alpha)
+    return TSequence(tuple(ts[shift:] + ts[:shift]))
 
 
 def tseq_from_blocks(
@@ -236,6 +236,8 @@ def tseq_from_blocks(
     Each block must land on the parity its word starts with (G starts on an
     even position, everything else on odd).  `start` gives the parity of the
     first position; an even-start word is rotated into odd-start form.
+    block_tvalues checks each digit at the parity this alignment check gives
+    it, so the word is valid as built and is not validated a second time.
     """
     shift = _start_shift(start)
     ts: list[int] = []
@@ -247,7 +249,7 @@ def tseq_from_blocks(
                 f"block {blk} starts on parity {vals[0][0]!r}, cursor is at {parity!r}"
             )
         ts.extend(t for _, t in vals)
-    return _odd_start(ts, shift, alpha)
+    return _odd_start(ts, shift)
 
 
 def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSequence:
@@ -256,7 +258,7 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
     if text.startswith("t:"):
         body = text[2:].strip().strip("()")
         ts = [int(v) for v in body.split(",") if v.strip()]
-        return _odd_start(ts, _start_shift(start), alpha)
+        return _odd_start(ts, _start_shift(start)).validate(alpha)
     blocks = []
     for tok in text.split():
         name = tok
@@ -288,8 +290,8 @@ def _tails(
     N = alpha.N
     eta, beta = alpha.eta, alpha.beta
     # alpha_{i-1} is eta at odd i and beta at even i
-    odd, even = (eta._x, eta._y, eta._z), (beta._x, beta._y, beta._z)
-    x, y, z = (d, 0, 1) if type(d) is int else (d._x, d._y, d._z)
+    odd, even = _ints(eta), _ints(beta)
+    x, y, z = _ints(d)
     out = [d]
     for i in range(len(ts), 0, -1):
         p, q, r = odd if i % 2 else even
@@ -397,10 +399,8 @@ def _s_products(ci, cp, dm, dp):
     No intermediate sum is built or reduced.
     """
     N = ci._N
-    ax, ay, az = ci._x, ci._y, ci._z
-    bx, by, bz = cp._x, cp._y, cp._z
-    px, py, pz = (dp, 0, 1) if type(dp) is int else (dp._x, dp._y, dp._z)
-    mx, my, mz = (dm, 0, 1) if type(dm) is int else (dm._x, dm._y, dm._z)
+    (ax, ay, az), (bx, by, bz) = _ints(ci), _ints(cp)
+    (px, py, pz), (mx, my, mz) = _ints(dp), _ints(dm)
     ax, ay, px, py = ax * pz, ay * pz, px * az, py * az
     bx, by, mx, my = bx * mz, by * mz, mx * bz, my * bz
     zu, zf = az * pz, bz * mz

@@ -16,6 +16,11 @@ Two constructors:
   already valid: it normalises the sign of z and the common gcd and checks
   nothing, since N comes from an operand that passed the public checks.
 
+The int-level code of the package (expansion's tails and s-products,
+spectrum's shared member function) reads a value's triple through _ints and
+raises to a power through _pow, the one repeated-squaring loop, which ``**``
+runs too.
+
 All comparisons, floors and printed digits are derived from integer
 arithmetic only; hardware floats never enter any decision.  The sign of
 x + y*sqrt(N) with x, y of opposite signs compares x^2 with y^2 N.  The
@@ -116,14 +121,24 @@ def _make(x: int, y: int, z: int, N: int) -> "QuadNum":
     return new
 
 
-def _lowest(x: int, y: int, z: int, N: int) -> "QuadNum":
-    """(x + y*sqrt(N))/z for a triple already in lowest terms with z > 0."""
-    new = _new(QuadNum)
-    new._x = x
-    new._y = y
-    new._z = z
-    new._N = N
-    return new
+def _ints(v) -> tuple[int, int, int]:
+    """(x, y, z) with v = (x + y*sqrt(N))/z, for a QuadNum, int or Fraction v."""
+    if type(v) is QuadNum:
+        return v._x, v._y, v._z
+    return v.numerator, 0, v.denominator
+
+
+def _pow(x: int, y: int, z: int, k: int, N: int) -> tuple[int, int, int]:
+    """((x + y*sqrt(N))/z)^k for k >= 0 by repeated squaring, as an
+    unreduced triple."""
+    ox, oy, oz = 1, 0, 1
+    while k:
+        if k & 1:
+            ox, oy, oz = ox * x + oy * y * N, ox * y + oy * x, oz * z
+        k >>= 1
+        if k:
+            x, y, z = x * x + y * y * N, 2 * x * y, z * z
+    return ox, oy, oz
 
 
 def _div(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
@@ -208,40 +223,35 @@ class QuadNum:
     # their ints; everything else goes through _coerce into the same-field
     # formula.  That formula works in other's field: a foreign irrational is
     # only ever coerced for a rational self, whose ints hold in any field.
-    # Negating, or adding or subtracting an int k, keeps lowest terms: a
-    # common divisor of (+-x + k*z, +-y, z) divides z, hence x, and
-    # gcd(x, y, z) = 1.
+    # Every result goes through _make, so each is in the unique lowest-terms
+    # form whichever path built it.
 
     def __add__(self, other) -> "QuadNum":
         if not (type(other) is QuadNum and other._N == self._N):
             if type(other) is int:
-                return _lowest(self._x + other * self._z, self._y, self._z, self._N)
+                return _make(self._x + other * self._z, self._y, self._z, self._N)
             other = self._coerce(other)
-        z1, z2, N = self._z, other._z, other._N
-        if z1 == z2:
-            return _make(self._x + other._x, self._y + other._y, z1, N)
+        z1, z2 = self._z, other._z
         return _make(self._x * z2 + other._x * z1, self._y * z2 + other._y * z1,
-                     z1 * z2, N)
+                     z1 * z2, other._N)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return _lowest(-self._x, -self._y, self._z, self._N)
+        return _make(-self._x, -self._y, self._z, self._N)
 
     def __sub__(self, other) -> "QuadNum":
         if not (type(other) is QuadNum and other._N == self._N):
             if type(other) is int:
-                return _lowest(self._x - other * self._z, self._y, self._z, self._N)
+                return _make(self._x - other * self._z, self._y, self._z, self._N)
             other = self._coerce(other)
-        z1, z2, N = self._z, other._z, other._N
-        if z1 == z2:
-            return _make(self._x - other._x, self._y - other._y, z1, N)
+        z1, z2 = self._z, other._z
         return _make(self._x * z2 - other._x * z1, self._y * z2 - other._y * z1,
-                     z1 * z2, N)
+                     z1 * z2, other._N)
 
     def __rsub__(self, other) -> "QuadNum":
         if type(other) is int:
-            return _lowest(other * self._z - self._x, -self._y, self._z, self._N)
+            return _make(other * self._z - self._x, -self._y, self._z, self._N)
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "QuadNum":
@@ -272,15 +282,7 @@ class QuadNum:
             raise TypeError("exponent must be an int")
         if k < 0:
             return self.inverse() ** (-k)
-        x, y, z, N = self._x, self._y, self._z, self._N
-        ox, oy, oz = 1, 0, 1
-        while k:
-            if k & 1:
-                ox, oy, oz = ox * x + oy * y * N, ox * y + oy * x, oz * z
-            k >>= 1
-            if k:
-                x, y, z = x * x + y * y * N, 2 * x * y, z * z
-        return _make(ox, oy, oz, N)
+        return _make(*_pow(self._x, self._y, self._z, k, self._N), self._N)
 
     def conjugate(self) -> "QuadNum":
         return _make(self._x, -self._y, self._z, self._N)

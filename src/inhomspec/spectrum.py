@@ -23,14 +23,15 @@ the member function at z = 0 and is not written down separately.
 Twenty k-families have the shape (x + p*w)(y + q*w) with w = u / (1 + h*u)
 and u = z^n, a leading factor eta folded into x and p; their entries return
 the shared member _rational(n, h, x, p, y, q).  That member is
-(x(1 + h*u) + p*u)(y(1 + h*u) + q*u) / (1 + h*u)^2, evaluated on the ints of
-the operands and reduced once.  Three
-entries keep a member of their own: even-even Sk4, whose k = 0 member and
-(6,10) k = 1 member the family formula does not give (its other members go
-through _rational); odd Sk6, which has two different numerators over
-1 - D*z^3; and the t-class S0t, whose formula branches on t.  A k-family's
-entry also records the direction in which its members approach the limit
-and the first k the catalogue lists.
+(x(1 + h*u) + p*u)(y(1 + h*u) + q*u) / (1 + h*u)^2.  It reads the
+operands' ints with quadfield's _ints, takes u = z^n from quadfield's _pow
+(the one repeated-squaring loop, which QuadNum's ** also runs), and reduces
+the result once.  Three entries keep a member of their own: even-even Sk4,
+whose k = 0 member and (6,10) k = 1 member the family formula does not give
+(its other members go through _rational); odd Sk6, which has two different
+numerators over 1 - D*z^3; and the t-class S0t, whose formula branches on t.
+A k-family's entry also records the direction in which its members approach
+the limit and the first k the catalogue lists.
 
 From the table this module answers, per class, the t-sequence, the value and
 the limit, and derives the catalogue of every spectrum value above the first
@@ -42,7 +43,9 @@ own, except that at (3,6) one family reaching the limit is not listed (see
 _NOT_LISTED).  delta_closed_form, family_limit and spectrum_catalog reach a
 value through the same member function; the catalogue builds it once per
 family and call and is the only code that steps z = D^k, by one multiply per
-k.  euclidean_test reads catalogues.  No value ever touches floating point.
+k.  A catalogue's json_tree() is its one point layout: to_csv_rows, which
+feeds the csv and table outputs, reads its points.  euclidean_test reads
+catalogues.  No value ever touches floating point.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .quadfield import QuadNum, _make
+from .quadfield import QuadNum, _ints, _make, _pow
 from .ncf import PeriodTwoAlpha
 from .expansion import Block, TSequence, m_star, m_value, tseq_from_blocks
 
@@ -119,17 +122,6 @@ class ClassId:
 
     def __str__(self) -> str:
         return self.label
-
-
-def _member_id(family: str, k: int) -> ClassId:
-    """ClassId(family, k=k) for a known k-family and k, without the checks.
-
-    It is to ClassId what quadfield's _make is to QuadNum: for a family of
-    the table and its own parameter, both valid by construction.
-    """
-    cls = object.__new__(ClassId)
-    cls.__dict__.update(family=family, k=k, t=None)
-    return cls
 
 
 def _class_label(cls: ClassId) -> str:
@@ -268,13 +260,6 @@ def _always(c: _Pair, p: Optional[int]) -> bool:
     return True
 
 
-def _ints(v) -> tuple[int, int, int]:
-    """(X, Y, Z) with v = (X + Y*sqrt(N))/Z, for a QuadNum, int or Fraction v."""
-    if type(v) is QuadNum:
-        return v._x, v._y, v._z
-    return v.numerator, 0, v.denominator
-
-
 def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNum]:
     """The member (k, z) -> (x + p*w)(y + q*w), with w = u / (1 + h*u), u = z^n.
 
@@ -287,9 +272,10 @@ def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNu
         y + q*w = (q_z*Y*E + y_z*h_z*Q*U) / (y_z*q_z*E),
 
     and the member is the product of the two numerators times conj(E)^2,
-    over x_z*p_z*y_z*q_z*norm(E)^2, reduced once by _make.  The scaled pairs
-    p_z*X, x_z*h_z*P, q_z*Y, y_z*h_z*Q and the product of the four
-    denominators do not depend on k; building them costs a few int products.
+    over x_z*p_z*y_z*q_z*norm(E)^2, reduced once by _make.  (U, u_z) is the
+    unreduced triple _pow gives for z^n.  The scaled pairs p_z*X, x_z*h_z*P,
+    q_z*Y, y_z*h_z*Q and the product of the four denominators do not depend
+    on k; building them costs a few int products.
     """
     hx, hy, hz = _ints(h)
     (xx, xy, xz), (px, py, pz) = _ints(x), _ints(p)
@@ -301,15 +287,8 @@ def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNu
     def member(k, z):
         if not z:
             return x * y
-        N, zx, zy, zz, bits = z._N, z._x, z._y, z._z, n
-        ux, uy, uz = 1, 0, 1
-        while True:  # U/u_z = z^n by repeated squaring
-            if bits & 1:
-                ux, uy, uz = ux * zx + uy * zy * N, ux * zy + uy * zx, uz * zz
-            bits >>= 1
-            if not bits:
-                break
-            zx, zy, zz = zx * zx + zy * zy * N, 2 * zx * zy, zz * zz
+        N = z._N
+        ux, uy, uz = _pow(z._x, z._y, z._z, n, N)  # U/u_z = z^n
         ex, ey = hz * uz + hx * ux + hy * uy * N, hx * uy + hy * ux
         ax = xx * ex + xy * ey * N + px * ux + py * uy * N
         ay = xx * ey + xy * ex + px * uy + py * ux
@@ -911,20 +890,14 @@ class SpectrumCatalog:
         }
 
     def to_csv_rows(self, digits: int = 15) -> list[list[str]]:
-        rows = [["label", "k", "kind", "direction", "m_star", "m"]]
-        for p in self.points:
-            param = _param(p.cls)
-            rows.append(
-                [
-                    p.label,
-                    "" if param is None else str(param),
-                    p.kind,
-                    p.direction,
-                    p.m_star.decimal(digits),
-                    p.m.decimal(digits),
-                ]
-            )
-        return rows
+        """The points of json_tree() as rows of text under a header row: a
+        value to `digits` places, no k as an empty cell."""
+        cols = ["label", "k", "kind", "direction", "m_star", "m"]
+        return [cols] + [
+            [v.decimal(digits) if type(v) is QuadNum else "" if v is None else str(v)
+             for v in map(p.get, cols)]
+            for p in self.json_tree()["points"]
+        ]
 
 
 def _build_points(alpha, entries):
@@ -1016,7 +989,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
                     f"listed family {fam} does not apply at k={k}, "
                     f"(a,b)=({c.a},{c.b})"
                 )
-            entries.append((_member_id(fam, k), f(k, z), "family_member", spec.direction))
+            entries.append((ClassId(fam, k=k), f(k, z), "family_member", spec.direction))
             z *= D
     entries.append((ClassId(fams[-1]), limit, "limit_point", "none"))
     return SpectrumCatalog(

@@ -500,12 +500,13 @@ def test_digits_below_one_is_usage_error(capsys, argv, digits):
     assert (code, out, err) == (2, "", "error: digits must be >= 1\n")
 
 
-def _python_m(*argv):
+def _python_m(*argv, stdout=subprocess.PIPE):
     src = str(Path(inhomspec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "inhomspec", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
 
 
 def test_python_m_inhomspec_runs_the_cli(capsys):
@@ -514,6 +515,19 @@ def test_python_m_inhomspec_runs_the_cli(capsys):
     assert (got.returncode, got.stdout) == run(capsys, *argv)[:2]
     assert got.returncode == 0
     assert _python_m("catalog", "--no-such-option").returncode == 2
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the read end is closed before the child starts, so its output cannot be
+    # delivered: exit 2, not 0 (which would pass `verify | head` unchecked)
+    # or 1 (a disagreement), and nothing on stderr
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        got = _python_m("catalog", "--a", "4", "--b", "8", stdout=w)
+    finally:
+        os.close(w)
+    assert (got.returncode, got.stderr) == (2, "")
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():

@@ -182,6 +182,12 @@ def test_parse_period():
     for text in ("A1 A1'", "t:(0,1,0,-1)"):
         with pytest.raises(ValueError, match="start must be"):
             parse_period(text, A47, start="bogus")
+    # a raw word is checked once, at the parities of its odd-start form
+    with pytest.raises(DigitRangeError, match="t_2"):
+        parse_period("t:(0,9)", A47)
+    assert parse_period("t:(1,0)", A47, start="even").period == (0, 1)
+    with pytest.raises(InvalidBlockError, match="t_1"):
+        parse_period("t:(0,1)", A47, start="even")
     al = make_alpha(3, 5)
     for text in ("H7 G9 H'2 G", "H G1 H' G", "H G H'0 G", "H G H2' G"):
         with pytest.raises(InvalidBlockError, match="takes no t parameter"):
