@@ -87,66 +87,37 @@ _JSON_SCALARS = {
 }
 
 
-def _json_write(obj, pad: str, out, digits: int) -> None:
-    """Pass the fragments of obj's text, at indent pad, to out in order.
-
-    A QuadNum is written as its to_json(digits) dict, in one fragment from
-    QuadNum._json_leaf.  Lists, tuples and dicts share one child loop, which
-    writes scalar and QuadNum children in place and recurses only into child
-    containers.  Any other type, float included, raises TypeError.
-    """
-    render = _JSON_SCALARS.get(type(obj))
-    if render is not None:
-        out(render(obj))
-        return
-    if type(obj) is QuadNum:
-        out(obj._json_leaf(digits, pad))
-        return
-    if isinstance(obj, dict):
-        keyed, children, brackets = True, sorted(obj.items()), "{}"
-    elif isinstance(obj, (list, tuple)):
-        keyed, children, brackets = False, obj, "[]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not children:
-        out(brackets)
-        return
-    inner = pad + "  "
-    head = brackets[0] + "\n" + inner
-    for v in children:
-        if keyed:
-            k, v = v
-            head = f"{head}{_json_str(k)}: "
-        render = _JSON_SCALARS.get(type(v))
-        if render is not None:
-            out(head + render(v))
-        elif type(v) is QuadNum:
-            out(head + v._json_leaf(digits, inner))
-        else:
-            out(head)
-            _json_write(v, inner, out, digits)
-        head = ",\n" + inner
-    out("\n" + pad + brackets[1])
-
-
-def _json_text(obj, digits: int = 18) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, where each
-    QuadNum leaf stands for its to_json(digits) dict.
+def _json_text(obj, digits: int = 18, pad: str = "") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it at indent
+    pad, where each QuadNum leaf stands for its to_json(digits) dict.
 
     json's indenting encoder is pure Python and slow; this writes the same
     bytes for the str-keyed trees of str, int, bool, None, QuadNum, list,
     tuple and dict the subcommands print, without first turning each QuadNum
-    into a dict.  A float, which no subcommand prints, raises the TypeError
-    json raises for an unknown type.  _json_write appends the whole document
-    to one flat list of fragments, which is joined once; a --digits below 1
-    raises before anything is printed.  It is a module-level function, not a
-    closure nested in this one: a recursive closure would form a reference
-    cycle and keep each render's fragments alive until the cyclic collector
-    ran.
+    into a dict: a scalar through _JSON_SCALARS, a QuadNum through
+    QuadNum._json_leaf, and a container by joining its children's text, each
+    rendered at pad + "  ".  A float, which no subcommand prints, raises the
+    TypeError json raises for an unknown type.  The whole text is built
+    before anything is printed, so a --digits below 1 raises first.
     """
-    parts = []
-    _json_write(obj, "", parts.append, digits)
-    return "".join(parts)
+    render = _JSON_SCALARS.get(type(obj))
+    if render is not None:
+        return render(obj)
+    if type(obj) is QuadNum:
+        return obj._json_leaf(digits, pad)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_json_str(k)}: {_json_text(obj[k], digits, inner)}"
+                 for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json_text(v, digits, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _emit_json(obj, digits: int) -> None:

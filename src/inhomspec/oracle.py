@@ -129,10 +129,11 @@ def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple[int
 
 def _pairs(eta: QuadNum, gamma: QuadNum) -> tuple[int, ...]:
     """(ex, ey, gx, gy, z, N): eta = (ex + ey*sqrt(N))/z and gamma likewise,
-    over z = the lcm of their denominators."""
-    z = lcm(eta._z, gamma._z)
-    e, g = z // eta._z, z // gamma._z
-    return eta._x * e, eta._y * e, gamma._x * g, gamma._y * g, z, eta._N
+    over z = the lcm of their denominators; gamma is read in eta's field."""
+    gx, gy, gz = eta._parts(gamma)
+    z = lcm(eta._z, gz)
+    e, g = z // eta._z, z // gz
+    return eta._x * e, eta._y * e, gx * g, gy * g, z, eta._N
 
 
 def _records(
@@ -211,7 +212,7 @@ def brute_force_min(
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_lo <= n_hi")
     eta = alpha.eta
-    ex, ey, gx, gy, z, N = _pairs(eta, eta._coerce(gamma))
+    ex, ey, gx, gy, z, N = _pairs(eta, gamma)
     table = _convergents(ex, ey, z, N, n_hi.bit_length())
 
     def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:

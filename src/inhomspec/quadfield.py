@@ -191,11 +191,7 @@ class QuadNum:
         None means this value is rational and `other` is an irrational of
         another field, which then holds the result.
         """
-        if type(other) is QuadNum and other._N == self._N:
-            return other._x, other._y, other._z
-        if type(other) is int:
-            return other, 0, 1
-        if isinstance(other, QuadNum):
+        if type(other) is QuadNum:
             if other._N == self._N or other._y == 0:
                 return other._x, other._y, other._z
             if self._y == 0:
@@ -203,8 +199,9 @@ class QuadNum:
             raise ContextMismatchError(
                 f"cannot mix sqrt({self._N}) and sqrt({other._N}) values"
             )
-        f = _frac(other)
-        return f.numerator, 0, f.denominator
+        if type(other) is int:
+            return other, 0, 1
+        return _ints(_frac(other))
 
     def _coerce(self, other) -> "QuadNum":
         """Bring `other` into this value's field, or raise."""

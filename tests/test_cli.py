@@ -179,9 +179,14 @@ def test_euclid_command(capsys):
     assert doc["points_above_threshold"] == 1
 
 
-def test_missing_ab_is_usage_error(capsys):
-    code, _, err = run(capsys, "catalog")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--b", "7"),
+    ("oracle", "--a", "5", "--class", "S0"),
+    ("euclid", "--a", "5"),
+], ids=["catalog", "oracle", "euclid"])
+def test_missing_ab_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --a and --b are required\n")
 
 
 def test_bad_subcommand_exits_2():
