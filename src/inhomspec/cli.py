@@ -70,12 +70,6 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _class_from_args(args) -> ClassId:
-    if args.cls is None:
-        raise ValueError("--class (or --period) is required here")
-    return ClassId(args.cls, k=args.k, t=args.t)
-
-
 _json_str = json.encoder.encode_basestring_ascii
 
 # the exact type of a scalar -> its JSON text; True is a bool, not an int 1
@@ -120,15 +114,11 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _emit_json(obj, digits: int) -> None:
-    print(_json_text(obj, digits))
-
-
-def _emit_csv(rows) -> None:
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-
-
-def _emit_table(rows) -> None:
+def _emit_rows(fmt: str, rows) -> None:
+    """rows, a header row first, as csv or as a table of padded columns."""
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
@@ -137,10 +127,9 @@ def _emit_table(rows) -> None:
 def _cmd_catalog(args) -> int:
     cat = spectrum_catalog(make_alpha(args.a, args.b), kmax=args.kmax)
     if args.format == "json":
-        _emit_json(cat.json_tree(), args.digits)
+        print(_json_text(cat.json_tree(), args.digits))
     else:
-        rows = cat.to_csv_rows(digits=args.digits)
-        (_emit_csv if args.format == "csv" else _emit_table)(rows)
+        _emit_rows(args.format, cat.to_csv_rows(digits=args.digits))
     return 0
 
 
@@ -178,7 +167,9 @@ def _cmd_oracle(args) -> int:
         tseq = parse_period(args.period, alpha, start=args.align or "odd")
         label = str(tseq)
     else:
-        cls = _class_from_args(args)
+        if args.cls is None:
+            raise ValueError("--class (or --period) is required here")
+        cls = ClassId(args.cls, k=args.k, t=args.t)
         tseq = class_tsequence(cls, alpha)
         label = cls.delta_label
     gamma = gamma_value(tseq, alpha)
@@ -196,7 +187,7 @@ def _cmd_oracle(args) -> int:
         hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)
         out["report"] = rep.json_tree()
-    _emit_json(out, args.digits)
+    print(_json_text(out, args.digits))
     if failed:
         print(f"FAIL: oracle_m={got.m.decimal(args.digits)} "
               f"exact_m={target.decimal(args.digits)}", file=sys.stderr)
@@ -219,9 +210,9 @@ def _cmd_sweep(args) -> int:
         ])
     if args.format == "json":
         head, *body = rows
-        _emit_json([dict(zip(head, r)) for r in body], args.digits)
+        print(_json_text([dict(zip(head, r)) for r in body], args.digits))
     else:
-        (_emit_csv if args.format == "csv" else _emit_table)(rows)
+        _emit_rows(args.format, rows)
     return 0
 
 
@@ -235,21 +226,21 @@ def _cmd_ncf(args) -> int:
         "period": list(exp.period),
         "display": str(exp),
     }
-    _emit_json(out, args.digits)
+    print(_json_text(out, args.digits))
     return 0
 
 
 def _cmd_euclid(args) -> int:
     rep = euclidean_test(make_alpha(args.a, args.b))
     B, C = rep.min_poly
-    _emit_json({
+    print(_json_text({
         "a": args.a, "b": args.b,
         "min_poly": {"B": str(B), "C": str(C)},
         "rho": rep.rho,
         "threshold": rep.threshold,
         "norm_euclidean": rep.verdict,
         "points_above_threshold": rep.points_above,
-    }, args.digits)
+    }, args.digits))
     return 0
 
 
@@ -336,7 +327,3 @@ def main(argv=None) -> int:
     except RuntimeError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

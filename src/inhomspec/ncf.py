@@ -89,10 +89,9 @@ def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     eta = QuadNum(Fraction(b, 2), Fraction(-1, 2 * a), N)
     beta = QuadNum(Fraction(a, 2), Fraction(-1, 2 * b), N)
     D = eta * beta
-    one = QuadNum(1, 0, N)
-    if not (eta * a == one + D and beta * b == one + D):
+    if not (eta * a == 1 + D and beta * b == 1 + D):
         raise RuntimeError(f"a*eta = b*beta = 1 + D fails at ({a}, {b})")
-    if not (QuadNum(0, 0, N) < beta < eta < one and D < one):
+    if not (0 < beta < eta < 1 and D < 1):
         raise RuntimeError(f"0 < beta < eta < 1 and D < 1 fail at ({a}, {b})")
     return PeriodTwoAlpha(a=a, b=b, N=N, eta=eta, beta=beta, D=D)
 
@@ -135,8 +134,7 @@ def ncf_expand(x: QuadNum, max_terms: int = 512) -> NCFExpansion:
         raise ValueError("max_terms must be >= 1")
     if x.q == 0:
         raise NonPeriodicError("rational input has a terminating expansion")
-    zero, one = QuadNum(0, 0, x.N), QuadNum(1, 0, x.N)
-    if zero < x < one:
+    if 0 < x < 1:
         head, y = 0, x
     else:
         head = x.ceil()
@@ -148,7 +146,7 @@ def ncf_expand(x: QuadNum, max_terms: int = 512) -> NCFExpansion:
             cut = seen[y]
             return NCFExpansion(head, tuple(digits[:cut]), tuple(digits[cut:]))
         seen[y] = len(digits)
-        inv = one / y
+        inv = 1 / y
         d = inv.ceil()
         digits.append(d)
         y = d - inv

@@ -43,7 +43,7 @@ oracle_m's state keys, become QuadNums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import lcm
 from typing import Iterator, Optional, Sequence
@@ -64,18 +64,13 @@ class OracleReport:
     target_m: Optional[QuadNum] = None
 
     def json_tree(self) -> dict:
-        """The JSON layout of the report, with the exact values as QuadNum
-        leaves; `oracle` writes it as it stands."""
-        out = {
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "window_min": self.window_min,
-            "argmin_n": self.argmin_n,
-            "records": self.records,
-        }
-        if self.target_m is not None:
-            out["target_m"] = self.target_m
-        return out
+        """The JSON layout of the report, one key per field (target_m only
+        when it is set), with the exact values as QuadNum leaves; `oracle`
+        writes it as it stands."""
+        tree = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.target_m is None:
+            del tree["target_m"]
+        return tree
 
 
 @dataclass(frozen=True)

@@ -12,24 +12,25 @@ by the whole class.
 
 Every class is one entry of the class table, keyed by (regime, family).  The
 entry holds the side condition on (a, b) and the parameter, the builder of
-the periodic t-sequence, and the closed form.  A k-family's closed form is
-written as a function of z = D^k: every k-dependent power in it is
-D^(c*k + d) = D^d * z^c.  The entry computes the coefficients that do not
-depend on k once per pair and returns the member function (k, z) -> value,
-which evaluates only the part in z; a t-family does the same with t.
-Because 0 < D < 1, z -> 0 as k -> infinity, so the family limit delta_inf is
-the member function at z = 0 and is not written down separately.
+the periodic t-sequence, and the closed form.  A k-family's closed form is a
+function of k alone: every k-dependent power in it is D^(c*k + d).  The
+entry computes the coefficients that do not depend on k once per pair and
+returns the member function k -> value, which evaluates only the part in k;
+a t-family does the same with t.  Because 0 < D < 1, every D^k tends to 0 as
+k -> infinity, so the family limit delta_inf is member(None), the member
+with D^k set to 0, and is not written down separately.
 
 Twenty k-families have the shape (x + p*w)(y + q*w) with w = u / (1 + h*u)
-and u = z^n, a leading factor eta folded into x and p; their entries return
-the shared member _rational(n, h, x, p, y, q).  That member is
+and u = (D^n)^k, a leading factor eta folded into x and p; their entries
+return the shared member _rational(D**n, h, x, p, y, q).  That member is
 (x(1 + h*u) + p*u)(y(1 + h*u) + q*u) / (1 + h*u)^2.  It reads the
-operands' ints with quadfield's _ints, takes u = z^n from quadfield's _pow
-(the one repeated-squaring loop, which QuadNum's ** also runs), and reduces
-the result once.  Three entries keep a member of their own: even-even Sk4,
-whose k = 0 member and (6,10) k = 1 member the family formula does not give
-(its other members go through _rational); odd Sk6, which has two different
-numerators over 1 - D*z^3; and the t-class S0t, whose formula branches on t.
+operands' ints with quadfield's _ints, takes u = (D^n)^k from quadfield's
+_pow (the one repeated-squaring loop, which QuadNum's ** also runs), and
+reduces the result once.  Three entries keep a member of their own: even-even
+Sk4, whose k = 0 member and (6,10) k = 1 member the family formula does not
+give (its other members go through _rational); odd Sk6, which has two
+different numerators over 1 - D^(3k+1); and the t-class S0t, whose formula
+branches on t.
 A k-family's entry also records the direction in which its members approach
 the limit and the first k the catalogue lists.
 
@@ -41,17 +42,17 @@ families with that limit are listed, and every other applicable class or
 member above it is an isolated value.  No regime or pair has a layout of its
 own, except that at (3,6) one family reaching the limit is not listed (see
 _NOT_LISTED).  delta_closed_form, family_limit and spectrum_catalog reach a
-value through the same member function; the catalogue builds it once per
-family and call and is the only code that steps z = D^k, by one multiply per
-k.  A catalogue's json_tree() is its one point layout: to_csv_rows, which
-feeds the csv and table outputs, reads its points.  euclidean_test reads
-catalogues.  No value ever touches floating point.
+value through the same member function, called with the class's parameter
+alone; the catalogue builds it once per family and call.  A catalogue's
+json_tree() is its one point layout: to_csv_rows, which feeds the csv and
+table outputs, reads its points.  euclidean_test reads catalogues.  No value ever touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterator, Optional
 
 from .quadfield import QuadNum, _ints, _make, _pow
@@ -209,15 +210,14 @@ class _Class:
     form(c, e, B, D) is the closed form at one pair, in e = eta, B = beta and
     D.  For a plain class it is the value.  For a k- or t-family it computes
     the coefficients that do not depend on the parameter once and returns
-    the member function member(p, z): the value at parameter p, with
-    z = D^p for a k-family (None for a t-class).  The family limit is
-    member(None, 0).  A family's form returns the shared member of
-    _rational, the integer kernel for (x + p*w)(y + q*w) with
-    w = z^n / (1 + h*z^n), except even-even Sk4 (its k = 0 and (6,10) k = 1
-    overrides; its other members go through _rational), odd Sk6 (two
-    numerators over 1 - D*z^3) and the t-class S0t (a branch on t).  The
-    coefficients x, p, y, q and h are QuadNums, ints or Fractions.  A
-    k-family's members approach the limit in `direction`, and the
+    the member function member(p): the value at parameter p.  The family
+    limit of a k-family is member(None).  A family's form returns the shared
+    member of _rational, the integer kernel for (x + p*w)(y + q*w) with
+    w = u / (1 + h*u), u = D^(n*k), except even-even Sk4 (its k = 0 and
+    (6,10) k = 1 overrides; its other members go through _rational), odd
+    Sk6 (two numerators over 1 - D^(3k+1)) and the t-class S0t (a branch on
+    t).  The coefficients x, p, y, q and h are QuadNums, ints or Fractions.
+    A k-family's members approach the limit in `direction`, and the
     catalogue lists or evaluates them from k = k0.
 
     A k-family goes on forever at a pair when applies(c, _LARGE_K) holds.
@@ -260,10 +260,11 @@ def _always(c: _Pair, p: Optional[int]) -> bool:
     return True
 
 
-def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNum]:
-    """The member (k, z) -> (x + p*w)(y + q*w), with w = u / (1 + h*u), u = z^n.
+def _rational(Dn: QuadNum, h, x, p, y, q) -> Callable[[Optional[int]], QuadNum]:
+    """The member k -> (x + p*w)(y + q*w), with w = u / (1 + h*u), u = Dn^k.
 
-    At z = 0 it is x*y, the family limit.  Otherwise it is evaluated in ints.
+    At k = None it is x*y, the family limit.  Otherwise it is evaluated in
+    ints.
     Write x = X/x_z with X = x_0 + x_1*sqrt(N) for int x_0, x_1, x_z, and
     likewise p, y, q, h and u = U/u_z.  With E = h_z*u_z + H*U,
     1 + h*u = E/(h_z*u_z) and w = h_z*U/E, so
@@ -273,7 +274,7 @@ def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNu
 
     and the member is the product of the two numerators times conj(E)^2,
     over x_z*p_z*y_z*q_z*norm(E)^2, reduced once by _make.  (U, u_z) is the
-    unreduced triple _pow gives for z^n.  The scaled pairs p_z*X, x_z*h_z*P,
+    unreduced triple _pow gives for Dn^k.  The scaled pairs p_z*X, x_z*h_z*P,
     q_z*Y, y_z*h_z*Q and the product of the four denominators do not depend
     on k; building them costs a few int products.
     """
@@ -283,12 +284,12 @@ def _rational(n: int, h, x, p, y, q) -> Callable[[Optional[int], object], QuadNu
     xx, xy, px, py = pz * xx, pz * xy, xz * hz * px, xz * hz * py
     yx, yy, qx, qy = qz * yx, qz * yy, yz * hz * qx, yz * hz * qy
     den = xz * pz * yz * qz
+    (dx, dy, dz), N = _ints(Dn), Dn._N
 
-    def member(k, z):
-        if not z:
+    def member(k):
+        if k is None:
             return x * y
-        N = z._N
-        ux, uy, uz = _pow(z._x, z._y, z._z, n, N)  # U/u_z = z^n
+        ux, uy, uz = _pow(dx, dy, dz, k, N)  # U/u_z = Dn^k
         ex, ey = hz * uz + hx * ux + hy * uy * N, hx * uy + hy * ux
         ax = xx * ex + xy * ey * N + px * ux + py * uy * N
         ay = xx * ey + xy * ex + px * uy + py * ux
@@ -337,7 +338,7 @@ def _(c, e, B, D):
     g = 2 * D * (1 - D) / (1 + D2)
     x = 1 - B - B * (1 - D) * (1 + 2 * D2) / (1 + D2)
     y = 1 - e - D * (1 - D) / (1 + D2)
-    return _rational(4, -D2, x, -B * D**3 * g, y, g)
+    return _rational(D**4, -D2, x, -B * D**3 * g, y, g)
 
 
 # ---- a >= 4 even, b even
@@ -365,7 +366,7 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     u = 2 * D**2 / (1 + D)
     v = 2 * B / (1 + D)
-    return _rational(2, -D, 1 - e + u, -u * (1 - D), 1 - B - v, v * (1 - D))
+    return _rational(D**2, -D, 1 - e + u, -u * (1 - D), 1 - B - v, v * (1 - D))
 
 
 @_entry("even-even", "Sk2", lambda c, k: k >= 1 and c.b == 2 * c.a - 2 and c.a >= 8,
@@ -378,7 +379,7 @@ def _(c, e, B, D):
     g = 2 * D * (1 + D) * (1 - e + D) / (1 - D)
     x = 1 - 3 * e + 2 * D * (2 - e) / (1 - D)
     y = 1 + B - 2 * BD * (1 - e + D) / (1 - D)
-    return _rational(1, D**2, x, -g, y, BD * g)
+    return _rational(D, D**2, x, -g, y, BD * g)
 
 
 @_entry("even-even", "Sk3", lambda c, k: k >= 1 and c.b == 2 * c.a - 4 and c.a >= 10,
@@ -389,7 +390,7 @@ def _(c, e, B, D):
     g = 2 * D / (1 + D)
     x = 1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2)
     y = 1 - 3 * B + 2 * D / (1 - D) - 2 * BD * (2 + D) / (1 - D**2)
-    return _rational(2, -D, x, g, y, -BD * g)
+    return _rational(D**2, -D, x, g, y, -BD * g)
 
 
 @_entry("even-even", "Sk4",
@@ -403,10 +404,10 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     a, b = c.a, c.b
     g = 2 * D
-    family = _rational(1, -D, 1 - e + g * (1 - e) / (1 - D), g,
+    family = _rational(D, -D, 1 - e + g * (1 - e) / (1 - D), g,
                        1 - 3 * B + g * (1 - B) / (1 - D), -B * g)
 
-    def member(k, z):
+    def member(k):
         # k = 0 has its own closed form, which differs from the family formula
         if k == 0:
             u = g * (1 - 2 * B) / (1 - D)
@@ -419,7 +420,7 @@ def _(c, e, B, D):
         if (a, b) == (6, 10) and k == 1:
             # explicit surd for the one case outside the family formula's range
             return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
-        return family(k, z)
+        return family(k)
 
     return member
 
@@ -437,7 +438,7 @@ def _(c, e, B, D):
     g = 2 * D * (1 - 2 * B + D) / (1 - D)
     x = 1 - e + 2 * D * (1 - e) / (1 - D)
     y = 1 - 3 * B + 2 * D * (1 - B) / (1 - D)
-    return _rational(1, D, x, e * g, y, -g)
+    return _rational(D, D, x, e * g, y, -g)
 
 
 @_entry("even-even", "Sk6", lambda c, k: (c.a, c.b) == (8, 12),
@@ -452,7 +453,7 @@ def _(c, e, B, D):
     x = (1 - 3 * e + 2 * D - 2 * D2 + 2 * e * D2
          - 2 * D**3 * (1 - e + D) / (1 + D2))
     y = 1 + B - 2 * D * (1 - B + B * D) / (1 + D2)
-    return _rational(4, -D**6, x, -e * D2 * g, y, g)
+    return _rational(D**4, -D**6, x, -e * D2 * g, y, g)
 
 
 @_entry("even-even", "Sk7", lambda c, k: (c.a, c.b) == (6, 10) and k >= 1,
@@ -466,7 +467,7 @@ def _(c, e, B, D):
     x = (1 + e - 2 * D + 2 * D2 + 2 * e * D3 / (1 - D)
          - 2 * D3 * (1 + 2 * D) / (1 - D2))
     y = 1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D2)
-    return _rational(2, -D2, x, -e * D3 * g, y, -g)
+    return _rational(D2, -D2, x, -e * D3 * g, y, -g)
 
 
 # ---- a >= 3 odd
@@ -549,7 +550,7 @@ def _(c, e, B, D):
     g = 2 * D
     x = 1 - 2 * e + e * c.v + g / (1 - D)
     y = 1 - B + c.v + B * g / (1 - D)
-    return _rational(1, -D, x, -g, y, -B * g)
+    return _rational(D, -D, x, -g, y, -B * g)
 
 
 @_entry("odd", "Sk2", lambda c, k: k >= 1 and c.m == 0 and c.r >= c.a + 3,
@@ -561,7 +562,7 @@ def _(c, e, B, D):
     g = 2 * (B * (1 + D) - D) / (1 - D)
     x = 1 - 2 * e + D * (2 - e) / (1 - D)
     y = 1 - B + D * (1 - 2 * B) / (1 - D)
-    return _rational(1, D, x, -e * g, y, D * g)
+    return _rational(D, D, x, -e * g, y, D * g)
 
 
 @_entry("odd", "Sk3", lambda c, k: c.r <= c.a + 1 and c.b >= 6,
@@ -571,7 +572,7 @@ def _(c, e, B, D):
     g = 2 * B * D / (1 + D)
     x = 1 - e * c.v - 2 * D / (1 - D**2)
     y = 1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
-    return _rational(2, -D, x, -e * g, y, -g)
+    return _rational(D**2, -D, x, -e * g, y, -g)
 
 
 @_entry("odd", "Sk4", lambda c, k: k >= 1 and c.b == c.a + 1 and c.b >= 6,
@@ -584,7 +585,7 @@ def _(c, e, B, D):
     g = 2 * (1 - Fraction(2, c.b)) / (1 - D)
     x = 1 - eD / (1 - D) + 2 * D**2 / (1 - D**2)
     y = 1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2)
-    return _rational(2, 1, x, eD * g, y, -g)
+    return _rational(D**2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk5", lambda c, k: c.r <= c.a - 1,
@@ -592,7 +593,7 @@ def _(c, e, B, D):
         listed=("increasing", 1))
 def _(c, e, B, D):
     g = 2 * D
-    return _rational(1, -D, 1 - e * c.v, -g, 1 - 3 * B - c.v, -B * g)
+    return _rational(D, -D, 1 - e * c.v, -g, 1 - 3 * B - c.v, -B * g)
 
 
 @_entry("odd", "Sk6", lambda c, k: c.r == 2 and c.b >= 7,
@@ -606,7 +607,8 @@ def _(c, e, B, D):
     x = 1 - e * c.v
     y = 1 - 3 * B - c.v + 2 * D / c.b
 
-    def member(k, z):
+    def member(k):
+        z = 0 if k is None else D**k
         z2 = z**2
         den = 1 - D * z2 * z
         return (x - g * z * (1 + D * z2) / den) * (y - h * z2 * (1 + z) / den)
@@ -624,7 +626,7 @@ def _(c, e, B, D):
     g = 2 * (1 - Fraction(4, c.b)) / (1 - D)
     x = 1 - eD / (1 - D) + 4 * D**2 / (1 - D**2)
     y = 1 - B + D / (1 - D) - 4 * B / (1 - D**2)
-    return _rational(2, 1, x, eD * g, y, -g)
+    return _rational(D**2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk8", lambda c, k: k >= 1 and c.b == c.a + 2 and c.b >= 7,
@@ -636,7 +638,7 @@ def _(c, e, B, D):
     x = (1 + D * (1 + D - 4 * D**2) / (1 - D**2)
          - e * D * (1 - 2 * D) / (1 - D))
     y = 1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2)
-    return _rational(2, -D, x, -eD2 * g, y, -g)
+    return _rational(D**2, -D, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk9", lambda c, k: c.b == c.a + 2 and c.b >= 11,
@@ -648,7 +650,7 @@ def _(c, e, B, D):
     x = (1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - eD2
          - eD2 * (B - D) / (1 - D))
     y = 1 - 2 * B + D * (1 - B) / (1 - D)
-    return _rational(1, -D**3, x, -eD2 * g, y, -g)
+    return _rational(D, -D**3, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk10", lambda c, k: (c.a, c.b) == (3, 4) and k >= 1,
@@ -657,7 +659,7 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     g = B * (1 - e + D) / (1 + D)
     u = g / (1 - D)
-    return _rational(2, -D, e * (1 - u), e * g, 1 + D * u, -D * g)
+    return _rational(D**2, -D, e * (1 - u), e * g, 1 + D * u, -D * g)
 
 
 @_entry("odd", "Sk11", lambda c, k: (c.a, c.b) == (3, 5),
@@ -669,7 +671,7 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     D4 = D**4
     h = D**3 * (1 - 2 * B - 2 * B * D + D**2) / (1 + D4)
-    return _rational(8, -D4, e * (1 - 2 * B + D - h), 2 * e * h,
+    return _rational(D**8, -D4, e * (1 - 2 * B + D - h), 2 * e * h,
                      1 + 2 * B - D - h, -2 * h * D4)
 
 
@@ -677,11 +679,12 @@ def _(c, e, B, D):
         lambda c, k: c.blocks(("F", 2), *[("B'", 2)] * (k + 1)),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    # e*(1 - X^2) with X = g*(1 - D*z)/(1 - D^2*z) = g + d*w, w = z/(1 - D^2*z)
+    # e*(1 - X^2) with X = g*(1 - D*u)/(1 - D^2*u) = g + d*w, w = u/(1 - D^2*u),
+    # u = D^k
     D2 = D**2
     g = B * (1 - e + D) / (1 - D)
     d = g * (D2 - D)
-    return _rational(1, -D2, e * (1 - g), -e * d, 1 + g, d)
+    return _rational(D, -D2, e * (1 - g), -e * d, 1 + g, d)
 
 
 # ---- a = 2: the words and values depend on the parity of b
@@ -712,10 +715,10 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     if c.b % 2 == 0:
         B2 = 2 * B
-        return _rational(1, -D, e * (1 - B2), -e * B2 * D, 1, B2)
+        return _rational(D, -D, e * (1 - B2), -e * B2 * D, 1, B2)
     g = 2 * B / (1 + D)
     half = B**2 / 2
-    return _rational(2, -D, e * (1 - B - half), -e * g * D**2, 1 - B + half, g)
+    return _rational(D**2, -D, e * (1 - B - half), -e * g * D**2, 1 - B + half, g)
 
 
 @_entry("two", "S2k+1", _always,
@@ -723,10 +726,10 @@ def _(c, e, B, D):
         else c.blocks(("F", 1), ("A'", 1), *(("F", 3), ("F", 1)) * k),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    # e*((1 - B)^2 - (r*Q)^2) with Q = 1 + d*w, w = z^n/(1 - D^2*z^n)
+    # e*((1 - B)^2 - (r*Q)^2) with Q = 1 + d*w, w = u/(1 - D^2*u), u = Dn^k
     D2 = D**2
-    n, r, d = (1, B, D2 - D) if c.b % 2 == 0 else (2, B**2 / 2, D2 - 1)
-    return _rational(n, -D2, e * (1 - B - r), -e * r * d, 1 - B + r, r * d)
+    Dn, r, d = (D, B, D2 - D) if c.b % 2 == 0 else (D2, B**2 / 2, D2 - 1)
+    return _rational(Dn, -D2, e * (1 - B - r), -e * r * d, 1 - B + r, r * d)
 
 
 @_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
@@ -735,7 +738,7 @@ def _(c, e, B, D):
     g = B / (1 - D)
     y = 2 - 2 * B
 
-    def member(t, z):
+    def member(t):
         w = (t - 2) * g
         # t <= b - sqrt(2b-4)  <=>  (b-t)^2 >= 2b-4  (both sides positive)
         if (c.b - t) ** 2 >= 2 * c.b - 4:
@@ -757,7 +760,7 @@ _FAMILY_PARAM: dict[str, Optional[str]] = {
 
 
 def _param(cls: ClassId) -> Optional[int]:
-    return cls.t if cls.family == "S0t" else cls.k
+    return cls.k if cls.t is None else cls.t
 
 
 def _require(cls: ClassId, c: _Pair) -> _Class:
@@ -775,20 +778,15 @@ def _require(cls: ClassId, c: _Pair) -> _Class:
     return entry
 
 
-def _member(c: _Pair, family: str) -> Callable[[Optional[int], object], QuadNum]:
-    """The member function (p, z) -> value of the family's entry at the pair.
+def _member(c: _Pair, family: str) -> Callable[[Optional[int]], QuadNum]:
+    """The member function p -> value of the family's entry at the pair.
 
     The entry's parameter-free coefficients are computed here, once; a plain
-    class's member returns its value whatever p and z are.
+    class's member returns its value whatever p is.
     """
     al, entry = c.alpha, _CLASSES[c.regime, family]
     form = entry.form(c, al.eta, al.beta, al.D)
-    return form if entry.param else lambda p, z: form
-
-
-def _value(member, cls: ClassId, D: QuadNum) -> QuadNum:
-    """The member's value at the class's parameter, with z = D^k for a k-family."""
-    return member(_param(cls), None if cls.k is None else D**cls.k)
+    return form if entry.param else lambda p: form
 
 
 def _params(c: _Pair, f: str, entry: _Class, ks) -> Iterator[ClassId]:
@@ -812,19 +810,20 @@ def delta_closed_form(cls: ClassId, alpha: PeriodTwoAlpha) -> QuadNum:
     """Exact value of the class, from its closed form."""
     c = _Pair(alpha)
     _require(cls, c)
-    return _value(_member(c, cls.family), cls, alpha.D)
+    return _member(c, cls.family)(_param(cls))
 
 
 def family_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
-    """delta_inf of the family: its member function at z = D^k = 0.
+    """delta_inf of the family: its member function at k = None.
 
-    0 < D < 1, so z = 0 is the k -> infinity limit.
+    Every D^k in a member tends to 0 as k -> infinity, since 0 < D < 1, and
+    member(None) is the member with each D^k set to 0.
     """
     c = _Pair(alpha)
     entry = _CLASSES.get((c.regime, family))
     if entry is None or entry.param != "k":
         raise ApplicabilityError(f"{family} is not a family in regime {c.regime}")
-    return _member(c, family)(None, 0)
+    return _member(c, family)(None)
 
 
 # ----------------------------------------------------------------------
@@ -910,18 +909,9 @@ def _build_points(alpha, entries):
     ]
     pts.sort(key=lambda p: p.m_star, reverse=True)
     # distinct classes can share a value (observed once, at (2,10) where the
-    # first-branch delta_{0,6} collapses onto delta_{-1}); keep one point
-    out = [pts[0]]
-    for y in pts[1:]:
-        order = out[-1].m_star._cmp(y.m_star)
-        if order == 0:
-            continue
-        if order < 0:
-            raise RuntimeError(
-                f"catalogue values not strictly decreasing: {out[-1].label}, {y.label}"
-            )
-        out.append(y)
-    return tuple(out)
+    # first-branch delta_{0,6} collapses onto delta_{-1}); the sort is stable,
+    # so this keeps the first entry of each run of equal values
+    return tuple(next(run) for _, run in groupby(pts, key=lambda p: p.m_star))
 
 
 # a k beyond every k1 of the table: see _Class for why one k is enough
@@ -957,11 +947,10 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     c = _Pair(alpha)
-    D = alpha.D
     table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
     forever = {f: _member(c, f) for f, e in table
                if e.param == "k" and e.applies(c, _LARGE_K)}
-    limits = {f: member(None, 0) for f, member in forever.items()}
+    limits = {f: member(None) for f, member in forever.items()}
     limit = max(limits.values())
     fams = [f for f in forever
             if limits[f] == limit and (c.regime, f, c.a, c.b) != _NOT_LISTED]
@@ -974,7 +963,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         member = None
         for cls in _params(c, f, entry, ks):
             member = member or _member(c, f)  # built at the first applicable class
-            value = _value(member, cls, D)
+            value = member(_param(cls))
             if value > limit:
                 entries.append((cls, value, "isolated", "none"))
     fam_infos = []
@@ -982,15 +971,13 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         spec, f = _CLASSES[c.regime, fam], forever[fam]
         ks = tuple(range(spec.k0, kmax + 1))
         fam_infos.append(FamilyInfo(fam, spec.direction, limit, ks))
-        z = D**spec.k0
         for k in ks:
             if not spec.applies(c, k):
                 raise RuntimeError(
                     f"listed family {fam} does not apply at k={k}, "
                     f"(a,b)=({c.a},{c.b})"
                 )
-            entries.append((ClassId(fam, k=k), f(k, z), "family_member", spec.direction))
-            z *= D
+            entries.append((ClassId(fam, k=k), f(k), "family_member", spec.direction))
     entries.append((ClassId(fams[-1]), limit, "limit_point", "none"))
     return SpectrumCatalog(
         alpha=alpha,

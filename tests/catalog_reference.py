@@ -14,8 +14,8 @@ from inhomspec.spectrum import (
     _build_points,
     _member,
     _Pair,
+    _param,
     _require,
-    _value,
     odd_params,
     regime,
 )
@@ -143,13 +143,13 @@ def reference_catalog(alpha, kmax):
     entries = []
     for cls in iso:
         _require(cls, c)
-        entries.append((cls, _value(members[cls.family], cls, alpha.D), "isolated", "none"))
+        entries.append((cls, members[cls.family](_param(cls)), "isolated", "none"))
     for fam in fams:
         spec, f = _CLASSES[c.regime, fam], members[fam]
         for k in range(spec.k0, kmax + 1):
             cls = ClassId(fam, k=k)
             _require(cls, c)
-            entries.append((cls, _value(f, cls, alpha.D), "family_member", spec.direction))
-    limit = members[fams[0]](None, 0)
+            entries.append((cls, f(k), "family_member", spec.direction))
+    limit = members[fams[0]](None)
     entries.append((ClassId(fams[0]), limit, "limit_point", "none"))
     return _build_points(alpha, entries), limit, fams

@@ -278,6 +278,17 @@ def test_walk_residue_exactly_one_half(lo):
     _walk_and_loop(A48, g, lo, 900, two_sided=True)
 
 
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("s", [1, -1])
+def test_walk_leaves_when_its_table_runs_out(s, two_sided):
+    # gamma sits 10^-30 off the lattice point 5*eta, so the record at n = 5
+    # has a residue so small that its step needs a convergent past the
+    # window's 12-entry table (t = 10 for s = 1, 11 for s = -1); the walk
+    # yields that record and ends
+    g = A48.eta * 5 - F(s, 10**30)
+    _walk_and_loop(A48, g, 1, 1000, two_sided)
+
+
 def test_walk_far_window():
     al = make_alpha(5, 7)
     g = _gamma_of(ClassId("S0"), al)

@@ -284,12 +284,13 @@ def test_closed_forms_match_the_evaluator_past_k_4():
 
 def test_rational_members_match_the_plain_formula_past_k_8(monkeypatch):
     # every member _rational returns, at every covered pair and the two
-    # off-grid pairs, for k = k0..24 and at z = 0, against the formula
-    # (x + p*w)(y + q*w), w = u / (1 + h*u), u = z^n, in plain QuadNum operators
-    def plain(n, h, x, p, y, q, z):
-        if z == 0:
+    # off-grid pairs, for k = k0..24 and at the limit k = None, against the
+    # formula (x + p*w)(y + q*w), w = u / (1 + h*u), u = (D^n)^k, in plain
+    # QuadNum operators
+    def plain(Dn, h, x, p, y, q, k):
+        if k is None:
             return x * y
-        u = z**n
+        u = Dn**k
         w = u / (1 + h * u)
         return (x + p * w) * (y + q * w)
 
@@ -305,7 +306,6 @@ def test_rational_members_match_the_plain_formula_past_k_8(monkeypatch):
     reached, n = set(), 0
     for a, b in [*covered_pairs(), (10, 16), (12, 18)]:
         c = _Pair(make_alpha(a, b))
-        D = c.alpha.D
         for (reg, family), entry in _CLASSES.items():
             if reg != c.regime or entry.param != "k":
                 continue
@@ -315,10 +315,9 @@ def test_rational_members_match_the_plain_formula_past_k_8(monkeypatch):
                 continue
             (args, member), = calls
             reached.add((reg, family))
-            assert member(None, 0) == plain(*args, 0), (a, b, family)
+            assert member(None) == plain(*args, None), (a, b, family)
             for k in range(entry.k0, 25):
-                z = D**k
-                assert member(k, z) == plain(*args, z), (a, b, family, k)
+                assert member(k) == plain(*args, k), (a, b, family, k)
                 n += 1
     assert len(reached) == 21  # the 20 shared members and even-even Sk4's family
     assert n == 13401
