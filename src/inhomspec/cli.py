@@ -199,7 +199,10 @@ def _cmd_sweep(args) -> int:
     pairs = _parse_grid(args.grid) if args.grid else list(covered_pairs())
     rows = [["a", "b", "rho_star_label", "rho_star", "second", "gap", "first_limit_point"]]
     for a, b in pairs:
-        cat = spectrum_catalog(make_alpha(a, b))
+        # the rows read the top two values and L, which no kmax >= 2 changes:
+        # a listed decreasing family's two largest members are k0 and k0 + 1,
+        # both <= 2, and an increasing family's members lie below L
+        cat = spectrum_catalog(make_alpha(a, b), kmax=2)
         gap = isolation_gap(cat)
         rows.append([
             a, b, cat.rho_star.label,

@@ -196,13 +196,10 @@ class TSequence:
 
     def digits(self, alpha: PeriodTwoAlpha) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(preperiod, period) as plain digits b_i = (a_i - 2 + t_i)/2."""
-        def conv(ts: tuple[int, ...], offset: int) -> tuple[int, ...]:
-            return tuple(
-                _digit(t, alpha.partial_quotient(i))
-                for i, t in enumerate(ts, start=offset + 1)
-            )
-
-        return conv(self.preperiod, 0), conv(self.period, len(self.preperiod))
+        b = tuple(_digit(t, alpha.partial_quotient(i))
+                  for i, t in enumerate(self.preperiod + self.period, start=1))
+        n = len(self.preperiod)
+        return b[:n], b[n:]
 
     def __str__(self) -> str:
         pre = ",".join(map(str, self.preperiod))
@@ -423,10 +420,6 @@ def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
     return t == alpha.partial_quotient(i)
 
 
-def _has_max_digit(period: Sequence[int], alpha: PeriodTwoAlpha) -> bool:
-    return any(_is_max(t, i, alpha) for i, t in enumerate(period, start=1))
-
-
 def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
     """Digit sequence of 1 - alpha - gamma, up to a vector of Z + alpha Z.
 
@@ -474,7 +467,7 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     tseq.validate(alpha)
     period = TSequence(tseq.period)
     candidates: list[QuadNum] = []
-    if _has_max_digit(period.period, alpha):
+    if any(_is_max(t, i, alpha) for i, t in enumerate(period.period, start=1)):
         variants = (period, reflect(period, alpha))
         picks = (0, 1, 3)
     else:

@@ -272,15 +272,13 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
 
     gamma in Z + alpha*Z is refused with ValueError: M(alpha, gamma) is not
     defined there, and a walk reaches e = 0 on one side when gamma is not an
-    integer.
+    integer.  The test runs on the walk's ints: gamma - c*eta, with
+    c = gy/ey an int, must be the int (gx - c*ex)/z.
     """
-    eta = alpha.eta
-    gamma = eta._coerce(gamma)
-    c = gamma.q / eta.q
-    rest = gamma - eta * c.numerator
-    if c.denominator == 1 and rest == rest.floor():
+    ex, ey, gx, gy, z, N = _pairs(alpha.eta, gamma)
+    c, r = divmod(gy, ey)
+    if r == 0 and (gx - c * ex) % z == 0:
         raise ValueError("gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined")
-    ex, ey, gx, gy, z, N = _pairs(eta, gamma)
     table, entries = [], _errors(ex, ey, z, N)  # both sides extend one table
     quotients = {}  # t -> |e_{t-1}|/|e_t|, shared by both sides like the table
 

@@ -436,12 +436,8 @@ class QuadNum:
         p, q = self.p, self.q
         if q == 0:
             return str(p)
-        qs = f"{q}*sqrt({self._N})"
-        if p == 0:
-            return qs
-        op = "+" if q > 0 else "-"
-        mag = f"{abs(q)}*sqrt({self._N})"
-        return f"{p} {op} {mag}"
+        lead = f"{p} {'+' if q > 0 else '-'} " if p else ""  # p +- |q|*sqrt(N)
+        return f"{lead}{abs(q) if p else q}*sqrt({self._N})"
 
 
 def qnum(p: RationalLike, q: RationalLike, N: int) -> QuadNum:

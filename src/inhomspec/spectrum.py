@@ -27,10 +27,10 @@ return the shared member _rational(D**n, h, x, p, y, q).  That member is
 operands' ints with quadfield's _ints, takes u = (D^n)^k from quadfield's
 _pow (the one repeated-squaring loop, which QuadNum's ** also runs), and
 reduces the result once.  Three entries keep a member of their own: even-even
-Sk4, whose k = 0 member and (6,10) k = 1 member the family formula does not
-give (its other members go through _rational); odd Sk6, which has two
-different numerators over 1 - D^(3k+1); and the t-class S0t, whose formula
-branches on t.
+Sk4, whose k = 0 member at the two ends of the range of b and (6,10) k = 1
+member the family formula does not give (its other members go through
+_rational); odd Sk6, which has two different numerators over 1 - D^(3k+1);
+and the t-class S0t, whose formula branches on t.
 A k-family's entry also records the direction in which its members approach
 the limit and the first k the catalogue lists.
 
@@ -213,8 +213,9 @@ class _Class:
     the member function member(p): the value at parameter p.  The family
     limit of a k-family is member(None).  A family's form returns the shared
     member of _rational, the integer kernel for (x + p*w)(y + q*w) with
-    w = u / (1 + h*u), u = D^(n*k), except even-even Sk4 (its k = 0 and
-    (6,10) k = 1 overrides; its other members go through _rational), odd
+    w = u / (1 + h*u), u = D^(n*k), except even-even Sk4 (its k = 0
+    override at the two ends of the range of b and its (6,10) k = 1
+    override; its other members go through _rational), odd
     Sk6 (two numerators over 1 - D^(3k+1)) and the t-class S0t (a branch on
     t).  The coefficients x, p, y, q and h are QuadNums, ints or Fractions.
     A k-family's members approach the limit in `direction`, and the
@@ -236,8 +237,9 @@ class _Class:
     k0: Optional[int]
 
 
-# (regime, family) -> entry.  Within a regime, declaration order is the order
-# in which equivalence_cases yields plain classes, k-families and t-classes.
+# (regime, family) -> entry.  Within a regime the entries are declared plain
+# classes first, then k-families, then t-classes, and declaration order is the
+# order in which equivalence_cases yields them.
 _CLASSES: dict[tuple[str, str], _Class] = {}
 
 
@@ -403,20 +405,20 @@ def _(c, e, B, D):
         listed=("decreasing", 0))
 def _(c, e, B, D):
     a, b = c.a, c.b
+    hi, lo = b >= max(3 * a - 6, 2 * a), b <= min(a + 6, 2 * a - 2)
     g = 2 * D
     family = _rational(D, -D, 1 - e + g * (1 - e) / (1 - D), g,
                        1 - 3 * B + g * (1 - B) / (1 - D), -B * g)
 
     def member(k):
-        # k = 0 has its own closed form, which differs from the family formula
-        if k == 0:
+        # at the two ends of the range of b, k = 0 has a closed form of its
+        # own, which differs from the family formula; in between it is family(0)
+        if k == 0 and (hi or lo):
             u = g * (1 - 2 * B) / (1 - D)
             v = g * (2 - e) / (1 - D)
-            if b >= max(3 * a - 6, 2 * a):
+            if hi:
                 return (1 + 3 * B - u) * (1 - 3 * e + v)
-            if b <= min(a + 6, 2 * a - 2):
-                return (1 - 5 * B + u) * (1 + e - v)
-            return (1 - 3 * B + u) * (1 - e + v)
+            return (1 - 5 * B + u) * (1 + e - v)
         if (a, b) == (6, 10) and k == 1:
             # explicit surd for the one case outside the family formula's range
             return QuadNum(Fraction(703, 40), Fraction(-703, 2400), c.alpha.N)
@@ -1013,22 +1015,21 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
     minimum falls below the printed limit value); only k = 0, where both
     sides agree, is checked.
 
-    Plain classes come first, then k-families for k = 0..kmax, then the
-    t-classes, each in class-table order.  A negative kmax raises ValueError.
+    The classes come in class-table order, which declares plain classes
+    first, then k-families (here k = 0..kmax), then t-classes.  A negative
+    kmax raises ValueError.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     c = _Pair(alpha)
     ks = range(kmax + 1)
-    table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
-    for kind in (None, "k", "t"):
-        for f, entry in table:
-            if entry.param != kind:
+    for (reg, f), entry in _CLASSES.items():
+        if reg != c.regime:
+            continue
+        for cls in _params(c, f, entry, ks):
+            if f == "Sk6" and reg == "even-even" and cls.k >= 1:
                 continue
-            for cls in _params(c, f, entry, ks):
-                if f == "Sk6" and c.regime == "even-even" and cls.k >= 1:
-                    continue
-                yield cls
+            yield cls
 
 
 @dataclass(frozen=True)

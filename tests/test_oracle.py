@@ -104,7 +104,8 @@ def test_oracle_m_equals_the_closed_forms_on_the_grid():
 
 def test_oracle_m_refuses_lattice_targets():
     # gamma in Z + alpha*Z is outside the definition of M(alpha, gamma)
-    for g in (A48.eta, A48.eta * 5, A48.eta * -3 + 2, A48.one * 7):
+    for g in (A48.eta, A48.eta * 5, A48.eta * -3 + 2, A48.one * 7,
+              7, A48.eta * -12 + 5, A48.eta * 1000 - 3):
         with pytest.raises(ValueError, match="Z \\+ alpha\\*Z"):
             oracle_m(A48, g)
     # a window still reports what it sees: gamma = 5*alpha is an exact zero at n = 5
@@ -113,6 +114,8 @@ def test_oracle_m_refuses_lattice_targets():
     assert brute_force_min(A48, A48.eta * 5, 100, 1000).window_min > 0
     # a near miss is not refused
     assert oracle_m(A48, A48.eta / 2).m > 0
+    for g in (F(1, 3), A48.eta + F(1, 2), (A48.eta * 5 + 1) / 3):
+        assert oracle_m(A48, g).m > 0
 
 
 def test_oracle_m_certificate_is_pinned():

@@ -254,6 +254,53 @@ def test_equivalence_case_order_is_pinned():
         assert (n, h.hexdigest()) == (count, digest), kmax
 
 
+def test_class_table_declares_plain_then_k_then_t_per_regime():
+    # equivalence_cases reads the table in one pass and yields plain classes,
+    # then k-families, then t-classes: that order is the declaration order
+    rank = {None: 0, "k": 1, "t": 2}
+    regimes = {}
+    for (reg, _), entry in _CLASSES.items():
+        regimes.setdefault(reg, []).append(rank[entry.param])
+    assert set(regimes) == {"even-odd", "even-even", "odd", "two"}
+    for reg, ranks in regimes.items():
+        assert ranks == sorted(ranks), reg
+
+
+def test_closed_forms_match_the_evaluator_at_every_pair_to_b_40():
+    # every case equivalence_cases yields at kmax 4, at each of the 739 pairs
+    # the catalogue pins cover
+    n = 0
+    for a, b in covered_pairs(2, 39, 3, 40):
+        for res in verify_equivalence(make_alpha(a, b), 4):
+            assert res.ok, (a, b, res.cls)
+            n += 1
+    assert n == 9216
+
+
+def test_even_even_sk4_k0_matches_its_three_branch_form_to_b_120():
+    # the k = 0 member keeps its own form at the two ends of the range of b
+    # and is the family formula's k = 0 value in between; this is the form
+    # with the middle branch written out
+    def three_branch(al):
+        a, b, e, B, D = al.a, al.b, al.eta, al.beta, al.D
+        g = 2 * D
+        u = g * (1 - 2 * B) / (1 - D)
+        v = g * (2 - e) / (1 - D)
+        if b >= max(3 * a - 6, 2 * a):
+            return (1 + 3 * B - u) * (1 - 3 * e + v)
+        if b <= min(a + 6, 2 * a - 2):
+            return (1 - 5 * B + u) * (1 + e - v)
+        return (1 - 3 * B + u) * (1 - e + v)
+
+    middle = 0
+    for a in range(4, 119, 2):
+        for b in range(a + 2, 121, 2):
+            al = make_alpha(a, b)
+            assert delta_closed_form(ClassId("Sk4", k=0), al) == three_branch(al), (a, b)
+            middle += not (b >= max(3 * a - 6, 2 * a) or b <= min(a + 6, 2 * a - 2))
+    assert middle == 954
+
+
 def test_closed_forms_match_the_evaluator_past_k_4():
     # every k-family member at k = 8 and 16 that applies, at every covered
     # pair and at two off-grid pairs for the families the grid never reaches;
