@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .quadfield import QuadNum
 
@@ -63,13 +63,9 @@ class PeriodTwoAlpha:
     def one(self) -> QuadNum:
         return QuadNum(1, 0, self.N)
 
-    @cached_property
+    @property
     def norm_factor(self) -> QuadNum:
-        """4(1 - D), the bridge between normalized and plain minima.
-
-        Computed on first use and kept on the instance, like D a constant of
-        alpha; threads racing on the first use compute the same value.
-        """
+        """4(1 - D), the bridge between normalized and plain minima."""
         return (1 - self.D) * 4
 
     def __str__(self) -> str:

@@ -124,11 +124,13 @@ def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple[int
 
 def _pairs(eta: QuadNum, gamma: QuadNum) -> tuple[int, ...]:
     """(ex, ey, gx, gy, z, N): eta = (ex + ey*sqrt(N))/z and gamma likewise,
-    over z = the lcm of their denominators; gamma is read in eta's field."""
-    gx, gy, gz = eta._parts(gamma)
+    over z = the lcm of their denominators.  gamma is read by eta._parts, so
+    N is eta's field (eta is irrational), and a gamma irrational in another
+    field raises ContextMismatchError."""
+    gx, gy, gz, N = eta._parts(gamma)
     z = lcm(eta._z, gz)
     e, g = z // eta._z, z // gz
-    return eta._x * e, eta._y * e, gx * g, gy * g, z, eta._N
+    return eta._x * e, eta._y * e, gx * g, gy * g, z, N
 
 
 def _records(

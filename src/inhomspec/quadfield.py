@@ -28,17 +28,22 @@ floor takes one integer square root: for y != 0 let s = isqrt(y^2 N); since
 sqrt(y^2 N) is irrational it lies strictly between s and s + 1, so the floor
 of (x + y*sqrt(N))/z is (x + s)//z when y > 0 and (x - s - 1)//z when y < 0.
 
-N is *not* required to be squarefree.  Values living in different fields may
-only be mixed when one of them is rational (y == 0); anything else raises
-:class:`ContextMismatchError`.  :meth:`QuadNum.reduced` pulls the square part
-out of N when a canonical squarefree representative is wanted.
+Every binary operator and comparison reads its operand through one method,
+``QuadNum._parts``, which returns the operand's ints (x, y, z) and the field
+N of the result.  That is the one statement of the field rule: values living
+in different fields may only be mixed when one of them is rational (y == 0),
+whose ints hold in any field, and the result then lives in the irrational
+operand's field; two irrationals of different fields raise
+:class:`ContextMismatchError`.  N is *not* required to be squarefree.
+:meth:`QuadNum.reduced` pulls the square part out of N when a canonical
+squarefree representative is wanted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional, Union
+from typing import Union
 
 __all__ = [
     "QuadNum",
@@ -185,28 +190,31 @@ class QuadNum:
     # context handling
     # ------------------------------------------------------------------
 
-    def _parts(self, other) -> Optional[tuple[int, int, int]]:
-        """(x, y, z) of `other` in this value's field, or raise.
+    def _parts(self, other) -> tuple[int, int, int, int]:
+        """(x, y, z, N): `other` as (x + y*sqrt(N))/z, and the field N of a
+        result of this value and `other`, or raise.
 
-        None means this value is rational and `other` is an irrational of
-        another field, which then holds the result.
+        N is this value's field, unless this value is rational and `other`
+        is an irrational of another field: a rational's ints hold in any
+        field.  Two irrationals of different fields raise
+        ContextMismatchError; an operand that is not a QuadNum, int or
+        Fraction (bool and float included) raises TypeError.
         """
+        N = self._N
         if type(other) is QuadNum:
-            if other._N == self._N or other._y == 0:
-                return other._x, other._y, other._z
-            if self._y == 0:
-                return None
-            raise ContextMismatchError(
-                f"cannot mix sqrt({self._N}) and sqrt({other._N}) values"
-            )
+            if other._N != N and other._y != 0:
+                if self._y != 0:
+                    raise ContextMismatchError(
+                        f"cannot mix sqrt({N}) and sqrt({other._N}) values")
+                N = other._N
+            return other._x, other._y, other._z, N
         if type(other) is int:
-            return other, 0, 1
-        return _ints(_frac(other))
+            return other, 0, 1, N
+        return *_ints(_frac(other)), N
 
     def _coerce(self, other) -> "QuadNum":
-        """Bring `other` into this value's field, or raise."""
-        t = self._parts(other)
-        return other if t is None else _make(*t, self._N)
+        """`other` in the field of a result of this value and `other`."""
+        return _make(*self._parts(other))
 
     def is_rational(self) -> bool:
         return self._y == 0
@@ -215,22 +223,16 @@ class QuadNum:
     # ring / field operations
     # ------------------------------------------------------------------
 
-    # Each binary operator first takes the two operands that dominate every
-    # caller -- a QuadNum of the same field and a plain int -- straight from
-    # their ints; everything else goes through _coerce into the same-field
-    # formula.  That formula works in other's field: a foreign irrational is
-    # only ever coerced for a rational self, whose ints hold in any field.
-    # Every result goes through _make, so each is in the unique lowest-terms
-    # form whichever path built it.
+    # Each binary operator reads its operand once, through _parts, and
+    # builds its result in the field _parts names with one _make or _div.
+    # A rational self's ints hold in any field, so the same formula serves
+    # every operand kind.  Every result goes through _make, so each is in
+    # the unique lowest-terms form.
 
     def __add__(self, other) -> "QuadNum":
-        if not (type(other) is QuadNum and other._N == self._N):
-            if type(other) is int:
-                return _make(self._x + other * self._z, self._y, self._z, self._N)
-            other = self._coerce(other)
-        z1, z2 = self._z, other._z
-        return _make(self._x * z2 + other._x * z1, self._y * z2 + other._y * z1,
-                     z1 * z2, other._N)
+        x, y, z, N = self._parts(other)
+        z1 = self._z
+        return _make(self._x * z + x * z1, self._y * z + y * z1, z1 * z, N)
 
     __radd__ = __add__
 
@@ -238,27 +240,19 @@ class QuadNum:
         return _make(-self._x, -self._y, self._z, self._N)
 
     def __sub__(self, other) -> "QuadNum":
-        if not (type(other) is QuadNum and other._N == self._N):
-            if type(other) is int:
-                return _make(self._x - other * self._z, self._y, self._z, self._N)
-            other = self._coerce(other)
-        z1, z2 = self._z, other._z
-        return _make(self._x * z2 - other._x * z1, self._y * z2 - other._y * z1,
-                     z1 * z2, other._N)
+        x, y, z, N = self._parts(other)
+        z1 = self._z
+        return _make(self._x * z - x * z1, self._y * z - y * z1, z1 * z, N)
 
     def __rsub__(self, other) -> "QuadNum":
-        if type(other) is int:
-            return _make(other * self._z - self._x, -self._y, self._z, self._N)
-        return self._coerce(other) - self
+        x, y, z, N = self._parts(other)
+        z1 = self._z
+        return _make(x * z1 - self._x * z, y * z1 - self._y * z, z1 * z, N)
 
     def __mul__(self, other) -> "QuadNum":
+        x, y, z, N = self._parts(other)
         x1, y1 = self._x, self._y
-        if not (type(other) is QuadNum and other._N == self._N):
-            if type(other) is int:
-                return _make(x1 * other, y1 * other, self._z, self._N)
-            other = self._coerce(other)
-        x2, y2, N = other._x, other._y, other._N
-        return _make(x1 * x2 + y1 * y2 * N, x1 * y2 + y1 * x2, self._z * other._z, N)
+        return _make(x1 * x + y1 * y * N, x1 * y + y1 * x, self._z * z, N)
 
     __rmul__ = __mul__
 
@@ -266,13 +260,11 @@ class QuadNum:
         return _div(1, 0, 1, self._x, self._y, self._z, self._N)
 
     def __truediv__(self, other) -> "QuadNum":
-        t = self._parts(other)
-        if t is None:  # self is rational; the divisor's field holds the result
-            return other.__rtruediv__(self)
-        return _div(self._x, self._y, self._z, *t, self._N)
+        return _div(self._x, self._y, self._z, *self._parts(other))
 
     def __rtruediv__(self, other) -> "QuadNum":
-        return _div(*self._parts(other), self._x, self._y, self._z, self._N)
+        x, y, z, N = self._parts(other)
+        return _div(x, y, z, self._x, self._y, self._z, N)
 
     def __pow__(self, k: int) -> "QuadNum":
         if not isinstance(k, int):
@@ -298,12 +290,9 @@ class QuadNum:
         return _sign(self._x, self._y, self._N)
 
     def _cmp(self, other) -> int:
-        t = self._parts(other)
-        if t is None:
-            return -other._cmp(self)
-        x2, y2, z2 = t
+        x, y, z, N = self._parts(other)
         z1 = self._z
-        return _sign(self._x * z2 - x2 * z1, self._y * z2 - y2 * z1, self._N)
+        return _sign(self._x * z - x * z1, self._y * z - y * z1, N)
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -330,8 +319,8 @@ class QuadNum:
 
     def __hash__(self):
         if self._y == 0:
-            return hash(self.p)
-        return hash((self.p, self.q, self._N))
+            return hash(self.p)  # equal to the hash of the equal int or Fraction
+        return hash((self._x, self._y, self._z, self._N))
 
     def __bool__(self) -> bool:
         return self._x != 0 or self._y != 0

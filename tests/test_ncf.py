@@ -21,12 +21,11 @@ def test_make_alpha_4_8():
     assert al.eta * 4 == 1 + al.D  # a*eta = 1 + D
 
 
-def test_norm_factor_is_computed_once_per_alpha():
+def test_norm_factor_is_four_times_one_minus_d():
     al = make_alpha(4, 8)
     assert al.norm_factor == 4 * (1 - al.D)
     assert al.norm_factor.same_value(qnum(-56, 16, 14))
-    assert al.norm_factor is al.norm_factor
-    assert al == make_alpha.__wrapped__(4, 8)  # equality ignores the kept value
+    assert al == make_alpha.__wrapped__(4, 8)
 
 
 def test_a_eta_b_beta_identities_on_grid():

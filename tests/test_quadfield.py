@@ -65,6 +65,22 @@ def test_context_mismatch():
         qnum(0, 1, 2) + qnum(0, 1, 3)
     # rational values pass between contexts freely
     assert qnum(3, 0, 2) + qnum(0, 1, 3) == qnum(3, 1, 3)
+    # the field rule, for every operator in both operand orders
+    r2, r3 = qnum(F(3, 2), 0, 2), qnum(F(3, 2), 0, 3)
+    # i3 = sqrt(3) - 1/5 lies above 3/2, and sqrt(2) - 1/5 below it
+    i2, i3 = qnum(1, F(1, 3), 2), qnum(F(-1, 5), 1, 3)
+    for name, op in BINARY.items():
+        # a field-2 rational meets a field-3 irrational in field 3
+        for (u, v), same in (((r2, i3), (r3, i3)), ((i3, r2), (i3, r3))):
+            got = op(u, v)
+            assert got == op(*same), name
+            assert not isinstance(got, QuadNum) or got.N == 3, name
+        for u, v in ((i2, i3), (i3, i2)):
+            if name in ("eq", "ne"):
+                assert op(u, v) is (name == "ne")
+            else:
+                with pytest.raises(ContextMismatchError):
+                    op(u, v)
 
 
 def test_sign_zero():
@@ -235,8 +251,8 @@ def test_arithmetic_results_are_canonical(x, y, z, N):
         assert got == want and hash(got) == hash(want)
         # a non-canonical result would differ from its public rebuild
         assert got == qnum(got.p, got.q, got.N)
-    # every operator against every operand kind, on both sides: the int and
-    # same-field paths skip work, and must still leave lowest terms, z > 0
+    # every operator against every operand kind, on both sides, must leave
+    # lowest terms, z > 0
     kinds = (0, -1, -7, 3, BIG, -BIG, x, F(y, z), F(-1, 3), w,
              qnum(F(y, z), 0, N), qnum(F(x + 1, 5), 0, 7))  # 7: never drawn as N
     for other in kinds:
@@ -466,7 +482,12 @@ class RefQuadNum:
     def __hash__(self):
         if self.q == 0:
             return hash(self.p)
-        return hash((self.p, self.q, self.N))
+        # QuadNum's canonical ints: p = x/z and q = y/z over z = lcm of the
+        # reduced denominators
+        p, q = self.p, self.q
+        z = math.lcm(p.denominator, q.denominator)
+        x, y = p.numerator * (z // p.denominator), q.numerator * (z // q.denominator)
+        return hash((x, y, z, self.N))
 
     def __bool__(self):
         return self.sign() != 0

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import inhomspec
+from inhomspec.quadfield import QuadNum
 
 
 def test_no_assert_statements():
@@ -38,3 +40,21 @@ def test_no_float_calls_outside_quadnum_float():
             and node.func.id == "float" and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_bench_tracer_names_exist():
+    # bench/tracing.py rebinds these names for a traced run (--trace 1), so a
+    # refactor that drops one of them must fail here too
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{modname}.{name}" for modname, name in tracing.SPANNED
+        if not callable(getattr(importlib.import_module(f"inhomspec.{modname}"), name, None))
+    ]
+    missing += [
+        f"QuadNum.{name}" for names in tracing.QUADNUM_KINDS.values()
+        for name in names if name not in QuadNum.__dict__
+    ]
+    assert missing == []
