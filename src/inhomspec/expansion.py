@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
-from .quadfield import QuadNum, _ints, _make
+from .quadfield import QuadNum, _ints, _make, _sign
 
 __all__ = [
     "Block",
@@ -380,8 +380,16 @@ def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[QuadNum, QuadNum], ...]:
 
 
 def _s_products(ci, cp, dm, dp):
-    """(s1*, s2*, s3*, s4*) at index i from ci = 1 - alpha_i,
-    cp = 1 - alpha_{i-1} and the tails dm = d_i^-, dp = d_i^+.
+    """(s1*, s2*, s3*, s4*) at index i as QuadNums, one _make each over
+    the ints of _s_ints."""
+    xy, z = _s_ints(ci, cp, dm, dp)
+    return tuple(_make(x, y, z, ci._N) for x, y in xy)
+
+
+def _s_ints(ci, cp, dm, dp):
+    """((x1, y1), ..., (x4, y4)), z with s_j* = (x_j + y_j*sqrt(N))/z and
+    z > 0, from ci = 1 - alpha_i, cp = 1 - alpha_{i-1} and the tails
+    dm = d_i^-, dp = d_i^+; nothing is reduced.
 
     The eight factors (1 -+ alpha_i +- dp), (1 -+ alpha_{i-1} +- dm) come
     from two per side, since 1 + alpha_i - dp = 2 - (1 - alpha_i + dp) and
@@ -392,8 +400,7 @@ def _s_products(ci, cp, dm, dp):
     ints.  Everything runs on the int triples (x, y, z) of
     (x + y*sqrt(N))/z: u and v are numerator pairs over one denominator
     zu = z(ci)*z(dp), f and g over zf = z(cp)*z(dm), 2 - u is
-    (2*zu - u_x, -u_y) over zu, and each product is one _make over zu*zf.
-    No intermediate sum is built or reduced.
+    (2*zu - u_x, -u_y) over zu, and the four products share z = zu*zf.
     """
     N = ci._N
     (ax, ay, az), (bx, by, bz) = _ints(ci), _ints(cp)
@@ -403,16 +410,15 @@ def _s_products(ci, cp, dm, dp):
     zu, zf = az * pz, bz * mz
     ux, uy, vx, vy = ax + px, ay + py, ax - px, ay - py
     fx, fy, gx, gy = bx + mx, by + my, bx - mx, by - my
-    z = zu * zf
     # 2 - w over the same denominator, for w = u, g, v, f
     ux2, uy2, vx2, vy2 = 2 * zu - ux, -uy, 2 * zu - vx, -vy
     gx2, gy2, fx2, fy2 = 2 * zf - gx, -gy, 2 * zf - fx, -fy
     return (
-        _make(ux * fx + uy * fy * N, ux * fy + uy * fx, z, N),
-        _make(ux2 * gx2 + uy2 * gy2 * N, ux2 * gy2 + uy2 * gx2, z, N),
-        _make(vx * gx + vy * gy * N, vx * gy + vy * gx, z, N),
-        _make(vx2 * fx2 + vy2 * fy2 * N, vx2 * fy2 + vy2 * fx2, z, N),
-    )
+        (ux * fx + uy * fy * N, ux * fy + uy * fx),
+        (ux2 * gx2 + uy2 * gy2 * N, ux2 * gy2 + uy2 * gx2),
+        (vx * gx + vy * gy * N, vx * gy + vy * gx),
+        (vx2 * fx2 + vy2 * fy2 * N, vx2 * fy2 + vy2 * fx2),
+    ), zu * zf
 
 
 def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
@@ -459,27 +465,39 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     and for its reflection.
 
     Per variant the tails take four int walks of _tails (two to close the
-    cycle, then d^+ and d^-), and _s_products builds each index's four
-    products with four _makes straight from the ints of the two tails and of
-    1 - eta and 1 - beta (computed once per call), with no intermediate
-    sums; the minimum is found by exact QuadNum comparison.
+    cycle, then d^+ and d^-), and _s_ints gives each index's four products
+    as numerator pairs over one shared denominator z, straight from the ints
+    of the two tails and of 1 - eta and 1 - beta (computed once per call).
+    The minimum is found on ints: within an index by the sign of a
+    numerator difference, across indices and variants by cross-multiplying
+    with the running best (X, Y, Z), the first of equal values kept.  One
+    _make reduces the winner; no other QuadNum is built or compared outside
+    the tails.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)
-    candidates: list[QuadNum] = []
     if any(_is_max(t, i, alpha) for i, t in enumerate(period.period, start=1)):
         variants = (period, reflect(period, alpha))
         picks = (0, 1, 3)
     else:
         variants = (period,)
         picks = (0, 1, 2, 3)
+    first, *rest = picks
     one_minus = _one_minus(alpha)
+    N = alpha.N
+    X, Y, Z = 1, 0, 0  # 1/0 is above every product: x*0 - 1*z = -z < 0
     for seq in variants:
         minus, plus = _period_tails(seq.period, alpha)
         for i in range(len(seq.period)):
-            s = _s_products(*one_minus[i % 2], minus[i], plus[i])
-            candidates.extend(s[j] for j in picks)
-    return min(candidates)
+            s, z = _s_ints(*one_minus[i % 2], minus[i], plus[i])
+            x, y = s[first]
+            for j in rest:
+                qx, qy = s[j]
+                if _sign(qx - x, qy - y, N) < 0:
+                    x, y = qx, qy
+            if _sign(x * Z - X * z, y * Z - Y * z, N) < 0:
+                X, Y, Z = x, y, z
+    return _make(X, Y, Z, N)
 
 
 def m_value(mstar: QuadNum, alpha: PeriodTwoAlpha) -> QuadNum:

@@ -19,7 +19,8 @@ Two constructors:
 The int-level code of the package (expansion's tails and s-products,
 spectrum's shared member function) reads a value's triple through _ints and
 raises to a power through _pow, the one repeated-squaring loop, which ``**``
-runs too.
+runs too; expansion's m_star compares its s-products with _sign on their
+unreduced numerators.
 
 All comparisons, floors and printed digits are derived from integer
 arithmetic only; hardware floats never enter any decision.  The sign of

@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mstar_reference
-from inhomspec.quadfield import qnum
+from inhomspec.quadfield import QuadNum, qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs
 from inhomspec.expansion import (
+    _s_ints,
     _s_products,
     _tails,
     AlignmentError,
@@ -587,6 +589,39 @@ def test_m_star_max_mode_uses_reflection():
 def test_m_star_ignores_preperiod():
     seq = TSequence((0, 2, 0, -2), preperiod=(0, 0))
     assert m_star(seq, A48) == m_star(TSequence((0, 2, 0, -2)), A48)
+
+
+@pytest.mark.parametrize("word, ties, zs", [
+    ((0, 0), {(0, 0), (0, 2), (1, 0), (1, 2)}, {128}),
+    ((-2, -4, 0, 4), {(0, 0), (1, 0)}, {1605632, 3211264}),
+])
+def test_m_star_reduces_one_of_equal_minima(word, ties, zs):
+    # at (4,8) the least product of (0, 0) is s1* == s3* at both indices, over
+    # an unreduced z = 128; (-2, -4, 0, 4) reaches it at two indices over
+    # different unreduced z.  The value is the reference's, in lowest terms.
+    want = mstar_reference.m_star(word, A48)
+    got = m_star(TSequence(word), A48)
+    assert got == want and hash(got) == hash(want)
+    assert got._z > 0 and gcd(got._x, got._y, got._z) == 1
+    minus, plus = mstar_reference.tails(word, A48)
+    at = {(i, j) for i in range(len(word)) for j, s in
+          enumerate(mstar_reference.products(A48, i, minus[i], plus[i])) if s == want}
+    assert at == ties
+    assert {_s_ints(1 - A48.alpha_at(i), 1 - A48.alpha_at(i - 1),
+                    minus[i], plus[i])[1] for i, _ in ties} == zs
+
+
+def test_m_star_compares_no_quadnum(monkeypatch):
+    # a plain word and one with a maximal digit (2 = a at (2,7)), which takes
+    # the reflection path: the minimum is found on ints
+    cases = [(A57, (-1, 1, -1, 3)), (make_alpha(2, 7), (2, -3))]
+    want = [mstar_reference.m_star(word, al) for al, word in cases]
+
+    def no_cmp(self, other):
+        raise AssertionError("QuadNum comparison")
+
+    monkeypatch.setattr(QuadNum, "_cmp", no_cmp)
+    assert [m_star(TSequence(word), al) for al, word in cases] == want
 
 
 def test_m_value_round_trip():

@@ -586,6 +586,38 @@ def test_decreasing_families_that_go_on_forever_reach_the_first_limit_point():
     assert n == 378
 
 
+def test_table_words_outside_their_side_conditions_add_no_value():
+    # every entry's word where its applies() is False: plain classes, k = 0..4
+    # and t = 0..5 at each pair with b <= 30.  A word either lands below the
+    # first limit point or equals a listed value, so no side condition hides
+    # a value above L.  The counts pin the table: an edit must explain them.
+    params = {None: (None,), "k": range(5), "t": range(6)}
+    words = refused = below = listed = 0
+    for a, b in covered_pairs(2, 29, 3, 30):
+        al = make_alpha(a, b)
+        c = _Pair(al)
+        cat = spectrum_catalog(al, 8)
+        values = {pt.m_star for pt in cat.points}
+        for (reg, f), entry in _CLASSES.items():
+            if reg != c.regime:
+                continue
+            for p in params[entry.param]:
+                if entry.applies(c, p):
+                    continue
+                words += 1
+                try:
+                    v = m_star(entry.period(c, p), al)
+                except ValueError:  # a digit out of range
+                    refused += 1
+                    continue
+                if v < cat.first_limit_point:
+                    below += 1
+                else:
+                    assert v in values, (a, b, f, p)
+                    listed += 1
+    assert (words, refused, below, listed) == (13259, 2954, 9701, 604)
+
+
 # ------------------------------------------------------- euclid
 
 def test_euclid_count_matches_a_deep_catalogue():
