@@ -322,7 +322,9 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # point fd 1 at devnull so the interpreter's last flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     except (ValueError, ZeroDivisionError, PeriodNotFoundError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -34,10 +34,11 @@ The brute-force oracle exposes such cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
-from .quadfield import QuadNum, _ints, _make, _sign
+from .quadfield import QuadNum, _ints, _make, _pow, _sign
 
 __all__ = [
     "Block",
@@ -271,48 +272,66 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
 # ----------------------------------------------------------------------
 # exact tail machinery
 # ----------------------------------------------------------------------
+#
+# Every tail below is an int triple (x, y, z) of (x + y*sqrt(N))/z in lowest
+# terms with z > 0, the form _make leaves a QuadNum in.  The walks, the
+# cycle closure and the s-products stay on these triples; a QuadNum is built
+# only where a public function returns one.
+
+Triple = tuple[int, int, int]
 
 
-def _tails(
-    ts: Sequence[int], alpha: PeriodTwoAlpha, d: QuadNum | int
-) -> list[QuadNum]:
+def _tails(ts: Sequence[int], alpha: PeriodTwoAlpha, d: Triple) -> list[Triple]:
     """Forward tails [d_0^+, ..., d_n^+] over the word ts = (t_1, ..., t_n).
 
-    Walks d_{i-1}^+ = alpha_{i-1} (t_i + d_i^+) back from d_n^+ = d, a value
-    of alpha's field or an int, which is listed as given.  Each step works
-    on the int triples (x, y, z) of (x + y*sqrt(N))/z: with alpha_{i-1} =
-    (p + q*sqrt(N))/r and u = x + t_i*z the next tail is
-    (p*u + q*y*N + (p*y + q*u)*sqrt(N))/(r*z), reduced by one _make.
+    Walks d_{i-1}^+ = alpha_{i-1} (t_i + d_i^+) back from d_n^+ = d, listed
+    as given.  With alpha_{i-1} = (p + q*sqrt(N))/r and d_i^+ = (x, y, z),
+    u = x + t_i*z, the next tail is (p*u + q*y*N, p*y + q*u, r*z) divided by
+    its gcd: one gcd per step keeps the ints from growing with the word.
     """
     N = alpha.N
-    eta, beta = alpha.eta, alpha.beta
     # alpha_{i-1} is eta at odd i and beta at even i
-    odd, even = _ints(eta), _ints(beta)
-    x, y, z = _ints(d)
+    odd, even = _ints(alpha.eta), _ints(alpha.beta)
+    x, y, z = d
     out = [d]
     for i in range(len(ts), 0, -1):
         p, q, r = odd if i % 2 else even
         u = x + ts[i - 1] * z
-        d = _make(p * u + q * y * N, p * y + q * u, r * z, N)
-        x, y, z = d._x, d._y, d._z
-        out.append(d)
+        x, y, z = p * u + q * y * N, p * y + q * u, r * z
+        g = gcd(x, y, z)
+        if g != 1:
+            x, y, z = x // g, y // g, z // g
+        out.append((x, y, z))
     out.reverse()
     return out
 
 
-def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> QuadNum:
+def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> Triple:
     """d_0^+ = d_L^+ of the bi-infinite period.
 
-    A walk round the period from the int 0 ends at c = (1 - D^(L/2)) d_0^+.
+    A walk round the period from 0 ends at c = (1 - D^(L/2)) d_0^+.  With
+    D^(L/2) = (x + y*sqrt(N))/z from _pow on D's ints, 1 - D^(L/2) is
+    (w + v*sqrt(N))/z for w = z - x, v = -y, and c is divided by it through
+    the conjugate w - v*sqrt(N), whose product with it is the nonzero int
+    n = w^2 - v^2 N.
     """
-    c = _tails(period, alpha, 0)[0]
-    return c / (1 - alpha.D ** (len(period) // 2))
+    N = alpha.N
+    cx, cy, cz = _tails(period, alpha, (0, 0, 1))[0]
+    x, y, z = _pow(*_ints(alpha.D), len(period) // 2, N)
+    w, v = z - x, -y
+    n = w * w - v * v * N
+    x, y, z = z * (cx * w - cy * v * N), z * (cy * w - cx * v), cz * n
+    if z < 0:
+        x, y, z = -x, -y, -z
+    g = gcd(x, y, z)
+    return x // g, y // g, z // g
 
 
 def _period_tails(
     period: tuple[int, ...], alpha: PeriodTwoAlpha
-) -> tuple[list[QuadNum], list[QuadNum]]:
-    """(d^-, d^+) of the bi-infinite period, each a list read at i mod L.
+) -> tuple[list[Triple], list[Triple]]:
+    """(d^-, d^+) of the bi-infinite period, each a list of reduced triples
+    read at i mod L; each list is one walk of _tails from _cycle_tail.
 
     The backward recurrence d_i^- = alpha_{i-1} (t_i + d_{i-1}^-) is the
     forward one on the reversed word u_k = t_{L+2-k}, read at k = L+1-i;
@@ -332,8 +351,9 @@ def gamma_value(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     1 - eta, and the t part is the forward tail d_0^+ (alpha_0 = eta).
     """
     tseq.validate(alpha)
-    d0 = _tails(tseq.preperiod, alpha, _cycle_tail(tseq.period, alpha))[0]
-    return (1 - alpha.eta + d0) / 2
+    x, y, z = _tails(tseq.preperiod, alpha, _cycle_tail(tseq.period, alpha))[0]
+    (cx, cy, cz), _ = _one_minus(alpha)[0]  # 1 - eta = (cx + cy*sqrt(N))/cz
+    return _make(cx * z + x * cz, cy * z + y * cz, 2 * cz * z, alpha.N)
 
 
 def d_plus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
@@ -348,7 +368,7 @@ def d_plus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
         raise UndefinedTailError("preperiod indices start at 1")
     n = len(tseq.preperiod)
     tails = _tails(tseq.preperiod + tseq.period, alpha, _cycle_tail(tseq.period, alpha))
-    return tails[i if i <= n else n + (i - n) % len(tseq.period)]
+    return _make(*tails[i if i <= n else n + (i - n) % len(tseq.period)], alpha.N)
 
 
 def d_minus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
@@ -360,7 +380,8 @@ def d_minus(tseq: TSequence, i: int, alpha: PeriodTwoAlpha) -> QuadNum:
             f"d^- is undefined at preperiod index {i}; the sequence is not "
             "two-sidedly determined there"
         )
-    return _period_tails(tseq.period, alpha)[0][(i - n) % len(tseq.period)]
+    minus = _period_tails(tseq.period, alpha)[0]
+    return _make(*minus[(i - n) % len(tseq.period)], alpha.N)
 
 
 def s_star(
@@ -369,42 +390,45 @@ def s_star(
     """(s1*, s2*, s3*, s4*) at index i of the bi-infinite periodic part."""
     tseq.validate(alpha)
     minus, plus = _period_tails(tseq.period, alpha)
-    j = i % len(tseq.period)
-    return _s_products(*_one_minus(alpha)[i % 2], minus[j], plus[j])
+    j, N = i % len(tseq.period), alpha.N
+    return _s_products(1 - alpha.alpha_at(i), 1 - alpha.alpha_at(i - 1),
+                       _make(*minus[j], N), _make(*plus[j], N))
 
 
-def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[QuadNum, QuadNum], ...]:
-    """(1 - alpha_i, 1 - alpha_{i-1}) at even i and at odd i."""
-    ce, cb = 1 - alpha.eta, 1 - alpha.beta
+def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[Triple, Triple], ...]:
+    """(1 - alpha_i, 1 - alpha_{i-1}) at even i and at odd i, as triples.
+
+    1 - (x + y*sqrt(N))/z is (z - x, -y, z), still in lowest terms.
+    """
+    (ex, ey, ez), (bx, by, bz) = _ints(alpha.eta), _ints(alpha.beta)
+    ce, cb = (ez - ex, -ey, ez), (bz - bx, -by, bz)
     return (ce, cb), (cb, ce)
 
 
 def _s_products(ci, cp, dm, dp):
-    """(s1*, s2*, s3*, s4*) at index i as QuadNums, one _make each over
-    the ints of _s_ints."""
-    xy, z = _s_ints(ci, cp, dm, dp)
-    return tuple(_make(x, y, z, ci._N) for x, y in xy)
+    """(s1*, s2*, s3*, s4*) at index i as QuadNums, for s_star: _s_ints on
+    the ints of ci, cp, dm and dp (QuadNums or ints), one _make each."""
+    N = ci._N
+    xy, z = _s_ints(_ints(ci), _ints(cp), _ints(dm), _ints(dp), N)
+    return tuple(_make(x, y, z, N) for x, y in xy)
 
 
-def _s_ints(ci, cp, dm, dp):
+def _s_ints(ci: Triple, cp: Triple, dm: Triple, dp: Triple, N: int):
     """((x1, y1), ..., (x4, y4)), z with s_j* = (x_j + y_j*sqrt(N))/z and
-    z > 0, from ci = 1 - alpha_i, cp = 1 - alpha_{i-1} and the tails
-    dm = d_i^-, dp = d_i^+; nothing is reduced.
+    z > 0, from the triples of ci = 1 - alpha_i, cp = 1 - alpha_{i-1} and
+    the tails dm = d_i^-, dp = d_i^+; nothing is reduced.
 
     The eight factors (1 -+ alpha_i +- dp), (1 -+ alpha_{i-1} +- dm) come
     from two per side, since 1 + alpha_i - dp = 2 - (1 - alpha_i + dp) and
     so on:  with u, v = ci +- dp and f, g = cp +- dm,
     s1 = u f, s2 = (2 - u)(2 - g), s3 = v g and s4 = (2 - v)(2 - f).
 
-    ci and cp are QuadNums; dm and dp are QuadNums of the same field or
-    ints.  Everything runs on the int triples (x, y, z) of
-    (x + y*sqrt(N))/z: u and v are numerator pairs over one denominator
-    zu = z(ci)*z(dp), f and g over zf = z(cp)*z(dm), 2 - u is
-    (2*zu - u_x, -u_y) over zu, and the four products share z = zu*zf.
+    u and v are numerator pairs over one denominator zu = z(ci)*z(dp), f and
+    g over zf = z(cp)*z(dm), 2 - u is (2*zu - u_x, -u_y) over zu, and the
+    four products share z = zu*zf.
     """
-    N = ci._N
-    (ax, ay, az), (bx, by, bz) = _ints(ci), _ints(cp)
-    (px, py, pz), (mx, my, mz) = _ints(dp), _ints(dm)
+    (ax, ay, az), (bx, by, bz) = ci, cp
+    (px, py, pz), (mx, my, mz) = dp, dm
     ax, ay, px, py = ax * pz, ay * pz, px * az, py * az
     bx, by, mx, my = bx * mz, by * mz, mx * bz, my * bz
     zu, zf = az * pz, bz * mz
@@ -427,7 +451,8 @@ def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
 
 
 def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
-    """Digit sequence of 1 - alpha - gamma, up to a vector of Z + alpha Z.
+    """Digit sequence of 1 - alpha - gamma, up to a vector of Z + alpha Z,
+    when no two maximal digits are adjacent (the period read cyclically).
 
     That vector leaves M unchanged.  Away from maximal digits this is plain
     negation of the t_i.  A maximal digit t_i = a_i stays maximal, and each
@@ -435,6 +460,14 @@ def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
     produced by reflecting the maximal digit).  Raises DigitRangeError if the
     carry pushes a digit out of range; that cannot happen for the catalogue
     sequences.
+
+    With isolated maxima the reflection's tails are the negated tails plus a
+    local carry, [P] being 1 when P holds and 0 otherwise:
+    d'+_i = -d+_i + 2[t_{i+1} maximal] - 2 alpha_i [t_i maximal] and
+    d'-_i = -d-_i + 2[t_i maximal] - 2 alpha_{i-1} [t_{i+1} maximal], which
+    puts gamma + gamma' - (1 - eta) in Z + eta Z.  Two adjacent maxima stay
+    as they are and carry into no digit, and the result is then not
+    1 - alpha - gamma up to Z + alpha Z.
     """
     tseq.validate(alpha)
 
@@ -462,17 +495,19 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     products over one period of the sequence itself (negating every t maps
     s1 <-> s3 and s2 <-> s4, so the reflection adds nothing).  With maximal
     digits in the period only s1*, s2*, s4* participate, for the sequence
-    and for its reflection.
+    and for its reflection.  That rests on reflect giving 1 - alpha - gamma
+    up to Z + alpha Z, which holds only when no two maximal digits are
+    adjacent, the period read cyclically; every catalogue word is such a
+    word, and on any other the result need not be the constant.
 
-    Per variant the tails take four int walks of _tails (two to close the
-    cycle, then d^+ and d^-), and _s_ints gives each index's four products
-    as numerator pairs over one shared denominator z, straight from the ints
-    of the two tails and of 1 - eta and 1 - beta (computed once per call).
-    The minimum is found on ints: within an index by the sign of a
-    numerator difference, across indices and variants by cross-multiplying
-    with the running best (X, Y, Z), the first of equal values kept.  One
-    _make reduces the winner; no other QuadNum is built or compared outside
-    the tails.
+    Per variant the tails are four int walks of _tails (two to close the
+    cycle, then d^+ and d^-) on reduced triples, and _s_ints gives each
+    index's four products as numerator pairs over one shared denominator z,
+    straight from the triples of the two tails and of 1 - eta and 1 - beta
+    (computed once per call).  The minimum is found on ints: within an index
+    by the sign of a numerator difference, across indices and variants by
+    cross-multiplying with the running best (X, Y, Z), the first of equal
+    values kept.  One _make reduces the winner, the only QuadNum built.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)
@@ -489,7 +524,7 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     for seq in variants:
         minus, plus = _period_tails(seq.period, alpha)
         for i in range(len(seq.period)):
-            s, z = _s_ints(*one_minus[i % 2], minus[i], plus[i])
+            s, z = _s_ints(*one_minus[i % 2], minus[i], plus[i], N)
             x, y = s[first]
             for j in rest:
                 qx, qy = s[j]

@@ -19,8 +19,10 @@ Two constructors:
 The int-level code of the package (expansion's tails and s-products,
 spectrum's shared member function) reads a value's triple through _ints and
 raises to a power through _pow, the one repeated-squaring loop, which ``**``
-runs too; expansion's m_star compares its s-products with _sign on their
-unreduced numerators.
+runs too.  Expansion keeps its tails as int triples from the first walk step
+to the s-products, so there _ints reads only eta, beta and D, and the
+QuadNum arguments of _s_products, s_star's face of the s-products; its
+m_star compares the s-products with _sign on their unreduced numerators.
 
 All comparisons, floors and printed digits are derived from integer
 arithmetic only; hardware floats never enter any decision.  The sign of

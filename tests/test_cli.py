@@ -505,13 +505,17 @@ def test_digits_below_one_is_usage_error(capsys, argv, digits):
     assert (code, out, err) == (2, "", "error: digits must be >= 1\n")
 
 
-def _python_m(*argv, stdout=subprocess.PIPE):
+def _python(*args, stdout=subprocess.PIPE):
     src = str(Path(inhomspec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "inhomspec", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           timeout=120)
+
+
+def _python_m(*argv, stdout=subprocess.PIPE):
+    return _python("-m", "inhomspec", *argv, stdout=stdout)
 
 
 def test_python_m_inhomspec_runs_the_cli(capsys):
@@ -533,6 +537,39 @@ def test_closed_stdout_exits_2_without_a_traceback():
     finally:
         os.close(w)
     assert (got.returncode, got.stderr) == (2, "")
+
+
+# main on a closed stdout; then, on stderr, its exit code, how many fds
+# os.open returned during main and which of them are still open
+_MAIN_ON_A_CLOSED_STDOUT = """
+import os, sys
+from inhomspec.cli import main
+opened, os_open = [], os.open
+def record(*args, **kwargs):
+    opened.append(os_open(*args, **kwargs))
+    return opened[-1]
+os.open = record
+code = main(["catalog", "--a", "4", "--b", "8"])
+def is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+print(code, len(opened), [fd for fd in opened if is_open(fd)], file=sys.stderr)
+"""
+
+
+def test_closed_stdout_leaves_no_descriptor_open():
+    # the handler opens devnull to take over fd 1; once dup2 has copied it,
+    # the fd os.open returned is closed
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        got = _python("-c", _MAIN_ON_A_CLOSED_STDOUT, stdout=w)
+    finally:
+        os.close(w)
+    assert (got.returncode, got.stderr) == (0, "2 1 []\n")
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():

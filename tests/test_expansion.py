@@ -2,12 +2,12 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mstar_reference
-from inhomspec.quadfield import QuadNum, qnum
+from inhomspec.quadfield import QuadNum, _ints, _make, qnum
 from inhomspec.ncf import make_alpha
-from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs
+from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs, equivalence_cases
 from inhomspec.expansion import (
     _s_ints,
     _s_products,
@@ -415,9 +415,9 @@ def test_tail_walk_matches_the_plain_recurrence(walk):
     for i in range(len(ts), 0, -1):
         want.append(al.alpha_at(i - 1) * (ts[i - 1] + want[-1]))
     want.reverse()
-    got = _tails(ts, al, d)
-    assert got == want
-    assert got[-1] is d
+    got = _tails(ts, al, _ints(d))
+    assert [_make(*t, al.N) for t in got] == want
+    assert got[-1] == _ints(d)
 
 
 @st.composite
@@ -547,6 +547,64 @@ def test_reflect_involution():
         assert reflect(reflect(seq, al), al).period == word
 
 
+def assert_reflection_carries(word, al):
+    """The reflection's tails are the word's negated tails plus a carry:
+    d'+_i = -d+_i + 2[t_{i+1} max] - 2 alpha_i [t_i max] and
+    d'-_i = -d-_i + 2[t_i max] - 2 alpha_{i-1} [t_{i+1} max], at every index.
+    """
+    L = len(word)
+    top = [int(t == q) for t, q in zip(word, map(al.partial_quotient, range(1, L + 1)))]
+    minus, plus = mstar_reference.tails(word, al)
+    rminus, rplus = mstar_reference.tails(reflect(TSequence(word), al).period, al)
+    for i in range(L):  # t_i is word[i - 1] and t_{i+1} is word[i], read mod L
+        here, after = top[i - 1], top[i % L]
+        assert rplus[i] == -plus[i] + 2 * after - 2 * al.alpha_at(i) * here
+        assert rminus[i] == -minus[i] + 2 * here - 2 * al.alpha_at(i - 1) * after
+
+
+def test_reflection_of_catalogue_words_carries():
+    # every catalogue word with a maximal digit has its maxima isolated
+    n = 0
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            word = class_tsequence(cls, al).period
+            if any(t == al.partial_quotient(i) for i, t in enumerate(word, start=1)):
+                assert_reflection_carries(word, al)
+                n += 1
+    assert n == 187
+
+
+@st.composite
+def isolated_maxima_words(draw):
+    """A valid period of length 2-16 at a property pair with at least one
+    maximal digit and no two maximal digits adjacent, read cyclically; each
+    other digit leaves room for the carries its maximal neighbours give it,
+    so the reflection stays in range."""
+    al = make_alpha(*draw(st.sampled_from(PROPERTY_PAIRS)))
+    L = 2 * draw(st.integers(1, 8))
+    top = draw(st.lists(st.booleans(), min_size=L, max_size=L))
+    # keep a drawn maximum only when its left neighbour, read cyclically, was not drawn
+    top = [m and not top[i - 1] for i, m in enumerate(top)]
+    assume(any(top))
+    word = []
+    for i, q in enumerate(map(al.partial_quotient, range(1, L + 1))):
+        if top[i]:
+            word.append(q)
+            continue
+        hi = q - 2 - top[i - 1] - top[(i + 1) % L]  # -t - 2*carries >= 2 - q
+        assume(hi >= 0)
+        word.append(2 * draw(st.integers(0, hi)) - (q - 2))
+    return al, tuple(word)
+
+
+@given(isolated_maxima_words())
+@settings(max_examples=100, deadline=None)
+def test_reflection_of_isolated_maxima_carries(case):
+    al, word = case
+    assert_reflection_carries(word, al)
+
+
 # ---------------------------------------------------------------- m_star
 
 def test_m_star_period_a0():
@@ -607,8 +665,8 @@ def test_m_star_reduces_one_of_equal_minima(word, ties, zs):
     at = {(i, j) for i in range(len(word)) for j, s in
           enumerate(mstar_reference.products(A48, i, minus[i], plus[i])) if s == want}
     assert at == ties
-    assert {_s_ints(1 - A48.alpha_at(i), 1 - A48.alpha_at(i - 1),
-                    minus[i], plus[i])[1] for i, _ in ties} == zs
+    assert {_s_ints(_ints(1 - A48.alpha_at(i)), _ints(1 - A48.alpha_at(i - 1)),
+                    _ints(minus[i]), _ints(plus[i]), A48.N)[1] for i, _ in ties} == zs
 
 
 def test_m_star_compares_no_quadnum(monkeypatch):
