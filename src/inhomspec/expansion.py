@@ -38,7 +38,7 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .ncf import PeriodTwoAlpha
-from .quadfield import QuadNum, _ints, _make, _pow, _sign
+from .quadfield import QuadNum, _div, _ints, _make, _pow, _sign
 
 __all__ = [
     "Block",
@@ -274,9 +274,9 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
 # ----------------------------------------------------------------------
 #
 # Every tail below is an int triple (x, y, z) of (x + y*sqrt(N))/z in lowest
-# terms with z > 0, the form _make leaves a QuadNum in.  The walks, the
-# cycle closure and the s-products stay on these triples; a QuadNum is built
-# only where a public function returns one.
+# terms with z > 0, the form _make leaves a QuadNum in.  The walks and the
+# s-products stay on these triples; a QuadNum is built only where a public
+# function returns one, and by the cycle closure's one division.
 
 Triple = tuple[int, int, int]
 
@@ -311,20 +311,12 @@ def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> Triple:
 
     A walk round the period from 0 ends at c = (1 - D^(L/2)) d_0^+.  With
     D^(L/2) = (x + y*sqrt(N))/z from _pow on D's ints, 1 - D^(L/2) is
-    (w + v*sqrt(N))/z for w = z - x, v = -y, and c is divided by it through
-    the conjugate w - v*sqrt(N), whose product with it is the nonzero int
-    n = w^2 - v^2 N.
+    (z - x - y*sqrt(N))/z, and quadfield's _div divides c by it.
     """
     N = alpha.N
     cx, cy, cz = _tails(period, alpha, (0, 0, 1))[0]
     x, y, z = _pow(*_ints(alpha.D), len(period) // 2, N)
-    w, v = z - x, -y
-    n = w * w - v * v * N
-    x, y, z = z * (cx * w - cy * v * N), z * (cy * w - cx * v), cz * n
-    if z < 0:
-        x, y, z = -x, -y, -z
-    g = gcd(x, y, z)
-    return x // g, y // g, z // g
+    return _ints(_div(cx, cy, cz, z - x, -y, z, N))
 
 
 def _period_tails(
@@ -391,8 +383,8 @@ def s_star(
     tseq.validate(alpha)
     minus, plus = _period_tails(tseq.period, alpha)
     j, N = i % len(tseq.period), alpha.N
-    return _s_products(1 - alpha.alpha_at(i), 1 - alpha.alpha_at(i - 1),
-                       _make(*minus[j], N), _make(*plus[j], N))
+    xy, z = _s_ints(*_one_minus(alpha)[j % 2], minus[j], plus[j], N)
+    return tuple(_make(x, y, z, N) for x, y in xy)
 
 
 def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[Triple, Triple], ...]:
@@ -403,14 +395,6 @@ def _one_minus(alpha: PeriodTwoAlpha) -> tuple[tuple[Triple, Triple], ...]:
     (ex, ey, ez), (bx, by, bz) = _ints(alpha.eta), _ints(alpha.beta)
     ce, cb = (ez - ex, -ey, ez), (bz - bx, -by, bz)
     return (ce, cb), (cb, ce)
-
-
-def _s_products(ci, cp, dm, dp):
-    """(s1*, s2*, s3*, s4*) at index i as QuadNums, for s_star: _s_ints on
-    the ints of ci, cp, dm and dp (QuadNums or ints), one _make each."""
-    N = ci._N
-    xy, z = _s_ints(_ints(ci), _ints(cp), _ints(dm), _ints(dp), N)
-    return tuple(_make(x, y, z, N) for x, y in xy)
 
 
 def _s_ints(ci: Triple, cp: Triple, dm: Triple, dp: Triple, N: int):

@@ -16,13 +16,11 @@ Two constructors:
   already valid: it normalises the sign of z and the common gcd and checks
   nothing, since N comes from an operand that passed the public checks.
 
-The int-level code of the package (expansion's tails and s-products,
-spectrum's shared member function) reads a value's triple through _ints and
-raises to a power through _pow, the one repeated-squaring loop, which ``**``
-runs too.  Expansion keeps its tails as int triples from the first walk step
-to the s-products, so there _ints reads only eta, beta and D, and the
-QuadNum arguments of _s_products, s_star's face of the s-products; its
-m_star compares the s-products with _sign on their unreduced numerators.
+Code that works on int triples uses four helpers: _ints reads a value's
+(x, y, z); _pow raises a triple to a power, as an unreduced triple (the one
+repeated-squaring loop, which ``**`` runs too); _div divides one triple by
+another into a QuadNum (which ``/`` runs too); and _sign takes the exact sign
+of x + y*sqrt(N) for ints x and y that need not be reduced.
 
 All comparisons, floors and printed digits are derived from integer
 arithmetic only; hardware floats never enter any decision.  The sign of
@@ -214,10 +212,6 @@ class QuadNum:
         if type(other) is int:
             return other, 0, 1, N
         return *_ints(_frac(other)), N
-
-    def _coerce(self, other) -> "QuadNum":
-        """`other` in the field of a result of this value and `other`."""
-        return _make(*self._parts(other))
 
     def is_rational(self) -> bool:
         return self._y == 0

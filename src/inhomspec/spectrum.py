@@ -183,16 +183,16 @@ def odd_params(alpha: PeriodTwoAlpha) -> OddParams:
 class _Pair:
     """What a table entry reads at one alpha besides eta, beta and D.
 
-    For odd a, odd is the pair's odd_params (None otherwise), m, n, s and r
-    are its values, and v = (m*beta - D)/(1 - D).  Every entry writes its
-    period with blocks, in the paper's block notation.
+    For odd a, m, n, s and r are the values of the pair's odd_params, and
+    v = (m*beta - D)/(1 - D).  Every entry writes its period with blocks, in
+    the paper's block notation.
     """
 
     def __init__(self, alpha: PeriodTwoAlpha):
         self.alpha, self.a, self.b = alpha, alpha.a, alpha.b
         self.regime = regime(alpha)
-        self.odd = p = odd_params(alpha) if self.regime == "odd" else None
-        if p is not None:
+        if self.regime == "odd":
+            p = odd_params(alpha)
             self.m, self.n, self.s, self.r = p.m, p.n, p.s, p.r
             self.v = (p.m * alpha.beta - alpha.D) / (1 - alpha.D)
 
@@ -856,12 +856,14 @@ class FamilyInfo:
 
 @dataclass(frozen=True)
 class SpectrumCatalog:
+    """One pair's catalogue: its points in decreasing order of value, the
+    first limit point, and the families listed up to kmax."""
+
     alpha: PeriodTwoAlpha
     kmax: int
     points: tuple[SpectrumPoint, ...]
     first_limit_point: QuadNum
     families: tuple[FamilyInfo, ...]
-    odd_parameters: Optional[OddParams]
 
     @property
     def rho_star(self) -> SpectrumPoint:
@@ -930,8 +932,11 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     The layout follows from the class table.  The first limit point L is the
     largest limit among the k-families that go on forever at the pair.  The
     families whose limit is L are listed in table order, with their members
-    for k0 <= k <= kmax (truncation recorded via kmax): a decreasing family's
-    members sit above L, an increasing family's below it.  L itself is the
+    for k0 <= k <= kmax (truncation recorded via kmax).  A decreasing
+    family's members sit above L and an increasing family's below it, with
+    one exception: at b = a + 6 with even a >= 12, even-even Sk4's k = 0
+    member, its override at the lower end of the range of b, lies below L
+    and is still listed as a decreasing member.  L itself is the
     final value, of kind 'limit_point', labelled by the last listed family.
     Every other value above L is isolated: applicable plain classes and
     t-classes, and the members k0 <= k <= 1 of the k-families that do not go
@@ -987,7 +992,6 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         points=_build_points(alpha, entries),
         first_limit_point=limit,
         families=tuple(fam_infos),
-        odd_parameters=c.odd,
     )
 
 
@@ -1088,8 +1092,9 @@ def euclidean_test(alpha: PeriodTwoAlpha) -> EuclidReport:
     above the threshold, None when the first limit point is not below it.
     Isolated values do not depend on kmax, and a decreasing family's members
     fall towards the limit as k grows, so the count reads the kmax = 1
-    catalogue and doubles kmax while a decreasing family's last listed member
-    is still above the threshold.
+    catalogue.  That count is complete only if no decreasing family's k = 1
+    member is above the threshold, as holds at every pair with b <= 300;
+    if one is, this raises RuntimeError.
     """
     cat = spectrum_catalog(alpha, kmax=1)
     rho = cat.rho_star.m
@@ -1097,11 +1102,9 @@ def euclidean_test(alpha: PeriodTwoAlpha) -> EuclidReport:
     above = None
     if m_value(cat.first_limit_point, alpha) < threshold:
         # the limit point itself is below the threshold, so it is not counted
-        while any(p.direction == "decreasing" and p.cls.k == cat.kmax
-                  and p.m > threshold for p in cat.points):
-            if cat.kmax > 500:
-                raise RuntimeError("family did not cross the threshold")
-            cat = spectrum_catalog(alpha, kmax=2 * cat.kmax)
+        if any(p.direction == "decreasing" and p.cls.k == 1 and p.m > threshold
+               for p in cat.points):
+            raise RuntimeError("a decreasing family's k = 1 member is above the threshold")
         above = sum(p.m > threshold for p in cat.points)
     return EuclidReport(
         rho=rho, threshold=threshold, verdict=rho < threshold, points_above=above,

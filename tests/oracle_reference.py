@@ -22,7 +22,7 @@ def loop_min(alpha, gamma, n_lo, n_hi, two_sided=False):
     two_sided=True, -gamma is searched too and its side wins only when it is
     strictly smaller; its argmin is then negative.
     """
-    gamma = alpha.eta._coerce(gamma)
+    gamma = alpha.eta + gamma - alpha.eta  # gamma in eta's field
     if two_sided:
         pos = loop_min(alpha, gamma, n_lo, n_hi)
         neg = loop_min(alpha, -gamma, n_lo, n_hi)

@@ -20,6 +20,7 @@ from inhomspec.oracle import brute_force_min
 from inhomspec.quadfield import QuadNum
 from inhomspec.spectrum import BranchDisagreement, ClassId, class_tsequence, spectrum_catalog
 
+from child_python import python_command
 from json_reference import _plain
 
 
@@ -509,13 +510,20 @@ def _python(*args, stdout=subprocess.PIPE):
     src = str(Path(inhomspec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([*python_command(), *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           timeout=120)
 
 
 def _python_m(*argv, stdout=subprocess.PIPE):
     return _python("-m", "inhomspec", *argv, stdout=stdout)
+
+
+def test_child_python_runs_under_the_same_flags():
+    got = _python("-c", "import sys; print(sys.flags.optimize, "
+                  "sys.flags.dev_mode, sys.warnoptions)")
+    want = f"{sys.flags.optimize} {sys.flags.dev_mode} {sys.warnoptions}\n"
+    assert (got.returncode, got.stdout) == (0, want)
 
 
 def test_python_m_inhomspec_runs_the_cli(capsys):

@@ -2,10 +2,11 @@
 
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from child_python import python_command
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,7 +23,7 @@ def test_demo_runs(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [*python_command(), str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

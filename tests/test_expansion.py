@@ -10,7 +10,6 @@ from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs, equivalence_cases
 from inhomspec.expansion import (
     _s_ints,
-    _s_products,
     _tails,
     AlignmentError,
     Block,
@@ -431,7 +430,8 @@ def tail_pairs(draw):
 def test_s_products_match_the_four_products(case):
     al, i, dm, dp = case
     ai, ap = al.alpha_at(i), al.alpha_at(i - 1)
-    assert _s_products(1 - ai, 1 - ap, dm, dp) == (
+    xy, z = _s_ints(_ints(1 - ai), _ints(1 - ap), _ints(dm), _ints(dp), al.N)
+    assert tuple(_make(x, y, z, al.N) for x, y in xy) == (
         (1 - ai + dp) * (1 - ap + dm),
         (1 + ai - dp) * (1 + ap + dm),
         (1 - ai - dp) * (1 - ap - dm),

@@ -613,7 +613,6 @@ BINARY = {
     "le": lambda u, v: u <= v,
     "gt": lambda u, v: u > v,
     "ge": lambda u, v: u >= v,
-    "coerce": lambda u, v: u._coerce(v),
 }
 
 UNARY = {

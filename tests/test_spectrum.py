@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from inhomspec import spectrum
+from inhomspec.cli import main
 from inhomspec.quadfield import qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.expansion import gamma_value, m_star, reflect
@@ -484,7 +485,6 @@ def test_isolation_gap_needs_two_points():
     single = SpectrumCatalog(
         alpha=cat.alpha, kmax=1, points=cat.points[:1],
         first_limit_point=cat.first_limit_point, families=(),
-        odd_parameters=None,
     )
     with pytest.raises(ValueError):
         isolation_gap(single)
@@ -586,6 +586,22 @@ def test_decreasing_families_that_go_on_forever_reach_the_first_limit_point():
     assert n == 378
 
 
+def test_listed_members_sit_on_their_side_of_the_first_limit_point():
+    # a decreasing family's members lie above L and an increasing family's
+    # below it; the one exception is even-even Sk4's k = 0 override at
+    # b = a + 6, which lies below L and is listed as a decreasing member
+    wrong = []
+    for a, b in covered_pairs(2, 39, 3, 40):
+        cat = spectrum_catalog(make_alpha(a, b), kmax=2)
+        limit = cat.first_limit_point
+        for p in cat.points:
+            side = (p.m_star > limit) - (p.m_star < limit)
+            if p.kind == "family_member" and side != (
+                    1 if p.direction == "decreasing" else -1):
+                wrong.append((a, b, p.cls))
+    assert wrong == [(a, a + 6, ClassId("Sk4", k=0)) for a in range(12, 35, 2)]
+
+
 def test_table_words_outside_their_side_conditions_add_no_value():
     # every entry's word where its applies() is False: plain classes, k = 0..4
     # and t = 0..5 at each pair with b <= 30.  A word either lands below the
@@ -633,6 +649,26 @@ def test_euclid_count_matches_a_deep_catalogue():
         deep = spectrum_catalog(al, kmax=30)
         assert rep.points_above == sum(p.m > rep.threshold for p in deep.points), (a, b)
     assert n == 19
+
+
+def test_euclid_refuses_a_decreasing_member_above_the_threshold(monkeypatch, capsys):
+    # the count reads the kmax = 1 catalogue, which is complete only while no
+    # decreasing family's k = 1 member is above the threshold; at (4,8) the
+    # limit point is below it, and a k = 1 member at rho's value is not
+    real = spectrum.spectrum_catalog
+
+    def with_member_above(alpha, kmax=8):
+        cat = real(alpha, kmax)
+        member = dataclasses.replace(
+            cat.points[0], cls=ClassId(cat.families[0].family, k=1),
+            kind="family_member", direction="decreasing")
+        return dataclasses.replace(cat, points=(member,) + cat.points)
+
+    monkeypatch.setattr(spectrum, "spectrum_catalog", with_member_above)
+    with pytest.raises(RuntimeError, match="k = 1 member is above the threshold"):
+        euclidean_test(make_alpha(4, 8))
+    assert main(["euclid", "--a", "4", "--b", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error: a decreasing family's k = 1")
 
 
 def test_euclid_4_8():
