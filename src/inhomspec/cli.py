@@ -43,7 +43,7 @@ from fractions import Fraction
 from .quadfield import QuadNum
 from .ncf import PeriodNotFoundError, make_alpha, ncf_expand
 from .expansion import gamma_value, m_star, m_value, parse_period
-from .oracle import brute_force_min, oracle_m
+from .oracle import _off_lattice, brute_force_min, oracle_m
 from .spectrum import (
     ClassId,
     covered_pairs,
@@ -183,6 +183,7 @@ def _cmd_oracle(args) -> int:
                    cycle_start_n=got.cycle_start_n)
         failed = got.m != target
     else:
+        _off_lattice(alpha, gamma)  # refused here too, before anything is printed
         lo = 10**3 if args.nmin is None else args.nmin
         hi = 10**6 if args.nmax is None else args.nmax
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)

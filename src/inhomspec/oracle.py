@@ -31,14 +31,16 @@ the walk, each on both sides:
   table, which the walk extends as it needs.
 
 The walk runs on plain ints.  With Z = lcm of the denominators of eta and
-gamma, fixed for the whole walk, every quantity in it -- the residues, their
-absolute values, the widths 2|e|, the convergent errors q_k*eta - p_k and the
-products |e|*n -- is an int pair (X, Y) standing for (X + Y*sqrt(N))/Z.  Sums
-and int multiples act on the pairs, comparisons take the exact sign of a
-difference of pairs, the nearest integer of a residue is one exact floor, and
-a partial quotient or j is the floor of a quotient of two pairs, taken after
-multiplying through by the divisor's conjugate.  Only a final result, and
-oracle_m's state keys, become QuadNums.
+gamma, fixed for the whole walk, every quantity in it -- the signed residues,
+the signed convergent errors e_k = q_k*eta - p_k and the products |e|*n -- is
+an int pair (X, Y) standing for (X + Y*sqrt(N))/Z.  The table stores no
+absolute value: its entry at index t has e < 0 for even t, so each |e| is e
+times the sign its index fixes.  Sums and int multiples act on the pairs,
+comparisons take the exact sign of a sum of pairs, the nearest integer of a
+residue is one exact floor, and j is the floor of a quotient of two pairs,
+taken after multiplying through by the divisor's conjugate.  The table's
+complete quotients |e_{k-1}|/|e_k|, a final result and oracle_m's state keys
+are QuadNums.
 """
 
 from __future__ import annotations
@@ -90,29 +92,29 @@ def _floor_div(ux: int, uy: int, vx: int, vy: int, N: int) -> int:
     return _floor(x, y, n, N)
 
 
-def _errors(ex: int, ey: int, z: int, N: int) -> Iterator[tuple[int, ...]]:
-    """(q_k, x_k, y_k, u_k, v_k) for k = -1, 0, 1, ... of the regular
-    continued fraction of eta = (ex + ey*sqrt(N))/z, without end.
+def _errors(ex: int, ey: int, z: int, N: int) -> Iterator[tuple]:
+    """(q_k, x_k, y_k, r_k) for k = -1, 0, 1, ... of the regular continued
+    fraction of eta = (ex + ey*sqrt(N))/z, without end.
 
-    e_k = q_k*eta - p_k = (x_k + y_k*sqrt(N))/z is the signed error and
-    (u_k + v_k*sqrt(N))/z its absolute value, with q_{-1} = 0,
-    e_{-1} = -1, q_0 = 1 and e_0 = eta - floor(eta); signs alternate, so the
-    entry at list index t has e < 0 for even t.
+    e_k = q_k*eta - p_k = (x_k + y_k*sqrt(N))/z is the signed error, with
+    q_{-1} = 0, e_{-1} = -1, q_0 = 1 and e_0 = eta - floor(eta); signs
+    alternate, so the entry at list index t has e < 0 for even t.  r_k =
+    |e_{k-1}|/|e_k| = -e_{k-1}/e_k is the complete quotient, a QuadNum (None
+    for k = -1), and floor(r_k) the next partial quotient.
     """
     x0 = ex - _floor(ex, ey, z, N) * z
-    prev, cur = (0, -z, 0, z, 0), (1, x0, ey, x0, ey)
+    prev, cur = (0, -z, 0, None), (1, x0, ey, _div(z, 0, 1, x0, ey, 1, N))
     yield prev
     while True:
         yield cur
-        (q1, x1, y1, u1, v1), (q2, x2, y2, u2, v2) = prev, cur
-        c = _floor_div(u1, v1, u2, v2, N)  # the next partial quotient
+        (q1, x1, y1, _), (q2, x2, y2, r) = prev, cur
+        c = r.floor()  # the next partial quotient: e_{k+1} = e_{k-1} + c*e_k
         x, y = x1 + c * x2, y1 + c * y2
-        u, v = (x, y) if _sign(x, y, N) > 0 else (-x, -y)
-        prev, cur = cur, (q1 + c * q2, x, y, u, v)
+        prev, cur = cur, (q1 + c * q2, x, y, _div(-x2, -y2, 1, x, y, 1, N))
 
 
 @lru_cache(maxsize=256)
-def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple[int, ...], ...]:
+def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple, ...]:
     """The entries of _errors until two denominators reach 2^bits, so every
     q_t < 2^bits has entries t + 1 and t + 2 after it."""
     entries = _errors(ex, ey, z, N)
@@ -135,17 +137,20 @@ def _pairs(eta: QuadNum, gamma: QuadNum) -> tuple[int, ...]:
 
 def _records(
     ex: int, ey: int, gx: int, gy: int, z: int, N: int, n: int,
-    table: Sequence[tuple[int, ...]], entries: Iterator[tuple[int, ...]],
+    table: Sequence[tuple], entries: Iterator[tuple],
 ) -> Iterator[tuple[int, ...]]:
     """Yield (n, x, y, s, t) for each strict distance record of
     n*eta - gamma from the given n on, in order.
 
     e = (x + y*sqrt(N))/z is the record's signed residue, s its sign, and t
-    the index of the step's semiconvergents q_t + j*q_{t+1}.  table holds
-    the first entries of _errors(ex, ey, z, N), and the walk appends the rest
-    from entries as it needs them.  It ends after an exact zero, and after a
-    record whose step needs an entry that neither holds; q_t then only
-    bounds that step from below.
+    the index of the step's semiconvergents q_t + j*q_{t+1}.  t is even when
+    s > 0, so e_t has the sign -s and e_{t+1} the sign s: the step seeks the
+    first t with |e_{t+2}| < 2|e|, that is s*(e_{t+2} + 2e) > 0, and takes
+    j = floor((|e_t| - 2|e|)/|e_{t+1}|) + 1 = floor(-(e_t + 2e)/e_{t+1}) + 1
+    (or 0).  table holds the first entries of _errors(ex, ey, z, N), and the
+    walk appends the rest from entries as it needs them.  It ends after an
+    exact zero, and after a record whose step needs an entry that neither
+    holds; q_t then only bounds that step from below.
     """
     x = ex * n - gx
     y = ey * n - gy
@@ -155,11 +160,11 @@ def _records(
     start = [1, 0]
     while True:
         s = _sign(x, y, N)
-        wx, wy = 2 * s * x, 2 * s * y  # the width 2|e|
+        wx, wy = 2 * x, 2 * y  # 2e
         t = start[s > 0]
         while s:
-            try:
-                if _sign(table[t + 2][3] - wx, table[t + 2][4] - wy, N) < 0:
+            try:  # stop at the first |e_{t+2}| < 2|e|
+                if s * _sign(table[t + 2][1] + wx, table[t + 2][2] + wy, N) > 0:
                     break
                 t += 2
             except IndexError:  # past the end of the table: extend it from entries
@@ -172,12 +177,22 @@ def _records(
         yield n, x, y, s, t
         if not s:
             return
-        q0, x0, y0, u0, v0 = table[t]
-        q1, x1, y1, u1, v1 = table[t + 1]
-        j = max(0, _floor_div(u0 - wx, v0 - wy, u1, v1, N) + 1)
+        (q0, x0, y0, _), (q1, x1, y1, _) = table[t], table[t + 1]
+        j = max(0, _floor_div(-x0 - wx, -y0 - wy, x1, y1, N) + 1)
         n += q0 + j * q1
         x += x0 + j * x1
         y += y0 + j * y1
+
+
+def _off_lattice(alpha: PeriodTwoAlpha, gamma: QuadNum) -> tuple[int, ...]:
+    """_pairs(alpha.eta, gamma), refusing gamma in Z + alpha*Z with
+    ValueError: gamma - c*eta, with c = gy/ey an int, must not be the int
+    (gx - c*ex)/z."""
+    ex, ey, gx, gy, z, N = ints = _pairs(alpha.eta, gamma)
+    c, r = divmod(gy, ey)
+    if r == 0 and (gx - c * ex) % z == 0:
+        raise ValueError("gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined")
+    return ints
 
 
 def _smaller_side(pos: tuple, neg: tuple) -> tuple:
@@ -244,11 +259,13 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
     bound.  Let t be the index of a step's semiconvergents q_t + j*q_{t+1},
     and e_t the signed error of q_t.  The step's key is
     (e/|e_t|, |e_{t-1}|/|e_t|), the sign of the first entry being the sign
-    of e; it is kept from the first step with t >= 2 on.  The walk stops at
-    the first key it has seen before, and M on that side is the least
-    |N(e)|/|eta - eta'| over the records of the cycle, N the field norm and
-    ' the conjugate.  The smaller side wins, and cycle_start_n < 0 marks the
-    n < 0 side.  Why this is M:
+    of e; it is kept from the first step with t >= 2 on.  Both entries are
+    read from e and table entry t: e_t has the sign -s, s the sign of e (see
+    _records), so e/|e_t| = -s*e/e_t, and |e_{t-1}|/|e_t| is the entry's r_t.
+    The walk stops at the first key it has seen before, and M on that side is
+    the least |N(e)|/|eta - eta'| over the records of the cycle, N the field
+    norm and ' the conjugate.  The smaller side wins, and cycle_start_n < 0
+    marks the n < 0 side.  Why this is M:
 
     1. A step depends only on e and on the table from t - 1 onward.  The
        per-side indices only move forward, and |e_{t-1}| > |e_t| >= 2|e|
@@ -272,29 +289,20 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
        by eta and gamma, and it and its conjugate are bounded, because the
        partial quotients of eta and n|e| along the records are.
 
-    gamma in Z + alpha*Z is refused with ValueError: M(alpha, gamma) is not
-    defined there, and a walk reaches e = 0 on one side when gamma is not an
-    integer.  The test runs on the walk's ints: gamma - c*eta, with
-    c = gy/ey an int, must be the int (gx - c*ex)/z.
+    gamma in Z + alpha*Z is refused with ValueError (see _off_lattice):
+    M(alpha, gamma) is not defined there, and a walk reaches e = 0 on one
+    side when gamma is not an integer.
     """
-    ex, ey, gx, gy, z, N = _pairs(alpha.eta, gamma)
-    c, r = divmod(gy, ey)
-    if r == 0 and (gx - c * ex) % z == 0:
-        raise ValueError("gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined")
+    ex, ey, gx, gy, z, N = _off_lattice(alpha, gamma)
     table, entries = [], _errors(ex, ey, z, N)  # both sides extend one table
-    quotients = {}  # t -> |e_{t-1}|/|e_t|, shared by both sides like the table
 
     def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
         seen = {}  # key -> (record index, n)
         norms = []  # |x^2 - y^2*N| = z^2 * |N(e)| per record
         for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, 1, table, entries):
             if t >= 2:
-                u0, v0 = table[t][3:]
-                quotient = quotients.get(t)
-                if quotient is None:
-                    u, v = table[t - 1][3:]
-                    quotient = quotients[t] = _div(u, v, 1, u0, v0, 1, N)
-                key = (_div(x, y, 1, u0, v0, 1, N), quotient)
+                _, xt, yt, r = table[t]
+                key = (_div(-s * x, -s * y, 1, xt, yt, 1, N), r)
                 if key in seen:
                     first, first_n = seen[key]
                     m = _make(0, min(norms[first:]), 2 * abs(ey) * z * N, N)

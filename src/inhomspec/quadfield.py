@@ -149,12 +149,11 @@ def _pow(x: int, y: int, z: int, k: int, N: int) -> tuple[int, int, int]:
 
 def _div(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, N: int) -> "QuadNum":
     """(x1 + y1*sqrt(N))/z1 divided by (x2 + y2*sqrt(N))/z2."""
-    if y2 == 0:
-        if x2 == 0:
-            raise ZeroDivisionError("inverse of exact zero")
-        return _make(x1 * z2, y1 * z2, z1 * x2, N)
-    # multiply through by the conjugate x2 - y2*sqrt(N); the norm is not 0
+    # multiply through by the conjugate x2 - y2*sqrt(N); N is no square, so
+    # the norm is 0 only at 0
     n = x2 * x2 - y2 * y2 * N
+    if n == 0:
+        raise ZeroDivisionError("inverse of exact zero")
     return _make(z2 * (x1 * x2 - y1 * y2 * N), z2 * (y1 * x2 - x1 * y2), z1 * n, N)
 
 

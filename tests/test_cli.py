@@ -299,6 +299,15 @@ def test_oracle_lattice_target_is_usage_error(capsys, monkeypatch):
     assert err == "error: gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined\n"
 
 
+@pytest.mark.parametrize("window", [(), ("--nmin", "10", "--nmax", "100")])
+def test_oracle_lattice_period_is_usage_error_with_or_without_window(capsys, window):
+    # t:(-2,-6) at (4, 8) gives gamma = 0; a window refuses it as the exact form does
+    code, out, err = run(capsys, "oracle", "--a", "4", "--b", "8",
+                         "--period", "t:(-2,-6)", *window)
+    assert (code, out) == (2, "")
+    assert err == "error: gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined\n"
+
+
 def test_oracle_without_class_or_period_is_usage_error(capsys):
     code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7")
     assert (code, out) == (2, "")

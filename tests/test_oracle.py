@@ -367,6 +367,37 @@ def test_floor_div_matches_quadnum(ux, uy, vx, vy, N):
     assert _floor_div(-3 * ux, -3 * uy, -3 * vx, -3 * vy, N) == want
 
 
+@pytest.mark.parametrize("a, b", [(2, 5), (4, 8), (5, 7), (3, 10)])
+@pytest.mark.parametrize("scale", [1, 6, 35])
+def test_errors_table_is_signed_by_its_index(a, b, scale):
+    # the walk reads |e| from the index's parity and the partial quotients
+    # from r, so both must hold over any common denominator z
+    from inhomspec.oracle import _errors
+
+    eta = make_alpha(a, b).eta
+    z, N = eta._z * scale, eta.N
+    entries = _errors(eta._x * scale, eta._y * scale, z, N)
+    table = [next(entries) for _ in range(20)]
+    # a plain regular continued fraction of eta by QuadNum floors: p, q and
+    # the complete quotients, indexed like the table (k = -1 at index 0)
+    x, p, q, r = eta, [1, eta.floor()], [0, 1], [None]
+    for _ in range(len(table) - 1):
+        x = 1 / (x - x.floor())
+        c = x.floor()
+        p.append(c * p[-1] + p[-2])
+        q.append(c * q[-1] + q[-2])
+        r.append(x)
+    prev = None
+    for t, (qt, xt, yt, rt) in enumerate(table):
+        e = QuadNum(F(xt, z), F(yt, z), N)
+        assert (qt, e, rt) == (q[t], eta * q[t] - p[t], r[t])
+        assert e.sign() == (-1 if t % 2 == 0 else 1)
+        if t:
+            assert rt == -prev / e
+            assert rt.floor() == (q[t + 1] - q[t - 1]) // qt  # the next partial quotient
+        prev = e
+
+
 def test_oracle_does_not_import_numpy():
     import os
     import subprocess
