@@ -13,12 +13,15 @@ H = (1, -3, a, -3, 1) and H' = (-1, 1, a, 1, -1), which take no t.
 For an eventually periodic sequence the machinery below produces, all exactly:
 
 * gamma itself, as gamma = (1 - eta + d_0^+)/2,
-* the forward/backward tail sums d_i^+ and d_i^-,
+* the forward/backward tail sums d_i^+ and d_i^-; when the period is a
+  palindrome about an even centre r, d_i^- is d_{1+r-i}^+ and is read off
+  the forward tails,
 * the four products s_1*(i) ... s_4*(i) built from the tails,
 * the normalized approximation constant as the minimum of the applicable
   products over one period (the lim inf of a periodic sequence), with the
   special evaluation mode for sequences whose period contains a maximal
-  digit t_i = a_i.
+  digit t_i = a_i; for such a palindrome the mirror i -> 1 + r - i pairs
+  indices with the same products, and the minimum runs over half of them.
 
 Everything here treats the period as extended bi-infinitely; a preperiod can
 be attached for gamma reconstruction but never influences the minimum.
@@ -319,21 +322,51 @@ def _cycle_tail(period: Sequence[int], alpha: PeriodTwoAlpha) -> Triple:
     return _ints(_div(cx, cy, cz, z - x, -y, z, N))
 
 
+def _mirror_centre(period: tuple[int, ...]) -> int | None:
+    """The least even r in [0, L) with period[j] == period[(r - j) % L] for
+    every j, or None when the period is no palindrome about an even centre.
+
+    That is, the reversed word period[:1] + period[:0:-1] is the period
+    rotated by r.  The digits are coded one character each, so one str.find
+    of the reversed word in the doubled word, a string search in C, finds
+    the least such r of either parity.  The centres form one class modulo the
+    word's least rotation period P, which divides L: when the least r is odd
+    and P is odd, the next match r + P < L is even, and when P is even every
+    centre is odd.  So a second find is needed only after an odd first match.
+    """
+    code = {t: chr(k) for k, t in enumerate(set(period))}
+    word = "".join(map(code.__getitem__, period))
+    rev, twice = word[0] + word[:0:-1], word + word[:-1]
+    r = twice.find(rev)
+    if r > 0 and r % 2:
+        r = twice.find(rev, r + 1)
+    return r if r >= 0 and r % 2 == 0 else None
+
+
 def _period_tails(
     period: tuple[int, ...], alpha: PeriodTwoAlpha
-) -> tuple[list[Triple], list[Triple]]:
-    """(d^-, d^+) of the bi-infinite period, each a list of reduced triples
-    read at i mod L; each list is one walk of _tails from _cycle_tail.
+) -> tuple[list[Triple], list[Triple], int | None]:
+    """(d^-, d^+, r) of the bi-infinite period: each tail list holds reduced
+    triples read at i mod L, and r is _mirror_centre(period).
 
-    The backward recurrence d_i^- = alpha_{i-1} (t_i + d_{i-1}^-) is the
-    forward one on the reversed word u_k = t_{L+2-k}, read at k = L+1-i;
-    alpha_k = alpha_{i-1} because L is even.
+    d^+ is one walk of _tails from _cycle_tail.  The backward recurrence
+    d_i^- = alpha_{i-1} (t_i + d_{i-1}^-) is the forward one on the reversed
+    word u_k = t_{L+2-k}, read at k = L+1-i; alpha_k = alpha_{i-1} because L
+    is even.  When the period is a palindrome about an even centre r,
+    t_{r+2-m} = t_m for every m, so d_i^- = sum_k alpha_{i-1} ... alpha_{i-k}
+    t_{i+1-k} is d_{1+r-i}^+ = sum_k alpha_{1+r-i} ... alpha_{r-i+k} t_{r+1-i+k}
+    term by term (1 + r - i has the parity of i - 1, so the alphas agree),
+    and the reversed word's two walks are skipped.  An odd centre would swap
+    eta and beta, so it gives no such identity.
     """
     L = len(period)
+    plus = _tails(period, alpha, _cycle_tail(period, alpha))
+    r = _mirror_centre(period)
+    if r is not None:
+        return [plus[(1 + r - i) % L] for i in range(L)], plus[:L], r
     rev = period[:1] + period[:0:-1]
     back = _tails(rev, alpha, _cycle_tail(rev, alpha))
-    plus = _tails(period, alpha, _cycle_tail(period, alpha))
-    return [back[(1 - i) % L] for i in range(L)], plus[:L]
+    return [back[(1 - i) % L] for i in range(L)], plus[:L], r
 
 
 def gamma_value(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
@@ -381,7 +414,7 @@ def s_star(
 ) -> tuple[QuadNum, QuadNum, QuadNum, QuadNum]:
     """(s1*, s2*, s3*, s4*) at index i of the bi-infinite periodic part."""
     tseq.validate(alpha)
-    minus, plus = _period_tails(tseq.period, alpha)
+    minus, plus, _ = _period_tails(tseq.period, alpha)
     j, N = i % len(tseq.period), alpha.N
     xy, z = _s_ints(*_one_minus(alpha)[j % 2], minus[j], plus[j], N)
     return tuple(_make(x, y, z, N) for x, y in xy)
@@ -485,13 +518,25 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     word, and on any other the result need not be the constant.
 
     Per variant the tails are four int walks of _tails (two to close the
-    cycle, then d^+ and d^-) on reduced triples, and _s_ints gives each
-    index's four products as numerator pairs over one shared denominator z,
-    straight from the triples of the two tails and of 1 - eta and 1 - beta
-    (computed once per call).  The minimum is found on ints: within an index
-    by the sign of a numerator difference, across indices and variants by
-    cross-multiplying with the running best (X, Y, Z), the first of equal
-    values kept.  One _make reduces the winner, the only QuadNum built.
+    cycle, then d^+ and d^-) on reduced triples, two when the period is a
+    palindrome about an even centre r (see _period_tails), and _s_ints gives
+    each index's four products as numerator pairs over one shared
+    denominator z, straight from the triples of the two tails and of 1 - eta
+    and 1 - beta (computed once per call).
+
+    For such a palindrome the map i -> 1 + r - i (mod L) sends
+    (alpha_i, d_i^+) to (alpha_{i-1}, d_i^-) and back, so it fixes s1* and
+    s3* and swaps s2* and s4*: the products at i and at its image are the
+    same set, and both pick sets, (s1..s4) and (s1, s2, s4), are closed under
+    s2 <-> s4.  It has no fixed point, 1 + r being odd and L even, so the L/2
+    consecutive indices r/2 + 1 - L/2, ..., r/2 hold one index of each pair
+    and the minimum is taken over them alone.  Each variant is tested on its
+    own.
+
+    The minimum is found on ints: within an index by the sign of a numerator
+    difference, across indices and variants by cross-multiplying with the
+    running best (X, Y, Z), the first of equal values kept.  One _make
+    reduces the winner, the only QuadNum built.
     """
     tseq.validate(alpha)
     period = TSequence(tseq.period)
@@ -506,8 +551,10 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     N = alpha.N
     X, Y, Z = 1, 0, 0  # 1/0 is above every product: x*0 - 1*z = -z < 0
     for seq in variants:
-        minus, plus = _period_tails(seq.period, alpha)
-        for i in range(len(seq.period)):
+        minus, plus, r = _period_tails(seq.period, alpha)
+        L = len(seq.period)
+        # one index of each mirror pair; a negative i reads the lists at i mod L
+        for i in range(L) if r is None else range(r // 2 + 1 - L // 2, r // 2 + 1):
             s, z = _s_ints(*one_minus[i % 2], minus[i], plus[i], N)
             x, y = s[first]
             for j in rest:

@@ -8,7 +8,9 @@ import mstar_reference
 from inhomspec.quadfield import QuadNum, _ints, _make, qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs, equivalence_cases
+from inhomspec import expansion
 from inhomspec.expansion import (
+    _mirror_centre,
     _s_ints,
     _tails,
     AlignmentError,
@@ -466,6 +468,105 @@ def test_m_star_matches_the_quadnum_reference(case):
     minus, plus = mstar_reference.tails(seq.period, al)
     for i in range(len(seq.period)):
         assert s_star(seq, i, al) == mstar_reference.products(al, i, minus[i], plus[i])
+
+
+def assert_matches_the_reference(al, seq):
+    """m_star (or its DigitRangeError), every s_star and d_minus at every
+    index of the period, against the QuadNum reference."""
+    want = mstar_reference.m_star(seq.period, al)
+    if want is None:  # the reflection carries a digit out of range
+        with pytest.raises(DigitRangeError):
+            m_star(seq, al)
+    else:
+        assert m_star(seq, al) == want
+    L = len(seq.period)
+    minus, plus = mstar_reference.tails(seq.period, al)
+    for i in range(1, L + 1):
+        assert d_minus(seq, i, al) == minus[i % L]
+        assert s_star(seq, i, al) == mstar_reference.products(
+            al, i, minus[i % L], plus[i % L])
+
+
+def has_centre(word, r):
+    return all(word[j] == word[(r - j) % len(word)] for j in range(len(word)))
+
+
+@st.composite
+def palindromic_words(draw):
+    """A valid period of length 2-16 at a property pair that reads the same
+    backwards about an even centre r, period[j] == period[(r - j) % L]: a
+    random word whose digit at each j is replaced by its mirror's when the
+    mirror comes first.  j and r - j share a parity, so the digit stays
+    valid.  About half of them are given a maximal digit, and its mirror with
+    it, so the reflection path is taken."""
+    al = make_alpha(*draw(st.sampled_from(PROPERTY_PAIRS)))
+    L = 2 * draw(st.integers(1, 8))
+    r = 2 * draw(st.integers(0, L // 2 - 1))
+    qs = [al.partial_quotient(i) for i in range(1, L + 1)]
+    ts = [2 * draw(st.integers(0, q - 1)) - (q - 2) for q in qs]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, L - 1))
+        ts[k] = ts[(r - k) % L] = qs[k]
+    for j in range(L):
+        ts[j] = ts[min(j, (r - j) % L)]
+    return al, TSequence(tuple(ts))
+
+
+@given(palindromic_words())
+@settings(max_examples=200, deadline=None)
+def test_palindromic_words_match_the_quadnum_reference(case):
+    al, seq = case
+    r = _mirror_centre(seq.period)
+    assert r is not None and r % 2 == 0 and has_centre(seq.period, r)
+    assert_matches_the_reference(al, seq)
+
+
+@pytest.mark.parametrize("word, centre", [
+    ((0, 0, 2, 2), None),  # a palindrome about the odd centre 1 only
+    ((0, 0, 2, 2, 0, 0, 2, 2), None),  # about 1 and 5, both odd
+    ((0, 0, 2, 0, 0, 2), 4),  # about 1, and about 4 one rotation period on
+    ((-2, -4, 0, 4), None),  # no centre at all
+    ((4, -2, 0, 2), None),  # no centre, a maximal digit: reflects to (4, 0, 0, -4)
+    ((0, 0, 0, 0), 0),
+    ((0, 2, 0, -2), 2),
+])
+def test_mirror_centre_is_the_least_even_centre(word, centre):
+    assert _mirror_centre(word) == centre
+    assert [r for r in range(0, len(word), 2) if has_centre(word, r)][:1] == (
+        [] if centre is None else [centre])
+    assert_matches_the_reference(A48, TSequence(word))
+
+
+def test_m_star_work_on_the_grid_is_pinned(monkeypatch):
+    # one m_star pass over the 977 grid cases: of the 1,164 words it
+    # evaluates (a class word, or its reflection), 965 are palindromes about
+    # an even centre, which skip the two walks of the reversed word and take
+    # the minimum over half the indices (without that, 4,656 walks and 9,754
+    # index evaluations)
+    calls = {"_tails": 0, "_s_ints": 0, "words": 0, "palindromes": 0}
+
+    def counted(name):
+        fn = getattr(expansion, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(expansion, name, wrapper)
+
+    counted("_tails")
+    counted("_s_ints")
+
+    def centre(period):
+        r = _mirror_centre(period)
+        calls["words"] += 1
+        calls["palindromes"] += r is not None
+        return r
+    monkeypatch.setattr(expansion, "_mirror_centre", centre)
+    for a, b in covered_pairs():
+        al = make_alpha(a, b)
+        for cls in equivalence_cases(al, 4):
+            m_star(class_tsequence(cls, al), al)
+    assert calls == {"_tails": 2726, "_s_ints": 6287, "words": 1164, "palindromes": 965}
 
 
 def test_d_minus_undefined_in_preperiod():
