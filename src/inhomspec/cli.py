@@ -90,9 +90,12 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
     tuple and dict the subcommands print, without first turning each QuadNum
     into a dict: a scalar through _JSON_SCALARS, a QuadNum through
     QuadNum._json_leaf, and a container by joining its children's text, each
-    rendered at pad + "  ".  A float, which no subcommand prints, raises the
-    TypeError json raises for an unknown type.  The whole text is built
-    before anything is printed, so a --digits below 1 raises first.
+    rendered at pad + "  ".  A container writes its scalar and QuadNum
+    children in place, the same two ways, and calls this function only for a
+    child that is itself a container (or a type it refuses).  A float, which
+    no subcommand prints, raises the TypeError json raises for an unknown
+    type.  The whole text is built before anything is printed, so a --digits
+    below 1 raises first.
     """
     render = _JSON_SCALARS.get(type(obj))
     if render is not None:
@@ -100,13 +103,23 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
     if type(obj) is QuadNum:
         return obj._json_leaf(digits, pad)
     inner = pad + "  "
+    items = []
     if isinstance(obj, dict):
         brackets = "{}"
-        items = [f"{_json_str(k)}: {_json_text(obj[k], digits, inner)}"
-                 for k in sorted(obj)]
+        for k in sorted(obj):
+            v = obj[k]
+            render = _JSON_SCALARS.get(type(v))
+            text = (render(v) if render is not None
+                    else v._json_leaf(digits, inner) if type(v) is QuadNum
+                    else _json_text(v, digits, inner))
+            items.append(f"{_json_str(k)}: {text}")
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
-        items = [_json_text(v, digits, inner) for v in obj]
+        for v in obj:
+            render = _JSON_SCALARS.get(type(v))
+            items.append(render(v) if render is not None
+                         else v._json_leaf(digits, inner) if type(v) is QuadNum
+                         else _json_text(v, digits, inner))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:

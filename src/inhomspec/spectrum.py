@@ -43,7 +43,11 @@ member above it is an isolated value.  No regime or pair has a layout of its
 own, except that at (3,6) one family reaching the limit is not listed (see
 _NOT_LISTED).  delta_closed_form, family_limit and spectrum_catalog reach a
 value through the same member function, called with the class's parameter
-alone; the catalogue builds it once per family and call.  A catalogue's
+alone; the catalogue builds it once per family and call.  The forms read
+the values they share (D^2, 1 - D, ...) from _Pair, which computes each on
+first use, once per call.  One enumerator, _params, yields the parameters at
+which an entry applies at a pair, for the catalogue and equivalence_cases;
+each builds a ClassId only for a parameter it keeps.  A catalogue's
 json_tree() is its one point layout: to_csv_rows, which feeds the csv and
 table outputs, reads its points.  euclidean_test reads catalogues.  No value ever touches floating point.
 """
@@ -51,8 +55,9 @@ table outputs, reads its points.  euclidean_test reads catalogues.  No value eve
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .quadfield import QuadNum, _ints, _make, _pow
@@ -186,19 +191,84 @@ class _Pair:
     For odd a, m, n, s and r are the values of the pair's odd_params, and
     v = (m*beta - D)/(1 - D).  Every entry writes its period with blocks, in
     the paper's block notation.
+
+    The values the closed forms share are attributes, each computed on its
+    first read and kept for the life of the _Pair: D2 = D^2, omD = 1 - D,
+    opD = 1 + D, twoD = 2*D, omD2 = 1 - D^2, opD2 = 1 + D^2, ome = 1 - eta,
+    omB = 1 - beta, om2e = 1 - 2*eta, om3B = 1 - 3*beta, eD = eta*D,
+    BD = beta*D and, for odd a, v and ev = eta*v.  So a catalogue computes
+    each of them at most once, and delta_closed_form, which builds a _Pair
+    per call, pays only for what its one form reads.  A _Pair lives for one
+    call; nothing keeps it.
     """
 
     def __init__(self, alpha: PeriodTwoAlpha):
         self.alpha, self.a, self.b = alpha, alpha.a, alpha.b
+        self.D = alpha.D
         self.regime = regime(alpha)
         if self.regime == "odd":
             p = odd_params(alpha)
             self.m, self.n, self.s, self.r = p.m, p.n, p.s, p.r
-            self.v = (p.m * alpha.beta - alpha.D) / (1 - alpha.D)
 
     def blocks(self, *specs) -> TSequence:
         """The periodic word of the (block name, t) specs, in order."""
         return tseq_from_blocks([Block(n, t) for n, t in specs], self.alpha)
+
+    @cached_property
+    def D2(self) -> QuadNum:
+        return self.D * self.D
+
+    @cached_property
+    def omD(self) -> QuadNum:
+        return 1 - self.D
+
+    @cached_property
+    def opD(self) -> QuadNum:
+        return 1 + self.D
+
+    @cached_property
+    def twoD(self) -> QuadNum:
+        return 2 * self.D
+
+    @cached_property
+    def omD2(self) -> QuadNum:
+        return 1 - self.D2
+
+    @cached_property
+    def opD2(self) -> QuadNum:
+        return 1 + self.D2
+
+    @cached_property
+    def ome(self) -> QuadNum:
+        return 1 - self.alpha.eta
+
+    @cached_property
+    def omB(self) -> QuadNum:
+        return 1 - self.alpha.beta
+
+    @cached_property
+    def om2e(self) -> QuadNum:
+        return 1 - 2 * self.alpha.eta
+
+    @cached_property
+    def om3B(self) -> QuadNum:
+        return 1 - 3 * self.alpha.beta
+
+    @cached_property
+    def eD(self) -> QuadNum:
+        return self.alpha.eta * self.D
+
+    @cached_property
+    def BD(self) -> QuadNum:
+        return self.alpha.beta * self.D
+
+    @cached_property
+    def v(self) -> QuadNum:
+        return (self.m * self.alpha.beta - self.D) / self.omD
+
+    @cached_property
+    def ev(self) -> QuadNum:
+        return self.alpha.eta * self.v
 
 
 @dataclass(frozen=True)
@@ -207,11 +277,12 @@ class _Class:
 
     param is None, "k" or "t".  applies(c, p) is the side condition on
     (a, b) and the parameter p; period(c, p) builds the periodic t-sequence.
-    form(c, e, B, D) is the closed form at one pair, in e = eta, B = beta and
-    D.  For a plain class it is the value.  For a k- or t-family it computes
-    the coefficients that do not depend on the parameter once and returns
-    the member function member(p): the value at parameter p.  The family
-    limit of a k-family is member(None).  A family's form returns the shared
+    form(c, e, B, D) is the closed form at one pair, in e = eta, B = beta, D
+    and the values c shares (see _Pair).  For a plain class it is the value.
+    For a k- or t-family it computes the coefficients that do not depend on
+    the parameter once and returns the member function member(p): the value
+    at parameter p.  The family limit of a k-family is member(None).  A
+    family's form returns the shared
     member of _rational, the integer kernel for (x + p*w)(y + q*w) with
     w = u / (1 + h*u), u = D^(n*k), except even-even Sk4 (its k = 0
     override at the two ends of the range of b and its (6,10) k = 1
@@ -292,14 +363,17 @@ def _rational(Dn: QuadNum, h, x, p, y, q) -> Callable[[Optional[int]], QuadNum]:
         if k is None:
             return x * y
         ux, uy, uz = _pow(dx, dy, dz, k, N)  # U/u_z = Dn^k
-        ex, ey = hz * uz + hx * ux + hy * uy * N, hx * uy + hy * ux
-        ax = xx * ex + xy * ey * N + px * ux + py * uy * N
+        uyN = uy * N
+        ex, ey = hz * uz + hx * ux + hy * uyN, hx * uy + hy * ux
+        eyN = ey * N
+        ax = xx * ex + xy * eyN + px * ux + py * uyN
         ay = xx * ey + xy * ex + px * uy + py * ux
-        bx = yx * ex + yy * ey * N + qx * ux + qy * uy * N
+        bx = yx * ex + yy * eyN + qx * ux + qy * uyN
         by = yx * ey + yy * ex + qx * uy + qy * ux
         ax, ay = ax * bx + ay * by * N, ax * by + ay * bx
-        cx, cy = ex * ex + ey * ey * N, -2 * ex * ey  # conj(E)^2
-        norm = ex * ex - ey * ey * N
+        exx, eyyN = ex * ex, ey * eyN
+        cx, cy = exx + eyyN, -2 * ex * ey  # conj(E)^2
+        norm = exx - eyyN
         return _make(ax * cx + ay * cy * N, ax * cy + ay * cx, den * norm * norm, N)
 
     return member
@@ -311,7 +385,7 @@ def _rational(Dn: QuadNum, h, x, p, y, q) -> Callable[[Optional[int]], QuadNum]:
 @_entry("even-odd", "S-1", _always,
         lambda c, k: c.blocks(("A", 1), ("A", 1), ("A'", 1), ("A'", 1)))
 def _(c, e, B, D):
-    return (1 - B - B * (1 - D) / (1 + D**2)) * (1 - e - D * (1 - D) / (1 + D**2))
+    return (c.omB - B * c.omD / c.opD2) * (c.ome - D * c.omD / c.opD2)
 
 
 @_entry("even-odd", "S-2", _always, lambda c, k: c.blocks(("C", 3)))
@@ -319,13 +393,13 @@ def _(c, e, B, D):
     a, b = c.a, c.b
     hi = b >= max(2 * a - 5, Fraction(3 * a, 2))
     lo = b <= min(a + 5, Fraction(3 * a, 2))
-    u = (3 * B - 2 * D) / (1 - D)
-    w = (2 * e - 3 * D) / (1 - D)
+    u = (3 * B - c.twoD) / c.omD
+    w = (2 * e - 3 * D) / c.omD
     if not (hi or lo):
         return (1 + B - u) * (1 + e - w)
-    val = (1 - B + u) * (1 - e - w) if hi else (1 - B - u) * (1 - e + w)
+    val = (c.omB + u) * (c.ome - w) if hi else (c.omB - u) * (c.ome + w)
     # only the overlap evaluates both branches, to check that they agree
-    if hi and lo and val != (1 - B - u) * (1 - e + w):
+    if hi and lo and val != (c.omB - u) * (c.ome + w):
         raise BranchDisagreement(f"delta_-2 branches disagree at (a,b)=({a},{b})")
     return val
 
@@ -336,11 +410,11 @@ def _(c, e, B, D):
         ),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    D2 = D**2
-    g = 2 * D * (1 - D) / (1 + D2)
-    x = 1 - B - B * (1 - D) * (1 + 2 * D2) / (1 + D2)
-    y = 1 - e - D * (1 - D) / (1 + D2)
-    return _rational(D**4, -D2, x, -B * D**3 * g, y, g)
+    D2 = c.D2
+    g = c.twoD * c.omD / c.opD2
+    x = c.omB - B * c.omD * (1 + 2 * D2) / c.opD2
+    y = c.ome - D * c.omD / c.opD2
+    return _rational(D2**2, -D2, x, -c.BD * D2 * g, y, g)
 
 
 # ---- a >= 4 even, b even
@@ -348,16 +422,14 @@ def _(c, e, B, D):
 
 @_entry("even-even", "S-1", _always, lambda c, k: c.blocks(("C", 2)))
 def _(c, e, B, D):
-    return (1 - 3 * e + 2 * D * (1 - e) / (1 - D)) * (
-        1 - B + 2 * B * (1 - e) / (1 - D)
-    )
+    return (1 - 3 * e + c.twoD * c.ome / c.omD) * (c.omB + 2 * B * c.ome / c.omD)
 
 
 @_entry("even-even", "S-2", lambda c, k: (c.a, c.b) == (4, 6),
         lambda c, k: c.blocks(("A", 2), ("C", 2)))
 def _(c, e, B, D):
-    return (1 - e - 2 * D / (1 - D) + 2 * e * D / (1 - D**2)) * (
-        1 - 3 * B - 2 * B * D / (1 - D) + 2 * D / (1 - D**2)
+    return (c.ome - c.twoD / c.omD + 2 * c.eD / c.omD2) * (
+        c.om3B - 2 * c.BD / c.omD + c.twoD / c.omD2
     )
 
 
@@ -366,9 +438,9 @@ def _(c, e, B, D):
         lambda c, k: c.blocks(("A", 0), *(("A", 2), ("A'", 2)) * k),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    u = 2 * D**2 / (1 + D)
-    v = 2 * B / (1 + D)
-    return _rational(D**2, -D, 1 - e + u, -u * (1 - D), 1 - B - v, v * (1 - D))
+    u = 2 * c.D2 / c.opD
+    v = 2 * B / c.opD
+    return _rational(c.D2, -D, c.ome + u, -u * c.omD, c.omB - v, v * c.omD)
 
 
 @_entry("even-even", "Sk2", lambda c, k: k >= 1 and c.b == 2 * c.a - 2 and c.a >= 8,
@@ -377,22 +449,22 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    BD = B * D
-    g = 2 * D * (1 + D) * (1 - e + D) / (1 - D)
-    x = 1 - 3 * e + 2 * D * (2 - e) / (1 - D)
-    y = 1 + B - 2 * BD * (1 - e + D) / (1 - D)
-    return _rational(D, D**2, x, -g, y, BD * g)
+    BD, f = c.BD, (c.ome + D) / c.omD  # f = (1 - e + D)/(1 - D)
+    g = c.twoD * c.opD * f
+    x = 1 - 3 * e + c.twoD * (2 - e) / c.omD
+    y = 1 + B - 2 * BD * f
+    return _rational(D, c.D2, x, -g, y, BD * g)
 
 
 @_entry("even-even", "Sk3", lambda c, k: k >= 1 and c.b == 2 * c.a - 4 and c.a >= 10,
         lambda c, k: c.blocks(("C", 4), *(("C", 2), ("C", 4)) * k),
         listed=("decreasing", 1))
 def _(c, e, B, D):
-    BD = B * D
-    g = 2 * D / (1 + D)
-    x = 1 - e - 2 * e * D / (1 - D) + 2 * D * (1 + 2 * D) / (1 - D**2)
-    y = 1 - 3 * B + 2 * D / (1 - D) - 2 * BD * (2 + D) / (1 - D**2)
-    return _rational(D**2, -D, x, g, y, -BD * g)
+    BD = c.BD
+    g = c.twoD / c.opD
+    x = c.ome - 2 * c.eD / c.omD + c.twoD * (1 + c.twoD) / c.omD2
+    y = c.om3B + c.twoD / c.omD - 2 * BD * (2 + D) / c.omD2
+    return _rational(c.D2, -D, x, g, y, -BD * g)
 
 
 @_entry("even-even", "Sk4",
@@ -406,16 +478,16 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     a, b = c.a, c.b
     hi, lo = b >= max(3 * a - 6, 2 * a), b <= min(a + 6, 2 * a - 2)
-    g = 2 * D
-    family = _rational(D, -D, 1 - e + g * (1 - e) / (1 - D), g,
-                       1 - 3 * B + g * (1 - B) / (1 - D), -B * g)
+    g = c.twoD
+    family = _rational(D, -D, c.ome + g * c.ome / c.omD, g,
+                       c.om3B + g * c.omB / c.omD, -B * g)
 
     def member(k):
         # at the two ends of the range of b, k = 0 has a closed form of its
         # own, which differs from the family formula; in between it is family(0)
         if k == 0 and (hi or lo):
-            u = g * (1 - 2 * B) / (1 - D)
-            v = g * (2 - e) / (1 - D)
+            u = g * (1 - 2 * B) / c.omD
+            v = g * (2 - e) / c.omD
             if hi:
                 return (1 + 3 * B - u) * (1 - 3 * e + v)
             return (1 - 5 * B + u) * (1 + e - v)
@@ -437,9 +509,9 @@ def _(c, e, B, D):
         lambda c, k: c.blocks(("A", 2), *[("C", 2)] * k, ("A'", 2), *[("C'", 2)] * k),
         listed=("increasing", 0))
 def _(c, e, B, D):
-    g = 2 * D * (1 - 2 * B + D) / (1 - D)
-    x = 1 - e + 2 * D * (1 - e) / (1 - D)
-    y = 1 - 3 * B + 2 * D * (1 - B) / (1 - D)
+    g = c.twoD * (1 - 2 * B + D) / c.omD
+    x = c.ome + c.twoD * c.ome / c.omD
+    y = c.om3B + c.twoD * c.omB / c.omD
     return _rational(D, D, x, e * g, y, -g)
 
 
@@ -450,11 +522,11 @@ def _(c, e, B, D):
         ),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    D2 = D**2
-    g = 2 * D**4 * (1 - 2 * B + D) * (1 - D**3) / (1 + D2)
-    x = (1 - 3 * e + 2 * D - 2 * D2 + 2 * e * D2
-         - 2 * D**3 * (1 - e + D) / (1 + D2))
-    y = 1 + B - 2 * D * (1 - B + B * D) / (1 + D2)
+    D2 = c.D2
+    g = 2 * D**4 * (1 - 2 * B + D) * (1 - D**3) / c.opD2
+    x = (1 - 3 * e + c.twoD - 2 * D2 + 2 * e * D2
+         - 2 * D**3 * (c.ome + D) / c.opD2)
+    y = 1 + B - c.twoD * (c.omB + c.BD) / c.opD2
     return _rational(D**4, -D**6, x, -e * D2 * g, y, g)
 
 
@@ -464,11 +536,11 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     # coupling coefficient is eta*D^3, not 2*eta*D^3: derived exactly
     # from the tail sums of the period, which the printed form misstates
-    D2, D3 = D**2, D**3
-    g = 2 * (1 - 3 * B + D)
-    x = (1 + e - 2 * D + 2 * D2 + 2 * e * D3 / (1 - D)
-         - 2 * D3 * (1 + 2 * D) / (1 - D2))
-    y = 1 - 5 * B + 2 * D / (1 - D) - 2 * B * D * (1 + 2 * D) / (1 - D2)
+    D2, D3 = c.D2, D**3
+    g = 2 * (c.om3B + D)
+    x = (1 + e - c.twoD + 2 * D2 + 2 * e * D3 / c.omD
+         - 2 * D3 * (1 + c.twoD) / c.omD2)
+    y = 1 - 5 * B + c.twoD / c.omD - 2 * c.BD * (1 + c.twoD) / c.omD2
     return _rational(D2, -D2, x, -e * D3 * g, y, -g)
 
 
@@ -480,11 +552,11 @@ def _(c, e, B, D):
     a, b, r, v = c.a, c.b, c.r, c.v
     vals = []
     if r <= a + 1:
-        vals.append((1 - e * v - 2 * D**2 / (1 - D**2))
-                    * (1 - 3 * B - v - 2 * B * D**2 / (1 - D**2)))
+        vals.append((1 - c.ev - 2 * c.D2 / c.omD2)
+                    * (c.om3B - v - 2 * B * c.D2 / c.omD2))
     if r >= a + 1:
-        vals.append((1 - 2 * e + e * v + 2 * D / (1 - D**2))
-                    * (1 - B + v + 2 * B * D / (1 - D**2)))
+        vals.append((c.om2e + c.ev + c.twoD / c.omD2)
+                    * (c.omB + v + 2 * c.BD / c.omD2))
     # only r = a + 1 evaluates both branches, to check that they agree
     if vals[0] != vals[-1]:
         raise BranchDisagreement(f"delta_-1 branches disagree at (a,b)=({a},{b})")
@@ -493,29 +565,29 @@ def _(c, e, B, D):
 
 @_entry("odd", "S-2", _always, lambda c, k: c.blocks(("B", c.n)))
 def _(c, e, B, D):
-    return (1 - e * c.v - 2 * D / (1 - D)) * (1 - 3 * B - c.v - 2 * B * D / (1 - D))
+    return (1 - c.ev - c.twoD / c.omD) * (c.om3B - c.v - 2 * c.BD / c.omD)
 
 
 @_entry("odd", "S-3", _always, lambda c, k: c.blocks(("B", c.n), ("B", c.s)))
 def _(c, e, B, D):
-    return (1 - 2 * e + e * c.v + 2 * e / c.b) * (1 - 3 * B + c.v + 2 * D / c.b)
+    return (c.om2e + c.ev + 2 * e / c.b) * (c.om3B + c.v + c.twoD / c.b)
 
 
 @_entry("odd", "S-4", _always,
         lambda c, k: c.blocks(("B", c.s), ("B'", c.s)) if c.m == 1
         else c.blocks(("B", c.m), ("B'", c.m)))
 def _(c, e, B, D):
-    return (1 - 2 * e + e * (c.m + e) / c.b) * (1 - B - (c.m - e) / c.b)
+    return (c.om2e + e * (c.m + e) / c.b) * (c.omB - (c.m - e) / c.b)
 
 
 @_entry("odd", "S-5", lambda c, k: c.m == 1 and c.a >= 5,
         lambda c, k: c.blocks(("E", 3)))
 def _(c, e, B, D):
-    x = 3 * D * (1 - e) / (1 - D)
-    y = 3 * D * (1 - B) / (1 - D)
+    x = 3 * D * c.ome / c.omD
+    y = 3 * D * c.omB / c.omD
     if c.r >= c.a - 7:
         return (1 - 4 * e + x) * (1 + 2 * B - y)
-    return (1 - 2 * e + x) * (1 - 2 * B + y)
+    return (c.om2e + x) * (1 - 2 * B + y)
 
 
 @_entry("odd", "S-6", lambda c, k: c.b % 2 == 0, lambda c, k: c.blocks(("F", 2)))
@@ -525,13 +597,13 @@ def _(c, e, B, D):
 
 @_entry("odd", "S-7", lambda c, k: c.b % 2 == 1, lambda c, k: c.blocks(("F", 1)))
 def _(c, e, B, D):
-    return e * (1 - (B / (1 - D)) ** 2)
+    return e * (1 - (B / c.omD) ** 2)
 
 
 @_entry("odd", "S-8", lambda c, k: (c.a, c.b) == (3, 4),
         lambda c, k: c.blocks(("F", 0), ("B", 0)))
 def _(c, e, B, D):
-    return e * (1 - (B * (1 - e + D) / (1 - D**2)) ** 2)
+    return e * (1 - (B * (c.ome + D) / c.omD2) ** 2)
 
 
 @_entry("odd", "S-9", lambda c, k: (c.a, c.b) == (3, 5),
@@ -542,16 +614,16 @@ def _(c, e, B, D):
 
 @_entry("odd", "S0", _always, lambda c, k: c.blocks(("B", c.m)))
 def _(c, e, B, D):
-    return (1 - 2 * e + e * c.v) * (1 - B + c.v)
+    return (c.om2e + c.ev) * (c.omB + c.v)
 
 
 @_entry("odd", "Sk1", lambda c, k: c.r >= c.a + 3,
         lambda c, k: c.blocks(*[("B", c.n)] * k, ("B", c.m)),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    g = 2 * D
-    x = 1 - 2 * e + e * c.v + g / (1 - D)
-    y = 1 - B + c.v + B * g / (1 - D)
+    g = c.twoD
+    x = c.om2e + c.ev + g / c.omD
+    y = c.omB + c.v + B * g / c.omD
     return _rational(D, -D, x, -g, y, -B * g)
 
 
@@ -561,9 +633,9 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    g = 2 * (B * (1 + D) - D) / (1 - D)
-    x = 1 - 2 * e + D * (2 - e) / (1 - D)
-    y = 1 - B + D * (1 - 2 * B) / (1 - D)
+    g = 2 * (B * c.opD - D) / c.omD
+    x = c.om2e + D * (2 - e) / c.omD
+    y = c.omB + D * (1 - 2 * B) / c.omD
     return _rational(D, D, x, -e * g, y, D * g)
 
 
@@ -571,10 +643,10 @@ def _(c, e, B, D):
         lambda c, k: c.blocks(*(("B", c.m), ("B", c.n)) * k, ("B", c.n)),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    g = 2 * B * D / (1 + D)
-    x = 1 - e * c.v - 2 * D / (1 - D**2)
-    y = 1 - 3 * B - c.v - 2 * B * D**2 / (1 - D**2)
-    return _rational(D**2, -D, x, -e * g, y, -g)
+    g = 2 * c.BD / c.opD
+    x = 1 - c.ev - c.twoD / c.omD2
+    y = c.om3B - c.v - 2 * B * c.D2 / c.omD2
+    return _rational(c.D2, -D, x, -e * g, y, -g)
 
 
 @_entry("odd", "Sk4", lambda c, k: k >= 1 and c.b == c.a + 1 and c.b >= 6,
@@ -583,19 +655,19 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    eD = e * D
-    g = 2 * (1 - Fraction(2, c.b)) / (1 - D)
-    x = 1 - eD / (1 - D) + 2 * D**2 / (1 - D**2)
-    y = 1 - 3 * B + D / (1 - D) - 2 * B * D**2 / (1 - D**2)
-    return _rational(D**2, 1, x, eD * g, y, -g)
+    eD = c.eD
+    g = 2 * (1 - Fraction(2, c.b)) / c.omD
+    x = 1 - eD / c.omD + 2 * c.D2 / c.omD2
+    y = c.om3B + D / c.omD - 2 * B * c.D2 / c.omD2
+    return _rational(c.D2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk5", lambda c, k: c.r <= c.a - 1,
         lambda c, k: c.blocks(*[("B", c.m)] * k, ("B", c.n)),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    g = 2 * D
-    return _rational(D, -D, 1 - e * c.v, -g, 1 - 3 * B - c.v, -B * g)
+    g = c.twoD
+    return _rational(D, -D, 1 - c.ev, -g, c.om3B - c.v, -B * g)
 
 
 @_entry("odd", "Sk6", lambda c, k: c.r == 2 and c.b >= 7,
@@ -604,10 +676,10 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    g = 2 * D / (1 + D)
+    g = c.twoD / c.opD
     h = B * g
-    x = 1 - e * c.v
-    y = 1 - 3 * B - c.v + 2 * D / c.b
+    x = 1 - c.ev
+    y = c.om3B - c.v + c.twoD / c.b
 
     def member(k):
         z = 0 if k is None else D**k
@@ -624,44 +696,46 @@ def _(c, e, B, D):
         ),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    eD = e * D
-    g = 2 * (1 - Fraction(4, c.b)) / (1 - D)
-    x = 1 - eD / (1 - D) + 4 * D**2 / (1 - D**2)
-    y = 1 - B + D / (1 - D) - 4 * B / (1 - D**2)
-    return _rational(D**2, 1, x, eD * g, y, -g)
+    eD = c.eD
+    g = 2 * (1 - Fraction(4, c.b)) / c.omD
+    x = 1 - eD / c.omD + 4 * c.D2 / c.omD2
+    y = c.omB + D / c.omD - 4 * B / c.omD2
+    return _rational(c.D2, 1, x, eD * g, y, -g)
 
 
 @_entry("odd", "Sk8", lambda c, k: k >= 1 and c.b == c.a + 2 and c.b >= 7,
         lambda c, k: c.blocks(*(("B", c.n), ("B", c.s)) * k, ("B'", c.m)),
         listed=("increasing", 1))
 def _(c, e, B, D):
-    eD2 = e * D**2
+    D2 = c.D2
+    eD2 = e * D2
     g = 2 * (1 - Fraction(2, c.b))
-    x = (1 + D * (1 + D - 4 * D**2) / (1 - D**2)
-         - e * D * (1 - 2 * D) / (1 - D))
-    y = 1 - 4 * B + D / (1 - D) + B * D * (1 - 3 * D) / (1 - D**2)
-    return _rational(D**2, -D, x, -eD2 * g, y, -g)
+    x = (1 + D * (1 + D - 4 * D2) / c.omD2
+         - c.eD * (1 - c.twoD) / c.omD)
+    y = 1 - 4 * B + D / c.omD + c.BD * (1 - 3 * D) / c.omD2
+    return _rational(D2, -D, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk9", lambda c, k: c.b == c.a + 2 and c.b >= 11,
         lambda c, k: c.blocks(*[("B", c.m)] * k, ("B'", c.n), ("E'", 3), ("B'", c.s)),
         listed=("increasing", 0))
 def _(c, e, B, D):
-    eD2 = e * D**2
-    g = 2 * D * (1 - 2 * B + 2 * D - 2 * B * D + D**2)
-    x = (1 - 2 * e + 3 * D - 3 * e * D + 3 * D**2 - eD2
-         - eD2 * (B - D) / (1 - D))
-    y = 1 - 2 * B + D * (1 - B) / (1 - D)
-    return _rational(D, -D**3, x, -eD2 * g, y, -g)
+    D2 = c.D2
+    eD2 = e * D2
+    g = c.twoD * (1 - 2 * B + c.twoD - 2 * c.BD + D2)
+    x = (c.om2e + 3 * D - 3 * c.eD + 3 * D2 - eD2
+         - eD2 * (B - D) / c.omD)
+    y = 1 - 2 * B + D * c.omB / c.omD
+    return _rational(D, -D * D2, x, -eD2 * g, y, -g)
 
 
 @_entry("odd", "Sk10", lambda c, k: (c.a, c.b) == (3, 4) and k >= 1,
         lambda c, k: c.blocks(("F", 2), *(("F", 2), ("B'", 2)) * k),
         listed=("decreasing", 1))
 def _(c, e, B, D):
-    g = B * (1 - e + D) / (1 + D)
-    u = g / (1 - D)
-    return _rational(D**2, -D, e * (1 - u), e * g, 1 + D * u, -D * g)
+    g = B * (c.ome + D) / c.opD
+    u = g / c.omD
+    return _rational(c.D2, -D, e * (1 - u), e * g, 1 + D * u, -D * g)
 
 
 @_entry("odd", "Sk11", lambda c, k: (c.a, c.b) == (3, 5),
@@ -671,9 +745,9 @@ def _(c, e, B, D):
         ),
         listed=("decreasing", 0))
 def _(c, e, B, D):
-    D4 = D**4
-    h = D**3 * (1 - 2 * B - 2 * B * D + D**2) / (1 + D4)
-    return _rational(D**8, -D4, e * (1 - 2 * B + D - h), 2 * e * h,
+    D4 = c.D2**2
+    h = D**3 * (1 - 2 * B - 2 * c.BD + c.D2) / (1 + D4)
+    return _rational(D4**2, -D4, e * (1 - 2 * B + D - h), 2 * e * h,
                      1 + 2 * B - D - h, -2 * h * D4)
 
 
@@ -683,8 +757,8 @@ def _(c, e, B, D):
 def _(c, e, B, D):
     # e*(1 - X^2) with X = g*(1 - D*u)/(1 - D^2*u) = g + d*w, w = u/(1 - D^2*u),
     # u = D^k
-    D2 = D**2
-    g = B * (1 - e + D) / (1 - D)
+    D2 = c.D2
+    g = B * (c.ome + D) / c.omD
     d = g * (D2 - D)
     return _rational(D, -D2, e * (1 - g), -e * d, 1 + g, d)
 
@@ -697,17 +771,18 @@ def _(c, e, B, D):
         else c.blocks(("F", 1), ("F", 3), ("F", 1), ("F", 1)))
 def _(c, e, B, D):
     if c.b % 2 == 0:
-        return e * (1 - B) ** 2
+        return e * c.omB**2
+    omD4 = 1 - c.D2**2  # 1 - D^4
     return e * (
-        (1 - B + B * (1 - D) * D**3 / (1 - D**4)) ** 2
-        - (B * (1 + D) * D / (1 - D**4)) ** 2
+        (c.omB + B * c.omD * D**3 / omD4) ** 2
+        - (B * c.opD * D / omD4) ** 2
     )
 
 
 @_entry("two", "S-2", lambda c, k: c.b % 2 == 1,
         lambda c, k: c.blocks(("F", 3), ("F", 1)))
 def _(c, e, B, D):
-    return e * (1 - B + B * D / (1 + D)) ** 2
+    return e * (c.omB + c.BD / c.opD) ** 2
 
 
 @_entry("two", "S2k", lambda c, k: k >= 1,
@@ -718,9 +793,9 @@ def _(c, e, B, D):
     if c.b % 2 == 0:
         B2 = 2 * B
         return _rational(D, -D, e * (1 - B2), -e * B2 * D, 1, B2)
-    g = 2 * B / (1 + D)
+    g = 2 * B / c.opD
     half = B**2 / 2
-    return _rational(D**2, -D, e * (1 - B - half), -e * g * D**2, 1 - B + half, g)
+    return _rational(c.D2, -D, e * (c.omB - half), -e * g * c.D2, c.omB + half, g)
 
 
 @_entry("two", "S2k+1", _always,
@@ -729,15 +804,15 @@ def _(c, e, B, D):
         listed=("decreasing", 0))
 def _(c, e, B, D):
     # e*((1 - B)^2 - (r*Q)^2) with Q = 1 + d*w, w = u/(1 - D^2*u), u = Dn^k
-    D2 = D**2
+    D2 = c.D2
     Dn, r, d = (D, B, D2 - D) if c.b % 2 == 0 else (D2, B**2 / 2, D2 - 1)
-    return _rational(Dn, -D2, e * (1 - B - r), -e * r * d, 1 - B + r, r * d)
+    return _rational(Dn, -D2, e * (c.omB - r), -e * r * d, c.omB + r, r * d)
 
 
 @_entry("two", "S0t", lambda c, t: 2 <= t <= c.b - 2 and (t - c.b) % 2 == 0,
         lambda c, t: c.blocks(("F", t)))
 def _(c, e, B, D):
-    g = B / (1 - D)
+    g = B / c.omD
     y = 2 - 2 * B
 
     def member(t):
@@ -753,6 +828,12 @@ def _(c, e, B, D):
 # family -> parameter kind (None, "k" or "t")
 _FAMILY_PARAM: dict[str, Optional[str]] = {
     family: entry.param for (_, family), entry in _CLASSES.items()
+}
+
+# regime -> its (family, entry) pairs, in table order
+_REGIME_TABLE: dict[str, list[tuple[str, _Class]]] = {
+    reg: [(f, e) for (r, f), e in _CLASSES.items() if r == reg]
+    for reg in dict.fromkeys(r for r, _ in _CLASSES)
 }
 
 
@@ -791,15 +872,22 @@ def _member(c: _Pair, family: str) -> Callable[[Optional[int]], QuadNum]:
     return form if entry.param else lambda p: form
 
 
-def _params(c: _Pair, f: str, entry: _Class, ks) -> Iterator[ClassId]:
-    """The classes of the entry that apply at the pair, in parameter order.
+def _params(c: _Pair, entry: _Class, ks) -> Iterator[Optional[int]]:
+    """The parameters at which the entry applies at the pair, in order.
 
-    That is the plain class, the t-classes 2 <= t <= b - 2, or the members of
-    a k-family for k in ks.
+    That is None for a plain class, t for the t-classes 2 <= t <= b - 2, or
+    k in ks for a k-family.  The callers build a ClassId only for the
+    parameters they keep (_class_id).
     """
-    for p in {None: [None], "k": ks, "t": range(2, c.b - 1)}[entry.param]:
+    param = entry.param
+    for p in ks if param == "k" else range(2, c.b - 1) if param else (None,):
         if entry.applies(c, p):
-            yield ClassId(f, **{entry.param: p}) if entry.param else ClassId(f)
+            yield p
+
+
+def _class_id(family: str, entry: _Class, p: Optional[int]) -> ClassId:
+    """The class of the entry's family at parameter p."""
+    return ClassId(family, **{entry.param: p}) if entry.param else ClassId(family)
 
 
 def class_tsequence(cls: ClassId, alpha: PeriodTwoAlpha) -> TSequence:
@@ -905,17 +993,23 @@ class SpectrumCatalog:
 
 def _build_points(alpha, entries):
     """entries: list of (ClassId, value, kind, direction).  Returns the points
-    in decreasing order of value."""
-    inv = alpha.norm_factor.inverse()  # M = M* / norm_factor, one division
-    pts = [
-        SpectrumPoint(cls, ms, ms * inv, kind, direction)
-        for cls, ms, kind, direction in entries
-    ]
-    pts.sort(key=lambda p: p.m_star, reverse=True)
-    # distinct classes can share a value (observed once, at (2,10) where the
-    # first-branch delta_{0,6} collapses onto delta_{-1}); the sort is stable,
-    # so this keeps the first entry of each run of equal values
-    return tuple(next(run) for _, run in groupby(pts, key=lambda p: p.m_star))
+    in decreasing order of value.
+
+    M = M* * (1/norm_factor) is formed on ints, one _make per point, as
+    _rational forms its members.  Distinct classes can share a value
+    (observed once, at (2,10) where the first-branch delta_{0,6} collapses
+    onto delta_{-1}); the sort is stable, so dropping an entry equal to the
+    last one kept keeps the first entry of each run of equal values.
+    """
+    (ix, iy, iz), N = _ints(alpha.norm_factor.inverse()), alpha.N
+    pts = []
+    for cls, ms, kind, direction in sorted(entries, key=itemgetter(1), reverse=True):
+        if pts and ms == pts[-1].m_star:
+            continue
+        x, y, z = _ints(ms)
+        m = _make(x * ix + y * iy * N, x * iy + y * ix, z * iz, N)
+        pts.append(SpectrumPoint(cls, ms, m, kind, direction))
+    return tuple(pts)
 
 
 # a k beyond every k1 of the table: see _Class for why one k is enough
@@ -954,7 +1048,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     c = _Pair(alpha)
-    table = [(f, e) for (reg, f), e in _CLASSES.items() if reg == c.regime]
+    table = _REGIME_TABLE[c.regime]
     forever = {f: _member(c, f) for f, e in table
                if e.param == "k" and e.applies(c, _LARGE_K)}
     limits = {f: member(None) for f, member in forever.items()}
@@ -968,11 +1062,11 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
             continue
         ks = range(entry.k0, 2) if entry.param == "k" else ()
         member = None
-        for cls in _params(c, f, entry, ks):
+        for p in _params(c, entry, ks):
             member = member or _member(c, f)  # built at the first applicable class
-            value = member(_param(cls))
+            value = member(p)
             if value > limit:
-                entries.append((cls, value, "isolated", "none"))
+                entries.append((_class_id(f, entry, p), value, "isolated", "none"))
     fam_infos = []
     for fam in fams:
         spec, f = _CLASSES[c.regime, fam], forever[fam]
@@ -1027,13 +1121,11 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
         raise ValueError("kmax must be >= 0")
     c = _Pair(alpha)
     ks = range(kmax + 1)
-    for (reg, f), entry in _CLASSES.items():
-        if reg != c.regime:
-            continue
-        for cls in _params(c, f, entry, ks):
-            if f == "Sk6" and reg == "even-even" and cls.k >= 1:
+    for f, entry in _REGIME_TABLE[c.regime]:
+        for p in _params(c, entry, ks):
+            if f == "Sk6" and c.regime == "even-even" and p >= 1:
                 continue
-            yield cls
+            yield _class_id(f, entry, p)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,38 @@ def test_catalog_byte_stable(capsys):
     assert out1 == out2
 
 
+def _main_text(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(-1, 9), st.integers(-1, 20),
+       st.sampled_from(["json", "csv", "table"]))
+@example(2, 3, 8, 15, "json")
+@example(2, 4, 8, 15, "csv")
+@example(7, 5, 8, 15, "table")
+@settings(max_examples=300, deadline=None)
+def test_catalog_argv_exits_0_or_2_and_repeats_its_bytes(a, b, kmax, digits, fmt):
+    # excluded, reversed and equal pairs, a kmax or --digits below 1: exit 2
+    # with one error line and nothing on stdout; otherwise exit 0.  A second
+    # run in the same process prints the same bytes: no catalogue call
+    # carries values into the next
+    argv = ["catalog", "--a", str(a), "--b", str(b), "--kmax", str(kmax),
+            "--digits", str(digits), "--format", fmt]
+    code, out, err = _main_text(argv)
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert (doc["a"], doc["b"], doc["kmax"]) == (a, b, kmax)
+    assert _main_text(argv) == (code, out, err)
+
+
 def test_verify_single_pair(capsys):
     code, out, _ = run(capsys, "verify", "--a", "4", "--b", "7", "--kmax", "2")
     assert code == 0

@@ -8,7 +8,7 @@ import mstar_reference
 from inhomspec.quadfield import QuadNum, _ints, _make, qnum
 from inhomspec.ncf import make_alpha
 from inhomspec.spectrum import ClassId, class_tsequence, covered_pairs, equivalence_cases
-from inhomspec import expansion
+from inhomspec import expansion, quadfield, spectrum
 from inhomspec.expansion import (
     _mirror_centre,
     _s_ints,
@@ -567,6 +567,29 @@ def test_m_star_work_on_the_grid_is_pinned(monkeypatch):
         for cls in equivalence_cases(al, 4):
             m_star(class_tsequence(cls, al), al)
     assert calls == {"_tails": 2726, "_s_ints": 6287, "words": 1164, "palindromes": 965}
+
+
+def test_catalog_work_on_the_grid_is_pinned(monkeypatch):
+    # one spectrum_catalog(alpha, 8) pass over the 739 pairs with b <= 40:
+    # every QuadNum the pass builds (one _make each), the form set-ups and
+    # the points.  The _make count holds while each pair's shared values
+    # (_Pair) are computed once per call and M is formed on ints
+    alphas = [make_alpha(a, b) for a, b in covered_pairs(2, 39, 3, 40)]
+    calls = {"_make": 0, "_member": 0, "points": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    make = counted("_make", quadfield._make)  # spectrum imports it by name
+    monkeypatch.setattr(quadfield, "_make", make)
+    monkeypatch.setattr(spectrum, "_make", make)
+    monkeypatch.setattr(spectrum, "_member", counted("_member", spectrum._member))
+    for alpha in alphas:
+        calls["points"] += len(spectrum.spectrum_catalog(alpha, 8).points)
+    assert calls == {"_make": 72739, "_member": 4382, "points": 8836}
 
 
 def test_d_minus_undefined_in_preperiod():
