@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ncf import PeriodTwoAlpha
 from .quadfield import QuadNum, _div, _ints, _make, _pow, _sign
@@ -82,8 +82,7 @@ class UndefinedTailError(ValueError):
     """Backward tail requested at an index that is not two-sidedly periodic."""
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A named block of centered digits; t parametrizes the even-position digit."""
 
     name: str

@@ -16,11 +16,10 @@ detecting the period by exact repetition of the QuadNum remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _check_field, _make
 
 __all__ = [
     "PeriodTwoAlpha",
@@ -40,8 +39,7 @@ class PeriodNotFoundError(RuntimeError):
     """No exact remainder repetition within max_terms steps."""
 
 
-@dataclass(frozen=True)
-class PeriodTwoAlpha:
+class PeriodTwoAlpha(NamedTuple):
     """The pair (a, b) with its exact constants eta, beta, D in Q(sqrt(N))."""
 
     a: int
@@ -80,10 +78,10 @@ def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     if not 2 <= a < b:
         raise ValueError(f"need 2 <= a < b, got ({a}, {b})")
     ab = a * b
-    N = ab * (ab - 4)
+    N = _check_field(ab * (ab - 4))
     # eta = (ab - sqrt(N)) / (2a) = (b - sqrt(b^2 - 4b/a)) / 2
-    eta = QuadNum(Fraction(b, 2), Fraction(-1, 2 * a), N)
-    beta = QuadNum(Fraction(a, 2), Fraction(-1, 2 * b), N)
+    eta = _make(ab, -1, 2 * a, N)
+    beta = _make(ab, -1, 2 * b, N)
     D = eta * beta
     if not (eta * a == 1 + D and beta * b == 1 + D):
         raise RuntimeError(f"a*eta = b*beta = 1 + D fails at ({a}, {b})")
@@ -92,8 +90,7 @@ def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     return PeriodTwoAlpha(a=a, b=b, N=N, eta=eta, beta=beta, D=D)
 
 
-@dataclass(frozen=True)
-class NCFExpansion:
+class NCFExpansion(NamedTuple):
     """x = head - 1/(d1 - 1/(d2 - ...)), or x = 1/(d1 - ...) when head == 0.
 
     All fractional digits are >= 2.  `preperiod` then `period` list the

@@ -45,10 +45,9 @@ are QuadNums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .quadfield import QuadNum, _div, _floor, _make, _sign
 from .ncf import PeriodTwoAlpha
@@ -56,8 +55,7 @@ from .ncf import PeriodTwoAlpha
 __all__ = ["OracleM", "OracleReport", "brute_force_min", "oracle_m"]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     n_lo: int
     n_hi: int
     window_min: QuadNum
@@ -69,14 +67,13 @@ class OracleReport:
         """The JSON layout of the report, one key per field (target_m only
         when it is set), with the exact values as QuadNum leaves; `oracle`
         writes it as it stands."""
-        tree = {f.name: getattr(self, f.name) for f in fields(self)}
+        tree = self._asdict()
         if self.target_m is None:
             del tree["target_m"]
         return tree
 
 
-@dataclass(frozen=True)
-class OracleM:
+class OracleM(NamedTuple):
     m: QuadNum
     cycle_records: int  # records in one cycle of the walk's normalized state
     cycle_start_n: int  # n of the cycle's first record; negative on the n < 0 side

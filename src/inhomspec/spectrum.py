@@ -58,9 +58,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .quadfield import QuadNum, _ints, _make, _pow
+from .quadfield import QuadNum, _div, _ints, _make, _pow
 from .ncf import PeriodTwoAlpha
 from .expansion import Block, TSequence, m_star, m_value, tseq_from_blocks
 
@@ -158,8 +158,7 @@ def regime(alpha: PeriodTwoAlpha) -> str:
     return "even-odd" if b % 2 == 1 else "even-even"
 
 
-@dataclass(frozen=True)
-class OddParams:
+class OddParams(NamedTuple):
     """b = m*a + r with 0 < r <= 2a and r even; n = m + 2, s = m - 2."""
 
     m: int
@@ -207,8 +206,7 @@ class _Pair:
         self.D = alpha.D
         self.regime = regime(alpha)
         if self.regime == "odd":
-            p = odd_params(alpha)
-            self.m, self.n, self.s, self.r = p.m, p.n, p.s, p.r
+            self.m, self.n, self.s, self.r = odd_params(alpha)
 
     def blocks(self, *specs) -> TSequence:
         """The periodic word of the (block name, t) specs, in order."""
@@ -271,8 +269,7 @@ class _Pair:
         return self.alpha.eta * self.v
 
 
-@dataclass(frozen=True)
-class _Class:
+class _Class(NamedTuple):
     """One (regime, family) of the class table.
 
     param is None, "k" or "t".  applies(c, p) is the side condition on
@@ -934,8 +931,7 @@ class SpectrumPoint:
         return self.cls.delta_label
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     family: str
     direction: str
     limit: QuadNum
@@ -991,17 +987,19 @@ class SpectrumCatalog:
         ]
 
 
-def _build_points(alpha, entries):
-    """entries: list of (ClassId, value, kind, direction).  Returns the points
-    in decreasing order of value.
+def _build_points(c, entries):
+    """entries: list of (ClassId, value, kind, direction) at the _Pair c.
+    Returns the points in decreasing order of value.
 
-    M = M* * (1/norm_factor) is formed on ints, one _make per point, as
-    _rational forms its members.  Distinct classes can share a value
-    (observed once, at (2,10) where the first-branch delta_{0,6} collapses
-    onto delta_{-1}); the sort is stable, so dropping an entry equal to the
-    last one kept keeps the first entry of each run of equal values.
+    M = M* / norm_factor = M* * 1/(4(1 - D)) is formed on ints, one _make per
+    point, as _rational forms its members; 1/(4(1 - D)) is one _div of c.omD.
+    Distinct classes can share a value (observed once, at (2,10) where the
+    first-branch delta_{0,6} collapses onto delta_{-1}); the sort is stable,
+    so dropping an entry equal to the last one kept keeps the first entry of
+    each run of equal values.
     """
-    (ix, iy, iz), N = _ints(alpha.norm_factor.inverse()), alpha.N
+    N = c.alpha.N
+    ix, iy, iz = _ints(_div(1, 0, 4, *_ints(c.omD), N))
     pts = []
     for cls, ms, kind, direction in sorted(entries, key=itemgetter(1), reverse=True):
         if pts and ms == pts[-1].m_star:
@@ -1083,7 +1081,7 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     return SpectrumCatalog(
         alpha=alpha,
         kmax=kmax,
-        points=_build_points(alpha, entries),
+        points=_build_points(c, entries),
         first_limit_point=limit,
         families=tuple(fam_infos),
     )
@@ -1128,8 +1126,7 @@ def equivalence_cases(alpha: PeriodTwoAlpha, kmax: int = 4) -> Iterator[ClassId]
             yield _class_id(f, entry, p)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     cls: ClassId
     closed_form: QuadNum
     evaluated: QuadNum
@@ -1165,8 +1162,7 @@ def covered_pairs(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EuclidReport:
+class EuclidReport(NamedTuple):
     rho: QuadNum
     threshold: QuadNum
     verdict: bool

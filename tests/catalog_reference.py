@@ -152,4 +152,4 @@ def reference_catalog(alpha, kmax):
             entries.append((cls, f(k), "family_member", spec.direction))
     limit = members[fams[0]](None)
     entries.append((ClassId(fams[0]), limit, "limit_point", "none"))
-    return _build_points(alpha, entries), limit, fams
+    return _build_points(c, entries), limit, fams

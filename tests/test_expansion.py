@@ -573,7 +573,8 @@ def test_catalog_work_on_the_grid_is_pinned(monkeypatch):
     # one spectrum_catalog(alpha, 8) pass over the 739 pairs with b <= 40:
     # every QuadNum the pass builds (one _make each), the form set-ups and
     # the points.  The _make count holds while each pair's shared values
-    # (_Pair) are computed once per call and M is formed on ints
+    # (_Pair) are computed once per call and M is formed on ints, its
+    # factor 1/(4(1 - D)) one _div of the _Pair's 1 - D
     alphas = [make_alpha(a, b) for a, b in covered_pairs(2, 39, 3, 40)]
     calls = {"_make": 0, "_member": 0, "points": 0}
 
@@ -589,7 +590,7 @@ def test_catalog_work_on_the_grid_is_pinned(monkeypatch):
     monkeypatch.setattr(spectrum, "_member", counted("_member", spectrum._member))
     for alpha in alphas:
         calls["points"] += len(spectrum.spectrum_catalog(alpha, 8).points)
-    assert calls == {"_make": 72739, "_member": 4382, "points": 8836}
+    assert calls == {"_make": 71261, "_member": 4382, "points": 8836}
 
 
 def test_d_minus_undefined_in_preperiod():
