@@ -36,7 +36,7 @@ The brute-force oracle exposes such cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -164,7 +164,7 @@ class TSequence:
     """
 
     period: tuple[int, ...]
-    preperiod: tuple[int, ...] = field(default=())
+    preperiod: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.period) == 0 or len(self.period) % 2 != 0:

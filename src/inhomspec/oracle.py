@@ -23,12 +23,14 @@ the walk, each on both sides:
   gamma||, or m would give a strictly smaller product, so n* is a strict
   distance record counted from n_lo.  The walk from n_lo visits only those
   records, in O(log n_hi) steps per side, and is left as soon as q_t shows
-  that the next one lies past n_hi.  Its table of convergents is built once
-  per (eta pair, Z, N, bit length of n_hi) and cached.
+  that the next one lies past n_hi.  A prefix of its table of convergents
+  is built once per (eta pair, Z, N, bit length of n_hi) and cached; the
+  walk extends a copy of it when a step reads past its end.
 * oracle_m(alpha, gamma) walks the records from n = 1 until the walk's
   normalized state repeats, and returns M exactly, with the cycle as its
   certificate.  Its docstring gives the argument.  Its two sides share one
-  table, which the walk extends as it needs.
+  table, which starts at the first entries, is kept in no cache, and grows
+  as the walk needs.
 
 The walk runs on plain ints.  With Z = lcm of the denominators of eta and
 gamma, fixed for the whole walk, every quantity in it -- the signed residues,
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .quadfield import QuadNum, _div, _floor, _make, _sign
 from .ncf import PeriodTwoAlpha
@@ -89,35 +91,32 @@ def _floor_div(ux: int, uy: int, vx: int, vy: int, N: int) -> int:
     return _floor(x, y, n, N)
 
 
-def _errors(ex: int, ey: int, z: int, N: int) -> Iterator[tuple]:
-    """(q_k, x_k, y_k, r_k) for k = -1, 0, 1, ... of the regular continued
-    fraction of eta = (ex + ey*sqrt(N))/z, without end.
-
-    e_k = q_k*eta - p_k = (x_k + y_k*sqrt(N))/z is the signed error, with
-    q_{-1} = 0, e_{-1} = -1, q_0 = 1 and e_0 = eta - floor(eta); signs
-    alternate, so the entry at list index t has e < 0 for even t.  r_k =
-    |e_{k-1}|/|e_k| = -e_{k-1}/e_k is the complete quotient, a QuadNum (None
-    for k = -1), and floor(r_k) the next partial quotient.
-    """
-    x0 = ex - _floor(ex, ey, z, N) * z
-    prev, cur = (0, -z, 0, None), (1, x0, ey, _div(z, 0, 1, x0, ey, 1, N))
-    yield prev
-    while True:
-        yield cur
-        (q1, x1, y1, _), (q2, x2, y2, r) = prev, cur
-        c = r.floor()  # the next partial quotient: e_{k+1} = e_{k-1} + c*e_k
-        x, y = x1 + c * x2, y1 + c * y2
-        prev, cur = cur, (q1 + c * q2, x, y, _div(-x2, -y2, 1, x, y, 1, N))
+def _next_entry(prev: tuple, cur: tuple, N: int) -> tuple:
+    """The table entry after cur, prev the one before it: e_{k+1} =
+    e_{k-1} + floor(r_k)*e_k, q_{k+1} likewise, and r_{k+1} = -e_k/e_{k+1}."""
+    (q1, x1, y1, _), (q2, x2, y2, r) = prev, cur
+    c = r.floor()  # the next partial quotient
+    x, y = x1 + c * x2, y1 + c * y2
+    return q1 + c * q2, x, y, _div(-x2, -y2, 1, x, y, 1, N)
 
 
 @lru_cache(maxsize=256)
 def _convergents(ex: int, ey: int, z: int, N: int, bits: int) -> tuple[tuple, ...]:
-    """The entries of _errors until two denominators reach 2^bits, so every
-    q_t < 2^bits has entries t + 1 and t + 2 after it."""
-    entries = _errors(ex, ey, z, N)
-    table = [next(entries), next(entries)]
+    """(q_k, x_k, y_k, r_k) for k = -1, 0, 1, ... of the regular continued
+    fraction of eta = (ex + ey*sqrt(N))/z, until two denominators reach
+    2^bits, so every q_t < 2^bits has entries t + 1 and t + 2 after it.
+
+    e_k = q_k*eta - p_k = (x_k + y_k*sqrt(N))/z is the signed error, with
+    q_{-1} = 0, e_{-1} = -1, q_0 = 1 and e_0 = eta - floor(eta); signs
+    alternate, so the entry at index t has e < 0 for even t.  r_k =
+    |e_{k-1}|/|e_k| = -e_{k-1}/e_k is the complete quotient, a QuadNum (None
+    for k = -1), and floor(r_k) the next partial quotient.  _next_entry
+    gives every entry after the first two.
+    """
+    x0 = ex - _floor(ex, ey, z, N) * z
+    table = [(0, -z, 0, None), (1, x0, ey, _div(z, 0, 1, x0, ey, 1, N))]
     while table[-2][0] >> bits == 0:
-        table.append(next(entries))
+        table.append(_next_entry(table[-2], table[-1], N))
     return tuple(table)
 
 
@@ -134,7 +133,7 @@ def _pairs(eta: QuadNum, gamma: QuadNum) -> tuple[int, ...]:
 
 def _records(
     ex: int, ey: int, gx: int, gy: int, z: int, N: int, n: int,
-    table: Sequence[tuple], entries: Iterator[tuple],
+    table: list[tuple],
 ) -> Iterator[tuple[int, ...]]:
     """Yield (n, x, y, s, t) for each strict distance record of
     n*eta - gamma from the given n on, in order.
@@ -144,10 +143,9 @@ def _records(
     s > 0, so e_t has the sign -s and e_{t+1} the sign s: the step seeks the
     first t with |e_{t+2}| < 2|e|, that is s*(e_{t+2} + 2e) > 0, and takes
     j = floor((|e_t| - 2|e|)/|e_{t+1}|) + 1 = floor(-(e_t + 2e)/e_{t+1}) + 1
-    (or 0).  table holds the first entries of _errors(ex, ey, z, N), and the
-    walk appends the rest from entries as it needs them.  It ends after an
-    exact zero, and after a record whose step needs an entry that neither
-    holds; q_t then only bounds that step from below.
+    (or 0).  table holds the first entries of _convergents(ex, ey, z, N,
+    bits), at least two, and the walk appends the entries after them with
+    _next_entry as it reads past its end.  It ends only after an exact zero.
     """
     x = ex * n - gx
     y = ey * n - gy
@@ -164,12 +162,8 @@ def _records(
                 if s * _sign(table[t + 2][1] + wx, table[t + 2][2] + wy, N) > 0:
                     break
                 t += 2
-            except IndexError:  # past the end of the table: extend it from entries
-                entry = next(entries, None)
-                if entry is None:  # q_t only bounds this record's step
-                    yield n, x, y, s, t
-                    return
-                table.append(entry)
+            except IndexError:  # past the end of the table: extend it
+                table.append(_next_entry(table[-2], table[-1], N))
         start[s > 0] = t
         yield n, x, y, s, t
         if not s:
@@ -222,12 +216,13 @@ def brute_force_min(
         raise ValueError("need 1 <= n_lo <= n_hi")
     eta = alpha.eta
     ex, ey, gx, gy, z, N = _pairs(eta, gamma)
-    table = _convergents(ex, ey, z, N, n_hi.bit_length())
+    # a list copy, so that the walk can extend it and the cache keeps the prefix
+    table = list(_convergents(ex, ey, z, N, n_hi.bit_length()))
 
     def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
         # the records from n_lo visit the smallest n attaining the minimum
         records = 0
-        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, n_lo, table, iter(())):
+        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, n_lo, table):
             if n > n_hi:  # the last step passed n_hi
                 break
             vx, vy = s * x * n, s * y * n
@@ -291,12 +286,13 @@ def oracle_m(alpha: PeriodTwoAlpha, gamma: QuadNum) -> OracleM:
     side when gamma is not an integer.
     """
     ex, ey, gx, gy, z, N = _off_lattice(alpha, gamma)
-    table, entries = [], _errors(ex, ey, z, N)  # both sides extend one table
+    # both sides extend one fresh table, which no cache holds
+    table = list(_convergents.__wrapped__(ex, ey, z, N, 0))
 
     def side(gx: int, gy: int) -> tuple[QuadNum, int, int]:
         seen = {}  # key -> (record index, n)
         norms = []  # |x^2 - y^2*N| = z^2 * |N(e)| per record
-        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, 1, table, entries):
+        for n, x, y, s, t in _records(ex, ey, gx, gy, z, N, 1, table):
             if t >= 2:
                 _, xt, yt, r = table[t]
                 key = (_div(-s * x, -s * y, 1, xt, yt, 1, N), r)

@@ -918,8 +918,7 @@ def family_limit(family: str, alpha: PeriodTwoAlpha) -> QuadNum:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     cls: ClassId
     m_star: QuadNum
     m: QuadNum
@@ -938,8 +937,7 @@ class FamilyInfo(NamedTuple):
     k_listed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpectrumCatalog:
+class SpectrumCatalog(NamedTuple):
     """One pair's catalogue: its points in decreasing order of value, the
     first limit point, and the families listed up to kmax."""
 
@@ -1028,8 +1026,12 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
     family's members sit above L and an increasing family's below it, with
     one exception: at b = a + 6 with even a >= 12, even-even Sk4's k = 0
     member, its override at the lower end of the range of b, lies below L
-    and is still listed as a decreasing member.  L itself is the
-    final value, of kind 'limit_point', labelled by the last listed family.
+    and is still listed as a decreasing member.  L itself is listed once,
+    of kind 'limit_point', labelled by the last listed family, and sorts by
+    its value: below the isolated values and the decreasing members, that
+    exception aside, and above the increasing members and the exception.  So
+    it is the final value only when neither is listed; at (5,7), with
+    kmax = 3, it is 4th of 7, above the increasing Sk8's k = 3, 2 and 1.
     Every other value above L is isolated: applicable plain classes and
     t-classes, and the members k0 <= k <= 1 of the k-families that do not go
     on forever (such a family has no member at k >= 2, see _Class).

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -13,12 +14,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import inhomspec
-from inhomspec.cli import _json_text, main
-from inhomspec.expansion import gamma_value, m_star, m_value
+from inhomspec.cli import _build_parser, _json_text, main
+from inhomspec.expansion import _WORDS, gamma_value, m_star, m_value
 from inhomspec.ncf import make_alpha
 from inhomspec.oracle import brute_force_min
 from inhomspec.quadfield import QuadNum
-from inhomspec.spectrum import BranchDisagreement, ClassId, class_tsequence, spectrum_catalog
+from inhomspec.spectrum import (
+    _FAMILY_PARAM, BranchDisagreement, ClassId, class_tsequence, covered_pairs,
+    equivalence_cases, spectrum_catalog,
+)
 
 from child_python import python_command
 from json_reference import _plain
@@ -53,9 +57,14 @@ def test_catalog_byte_stable(capsys):
 
 
 def _main_text(argv):
+    """(code, stdout, stderr) of one run of main; the code of a SystemExit,
+    which argparse raises, counts as main's return value."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -82,6 +91,122 @@ def test_catalog_argv_exits_0_or_2_and_repeats_its_bytes(a, b, kmax, digits, fmt
             doc = json.loads(out)
             assert (doc["a"], doc["b"], doc["kmax"]) == (a, b, kmax)
     assert _main_text(argv) == (code, out, err)
+
+
+# value pools for each option of the parser by dest, valid nine times in
+# ten; an option without a pool of its own draws from the pool of its type
+def _mostly(valid, invalid):
+    return st.integers(0, 9).flatmap(lambda i: valid if i else invalid)
+
+
+def _ints(lo, hi, *invalid):
+    return _mostly(st.integers(lo, hi), st.sampled_from(invalid)).map(str)
+
+
+_WINDOW = _mostly(st.sampled_from([1, 2, 10, 100, 1000, 10**4]), st.sampled_from([0, -1])).map(str)
+_RANGE = st.tuples(st.integers(2, 5), st.integers(2, 5)).map(lambda r: f"{r[0]}..{r[1]}")
+_FRACTIONS = _mostly(st.sampled_from(["0", "1", "-1", "5/2", "-1/3"]), st.sampled_from(["1/0", "x"]))
+_PAIRS = _mostly(st.sampled_from(list(covered_pairs(2, 7, 3, 8))),
+                 st.tuples(st.integers(-1, 8), st.integers(-1, 8)))
+# oracle targets that hold at their pair: each class the evaluator checks there
+_TARGETS = [(a, b, cls) for a, b in covered_pairs(2, 7, 3, 8)
+            for cls in equivalence_cases(make_alpha(a, b), 2)]
+_POOLS = {
+    "kmax": _ints(0, 4, -1),
+    "digits": _ints(1, 18, -1, 0),
+    "grid": _mostly(
+        st.tuples(_RANGE, st.integers(3, 8), st.integers(3, 8)).map(lambda g: f"{g[0]},{g[1]}..{g[2]}"),
+        st.sampled_from(["2..x,3..4", "2..3", "", "3..2,5..6"])),
+    "cls": _mostly(st.sampled_from(sorted(_FAMILY_PARAM)), st.sampled_from(["S9", ""])),
+    "k": _ints(0, 6, -2, -1),
+    "t": _ints(-6, 6, 9),
+    "period": _mostly(
+        st.one_of(
+            # a raw word of at most 4 digits, or 1 to 4 named blocks
+            st.lists(st.integers(-9, 9), max_size=4).map(lambda ts: f"t:({','.join(map(str, ts))})"),
+            st.lists(st.sampled_from(sorted(_WORDS)).flatmap(lambda name: st.sampled_from(
+                [name] + [f"{name}{t}" for t in (-1, 0, 1, 2)])), min_size=1, max_size=4).map(" ".join)),
+        st.just("junk")),
+    "nmin": _WINDOW,
+    "nmax": _WINDOW,
+    "p": _FRACTIONS,
+    "q": _FRACTIONS,
+    "N": _ints(2, 15, -3, 0, 1, 4),
+    "max_terms": _ints(1, 512, -5, 0),
+    int: _ints(0, 8, -2),
+    str: st.sampled_from(["", "x", "0"]),
+}
+
+
+def _pool(action):
+    if action.dest in _POOLS:
+        return _POOLS[action.dest]
+    if action.choices:
+        return st.sampled_from(list(action.choices) + ["bogus"])
+    return _POOLS[action.type or str]
+
+
+def _subparsers():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@st.composite
+def _argvs(draw):
+    """argv for one subcommand read from the parser: its positionals (one
+    sometimes left out), a third of its options, --a and --b as one pair,
+    for `oracle` often a target that holds at the pair, and sometimes an
+    option of another subcommand, all options in any order."""
+    subs = _subparsers()
+    name = draw(st.sampled_from(sorted(subs)))
+    actions = {a.dest: a for a in subs[name]._actions if not isinstance(a, argparse._HelpAction)}
+    values = {d: draw(_pool(a)) for d, a in actions.items()
+              if not a.option_strings or draw(st.integers(0, 2)) == 0}
+    if {"a", "b"} <= actions.keys() and draw(st.integers(0, 9)):
+        values["a"], values["b"] = map(str, draw(_PAIRS))
+    if "cls" in actions and draw(st.booleans()):
+        a, b, cls = draw(st.sampled_from(_TARGETS))
+        for d in ("cls", "k", "t", "period", "align"):
+            values.pop(d, None)
+        values.update(a=str(a), b=str(b))
+        if draw(st.booleans()):
+            target = zip(("cls", "k", "t"), (cls.family, cls.k, cls.t))
+            values.update((d, str(v)) for d, v in target if v is not None)
+        else:
+            values["period"] = str(class_tsequence(cls, make_alpha(a, b)))
+    words = [v for d, v in values.items() if not actions[d].option_strings]
+    if words and draw(st.integers(0, 9)) == 0:
+        del words[draw(st.integers(0, len(words) - 1))]
+    chunks = [[draw(st.sampled_from(actions[d].option_strings)), v]
+              for d, v in values.items() if actions[d].option_strings]
+    if draw(st.integers(0, 9)) == 0:
+        other = [a for sp in subs.values() for a in sp._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        a = draw(st.sampled_from(other))
+        chunks.append([a.option_strings[-1], draw(_pool(a))])
+    chunks = draw(st.permutations(chunks))
+    return [name] + words + [w for c in chunks for w in c]
+
+
+@given(_argvs())
+# an inadmissible word (ROADMAP item 8) exits 1 with its FAIL line; a lattice
+# target with a window, once exit 0, exits 2
+@example(["oracle", "--a", "4", "--b", "8", "--period", "t:(4,8)"])
+@example(["oracle", "--a", "4", "--b", "8", "--period", "t:(-2,-6)", "--nmin", "10", "--nmax", "100"])
+@settings(max_examples=600, deadline=None)
+def test_every_subcommand_keeps_the_exit_contract(argv):
+    # codes 0, 1 and 2 only, no traceback; 2 says why, 1 comes with a FAIL
+    # or error: line; JSON output parses; a second run prints the same bytes
+    code, out, err = _main_text(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert "error:" in err
+    if code == 1:
+        assert "FAIL" in out + err or "error:" in err
+    # every output but verify's and a csv or table format is JSON
+    if code != 2 and argv[0] != "verify" and "csv" not in argv and "table" not in argv:
+        json.loads(out)
+    assert _main_text(argv)[:2] == (code, out)
 
 
 def test_verify_single_pair(capsys):

@@ -287,10 +287,32 @@ def test_walk_residue_exactly_one_half(lo):
 def test_walk_leaves_when_its_table_runs_out(s, two_sided):
     # gamma sits 10^-30 off the lattice point 5*eta, so the record at n = 5
     # has a residue so small that its step needs a convergent past the
-    # window's 12-entry table (t = 10 for s = 1, 11 for s = -1); the walk
-    # yields that record and ends
+    # window's cached 12-entry prefix (t = 10 for s = 1, 11 for s = -1); the
+    # walk extends its copy of the prefix, yields that record, and the
+    # window is left there, as the step's q_t lies past n_hi
     g = A48.eta * 5 - F(s, 10**30)
     _walk_and_loop(A48, g, 1, 1000, two_sided)
+
+
+def test_walks_leave_the_cached_prefixes_as_built():
+    # a window walk that extends its copy of the 12-entry prefix (above), and
+    # oracle_m on a target a window has walked, which grows a table of its
+    # own, leave the cached tuples as a fresh build gives them
+    from inhomspec.oracle import _convergents, _pairs
+
+    def key(g, hi):
+        ex, ey, _, _, z, N = _pairs(A48.eta, g)
+        return ex, ey, z, N, hi.bit_length()
+
+    far, near = A48.eta * 5 - F(1, 10**30), _gamma_of(ClassId("Sk1", k=2), A48)
+    brute_force_min(A48, far, 1, 1000, two_sided=True)
+    brute_force_min(A48, near, 1, 10**6, two_sided=True)
+    oracle_m(A48, near)
+    keys = key(far, 1000), key(near, 10**6)
+    assert len(_convergents(*keys[0])) == 12
+    for k in keys:
+        assert type(_convergents(*k)) is tuple
+        assert _convergents(*k) == _convergents.__wrapped__(*k)
 
 
 def test_walk_far_window():
@@ -372,12 +394,13 @@ def test_floor_div_matches_quadnum(ux, uy, vx, vy, N):
 def test_errors_table_is_signed_by_its_index(a, b, scale):
     # the walk reads |e| from the index's parity and the partial quotients
     # from r, so both must hold over any common denominator z
-    from inhomspec.oracle import _errors
+    from inhomspec.oracle import _convergents, _next_entry
 
     eta = make_alpha(a, b).eta
     z, N = eta._z * scale, eta.N
-    entries = _errors(eta._x * scale, eta._y * scale, z, N)
-    table = [next(entries) for _ in range(20)]
+    table = list(_convergents.__wrapped__(eta._x * scale, eta._y * scale, z, N, 0))
+    while len(table) < 20:
+        table.append(_next_entry(table[-2], table[-1], N))
     # a plain regular continued fraction of eta by QuadNum floors: p, q and
     # the complete quotients, indexed like the table (k = -1 at index 0)
     x, p, q, r = eta, [1, eta.floor()], [0, 1], [None]

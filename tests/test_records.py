@@ -18,7 +18,7 @@ from inhomspec.spectrum import (
 )
 from inhomspec.oracle import brute_force_min, oracle_m
 
-A48, A57 = make_alpha(4, 8), make_alpha(5, 7)
+A39, A48, A57 = make_alpha(3, 9), make_alpha(4, 8), make_alpha(5, 7)
 G57 = gamma_value(class_tsequence(ClassId("S0"), A57), A57)
 
 # (builder, field names, repr) of one instance of each record
@@ -43,6 +43,35 @@ RECORDS = {
         ("family", "direction", "limit", "k_listed"),
         "FamilyInfo(family='Sk8', direction='increasing',"
         " limit=QuadNum(Fraction(175922, 217), Fraction(-186822, 7595), 1085), k_listed=(1,))",
+    ),
+    "SpectrumPoint": (
+        lambda: spectrum_catalog(A39, kmax=1).points[0],
+        ("cls", "m_star", "m", "kind", "direction"),
+        "SpectrumPoint(cls=ClassId(family='S-2', k=None, t=None),"
+        " m_star=QuadNum(Fraction(150, 23), Fraction(-50, 207), 621),"
+        " m=QuadNum(Fraction(0, 1), Fraction(25, 4761), 621), kind='isolated', direction='none')",
+    ),
+    "SpectrumCatalog": (
+        lambda: spectrum_catalog(A39, kmax=1),
+        ("alpha", "kmax", "points", "first_limit_point", "families"),
+        "SpectrumCatalog(alpha=PeriodTwoAlpha(a=3, b=9, N=621,"
+        " eta=QuadNum(Fraction(9, 2), Fraction(-1, 6), 621),"
+        " beta=QuadNum(Fraction(3, 2), Fraction(-1, 18), 621),"
+        " D=QuadNum(Fraction(25, 2), Fraction(-1, 2), 621)), kmax=1,"
+        " points=(SpectrumPoint(cls=ClassId(family='S-2', k=None, t=None),"
+        " m_star=QuadNum(Fraction(150, 23), Fraction(-50, 207), 621),"
+        " m=QuadNum(Fraction(0, 1), Fraction(25, 4761), 621), kind='isolated', direction='none'),"
+        " SpectrumPoint(cls=ClassId(family='Sk1', k=None, t=None),"
+        " m_star=QuadNum(Fraction(840, 23), Fraction(-100, 69), 621),"
+        " m=QuadNum(Fraction(-15, 46), Fraction(55, 3174), 621),"
+        " kind='limit_point', direction='none'),"
+        " SpectrumPoint(cls=ClassId(family='Sk1', k=1, t=None),"
+        " m_star=QuadNum(Fraction(1082, 207), Fraction(-1082, 5589), 621),"
+        " m=QuadNum(Fraction(0, 1), Fraction(541, 128547), 621),"
+        " kind='family_member', direction='increasing')),"
+        " first_limit_point=QuadNum(Fraction(840, 23), Fraction(-100, 69), 621),"
+        " families=(FamilyInfo(family='Sk1', direction='increasing',"
+        " limit=QuadNum(Fraction(840, 23), Fraction(-100, 69), 621), k_listed=(1,)),))",
     ),
     "VerifyResult": (
         lambda: verify_equivalence(A57, kmax=0)[0], ("cls", "closed_form", "evaluated"),

@@ -58,3 +58,34 @@ def test_bench_tracer_names_exist():
         for name in names if name not in QuadNum.__dict__
     ]
     assert missing == []
+
+
+def test_code_line_counter_on_an_inline_source():
+    from code_lines import code_lines
+
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    x = """a string that is
+    not a docstring"""
+
+    def f(self):
+        """Function docstring."""
+        return (1 +
+                2)
+
+    async def g(self):
+        'single-quoted docstring'
+        pass
+'''
+    # import, class, the two lines of x, def f, the return's two lines,
+    # async def and pass
+    assert code_lines(source) == 9
+    assert code_lines("") == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -465,7 +464,7 @@ def test_catalog_json_schema():
     # rho* and the limit point reuse their points' rendering, or render anew
     assert d["rho_star"] == cat.rho_star.m_star.to_json(10)
     assert d["first_limit_point"] == cat.first_limit_point.to_json(10)
-    top = _plain(dataclasses.replace(cat, points=cat.points[:1]).json_tree(), 10)
+    top = _plain(cat._replace(points=cat.points[:1]).json_tree(), 10)
     assert top["first_limit_point"] == cat.first_limit_point.to_json(10)
 
 
@@ -659,10 +658,10 @@ def test_euclid_refuses_a_decreasing_member_above_the_threshold(monkeypatch, cap
 
     def with_member_above(alpha, kmax=8):
         cat = real(alpha, kmax)
-        member = dataclasses.replace(
-            cat.points[0], cls=ClassId(cat.families[0].family, k=1),
+        member = cat.points[0]._replace(
+            cls=ClassId(cat.families[0].family, k=1),
             kind="family_member", direction="decreasing")
-        return dataclasses.replace(cat, points=(member,) + cat.points)
+        return cat._replace(points=(member,) + cat.points)
 
     monkeypatch.setattr(spectrum, "spectrum_catalog", with_member_above)
     with pytest.raises(RuntimeError, match="k = 1 member is above the threshold"):
