@@ -90,9 +90,10 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
     tuple and dict the subcommands print, without first turning each QuadNum
     into a dict: a scalar through _JSON_SCALARS, a QuadNum through
     QuadNum._json_leaf, and a container by joining its children's text, each
-    rendered at pad + "  ".  A container writes its scalar and QuadNum
-    children in place, the same two ways, and calls this function only for a
-    child that is itself a container (or a type it refuses).  A float, which
+    rendered at pad + "  ".  A dict writes its scalar and QuadNum values in
+    place, the same two ways, and calls this function only for a value that
+    is itself a container (or a type it refuses); a list calls it for every
+    child, since only `ncf`'s two short int lists hold scalars.  A float, which
     no subcommand prints, raises the TypeError json raises for an unknown
     type.  The whole text is built before anything is printed, so a --digits
     below 1 raises first.
@@ -103,9 +104,9 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
     if type(obj) is QuadNum:
         return obj._json_leaf(digits, pad)
     inner = pad + "  "
-    items = []
     if isinstance(obj, dict):
         brackets = "{}"
+        items = []
         for k in sorted(obj):
             v = obj[k]
             render = _JSON_SCALARS.get(type(v))
@@ -115,11 +116,7 @@ def _json_text(obj, digits: int = 18, pad: str = "") -> str:
             items.append(f"{_json_str(k)}: {text}")
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
-        for v in obj:
-            render = _JSON_SCALARS.get(type(v))
-            items.append(render(v) if render is not None
-                         else v._json_leaf(digits, inner) if type(v) is QuadNum
-                         else _json_text(v, digits, inner))
+        items = [_json_text(v, digits, inner) for v in obj]
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not items:
@@ -199,6 +196,9 @@ def _cmd_oracle(args) -> int:
         _off_lattice(alpha, gamma)  # refused here too, before anything is printed
         lo = 10**3 if args.nmin is None else args.nmin
         hi = 10**6 if args.nmax is None else args.nmax
+        if not 1 <= lo <= hi:
+            raise ValueError(f"need 1 <= --nmin <= --nmax, got --nmin {lo} and "
+                             f"--nmax {hi} (defaults {10**3} and {10**6})")
         rep = brute_force_min(alpha, gamma, lo, hi, target_m=target, two_sided=True)
         out["report"] = rep.json_tree()
     print(_json_text(out, args.digits))
@@ -312,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_sweep, need_ab=False)
 
     sp = sub.add_parser("ncf", help="minus expansion of p + q*sqrt(N)")
-    sp.add_argument("p", help="rational, e.g. 0 or 5/2")
-    sp.add_argument("q", help="rational coefficient of sqrt(N)")
+    sp.add_argument("p", help="rational, e.g. 0 or 5/2; a negative fraction "
+                    "such as -1/3 needs -- before p")
+    sp.add_argument("q", help="rational coefficient of sqrt(N); a negative fraction as for p")
     sp.add_argument("N", type=int)
     sp.add_argument("--max-terms", type=int, default=512)
     sp.add_argument("--digits", type=int, default=15)

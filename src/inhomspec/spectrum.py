@@ -930,26 +930,24 @@ class SpectrumPoint(NamedTuple):
         return self.cls.delta_label
 
 
-class FamilyInfo(NamedTuple):
-    family: str
-    direction: str
-    limit: QuadNum
-    k_listed: tuple[int, ...]
-
-
 class SpectrumCatalog(NamedTuple):
-    """One pair's catalogue: its points in decreasing order of value, the
-    first limit point, and the families listed up to kmax."""
+    """One pair's catalogue: its points in decreasing order of value, with
+    the listed families' members up to kmax.  The rest is read off the
+    points: rho* is the first point, the first limit point L is the value of
+    the one point of kind 'limit_point', and the listed families are the
+    families of the points of kind 'family_member', each with its direction."""
 
     alpha: PeriodTwoAlpha
     kmax: int
     points: tuple[SpectrumPoint, ...]
-    first_limit_point: QuadNum
-    families: tuple[FamilyInfo, ...]
 
     @property
     def rho_star(self) -> SpectrumPoint:
         return self.points[0]
+
+    @property
+    def first_limit_point(self) -> QuadNum:
+        return next(p.m_star for p in self.points if p.kind == "limit_point")
 
     def json_tree(self) -> dict:
         """The JSON layout of the catalogue, with the exact values as
@@ -1067,12 +1065,9 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
             value = member(p)
             if value > limit:
                 entries.append((_class_id(f, entry, p), value, "isolated", "none"))
-    fam_infos = []
     for fam in fams:
         spec, f = _CLASSES[c.regime, fam], forever[fam]
-        ks = tuple(range(spec.k0, kmax + 1))
-        fam_infos.append(FamilyInfo(fam, spec.direction, limit, ks))
-        for k in ks:
+        for k in range(spec.k0, kmax + 1):
             if not spec.applies(c, k):
                 raise RuntimeError(
                     f"listed family {fam} does not apply at k={k}, "
@@ -1084,8 +1079,6 @@ def spectrum_catalog(alpha: PeriodTwoAlpha, kmax: int = 8) -> SpectrumCatalog:
         alpha=alpha,
         kmax=kmax,
         points=_build_points(c, entries),
-        first_limit_point=limit,
-        families=tuple(fam_infos),
     )
 
 

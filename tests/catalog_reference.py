@@ -136,7 +136,7 @@ def layout(alpha):
 
 
 def reference_catalog(alpha, kmax):
-    """(points, first limit point, listed families) of the stated layout."""
+    """(points, first limit point) of the stated layout."""
     c = _Pair(alpha)
     iso, fams = layout(alpha)
     members = {f: _member(c, f) for f in {*fams, *(cls.family for cls in iso)}}
@@ -152,4 +152,4 @@ def reference_catalog(alpha, kmax):
             entries.append((cls, f(k), "family_member", spec.direction))
     limit = members[fams[0]](None)
     entries.append((ClassId(fams[0]), limit, "limit_point", "none"))
-    return _build_points(c, entries), limit, fams
+    return _build_points(c, entries), limit

@@ -85,23 +85,28 @@ def test_criterion_4_family_convergence():
     for a, b in GRID:
         al = make_alpha(a, b)
         cat = spectrum_catalog(al, kmax=2)
-        for fam in cat.families:
-            k0 = min(fam.k_listed)
+        # the listed families, each from its least listed k, and their limit
+        listed, limit = {}, cat.first_limit_point
+        for p in cat.points:
+            if p.kind == "family_member":
+                f = (p.cls.family, p.direction)
+                listed[f] = min(listed.get(f, p.cls.k), p.cls.k)
+        for (family, direction), k0 in listed.items():
             vals = []
             for k in range(k0, k0 + 11):
                 try:
-                    vals.append(delta_closed_form(ClassId(fam.family, k=k), al))
+                    vals.append(delta_closed_form(ClassId(family, k=k), al))
                 except Exception:
                     break
-            want = 1 if fam.direction == "increasing" else -1
+            want = 1 if direction == "increasing" else -1
             for u, v in zip(vals, vals[1:]):
                 if (v - u).sign() != want:
                     ok = False
-                    print(f"  monotonicity broken: ({a},{b}) {fam.family}")
-                du, dv = u - fam.limit, v - fam.limit
+                    print(f"  monotonicity broken: ({a},{b}) {family}")
+                du, dv = u - limit, v - limit
                 if (du * du - dv * dv).sign() <= 0:
                     ok = False
-                    print(f"  |delta_k - delta_inf| not shrinking: ({a},{b}) {fam.family}")
+                    print(f"  |delta_k - delta_inf| not shrinking: ({a},{b}) {family}")
     # (5,10): the second largest value is a non-isolated limit point,
     # approached from below within 1e-6 by k <= 40
     al = make_alpha(5, 10)

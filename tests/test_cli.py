@@ -209,6 +209,16 @@ def test_every_subcommand_keeps_the_exit_contract(argv):
     assert _main_text(argv)[:2] == (code, out)
 
 
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in sorted(_subparsers())])
+def test_help_exits_0_with_usage_on_stdout(argv):
+    # top level and each subcommand the parser holds; the parser is cached,
+    # so a second run must print the same bytes
+    code, out, err = _main_text(argv + ["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: inhomspec {' '.join(argv)}".rstrip() + " ")
+    assert _main_text(argv + ["--help"]) == (code, out, err)
+
+
 def test_verify_single_pair(capsys):
     code, out, _ = run(capsys, "verify", "--a", "4", "--b", "7", "--kmax", "2")
     assert code == 0
@@ -323,6 +333,17 @@ def test_ncf_command(capsys):
     assert doc["period"] == [4, 8]
 
 
+def test_ncf_negative_fraction_needs_a_double_dash():
+    # argparse reads -1/3 as an option, so N goes missing; after -- it is p,
+    # and -1 reads as a negative number without one
+    code, out, err = _main_text(["ncf", "-1/3", "1", "14"])
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = _main_text(["ncf", "--", "-1/3", "1", "14"])
+    assert code == 0 and err == "" and json.loads(out)["integer_part"] == 4
+    code, out, err = _main_text(["ncf", "-1", "1", "14"])
+    assert code == 0 and err == "" and json.loads(out)["integer_part"] == 3
+
+
 def test_ncf_rational_error(capsys):
     code, _, err = run(capsys, "ncf", "3/2", "0", "5")
     assert code == 2
@@ -417,13 +438,20 @@ def test_oracle_period_with_t_on_a_fixed_block(capsys):
     assert err == "error: block H takes no t parameter\n"
 
 
-@pytest.mark.parametrize("bound", [("--nmin", "0"), ("--nmax", "0")])
+# (window options, n_lo and n_hi they give); with one bound given, the other
+# takes its default
+@pytest.mark.parametrize("bound", [
+    (("--nmin", "1000", "--nmax", "2000", "--nmin", "0"), 0, 2000),
+    (("--nmin", "1000", "--nmax", "2000", "--nmax", "0"), 1000, 0),
+    (("--nmax", "10"), 1000, 10),
+])
 def test_oracle_zero_window_bound_is_usage_error(capsys, bound):
-    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
-                         "--nmin", "1000", "--nmax", "2000", *bound)
+    window, lo, hi = bound
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0", *window)
     assert code == 2
     assert out == ""
-    assert err == "error: need 1 <= n_lo <= n_hi\n"
+    assert err == (f"error: need 1 <= --nmin <= --nmax, got --nmin {lo} and --nmax {hi}"
+                   " (defaults 1000 and 1000000)\n")
 
 
 def test_oracle_wide_window(capsys):

@@ -38,12 +38,6 @@ RECORDS = {
     "OddParams": (
         lambda: odd_params(A57), ("m", "n", "s", "r"), "OddParams(m=1, n=3, s=-1, r=2)",
     ),
-    "FamilyInfo": (
-        lambda: spectrum_catalog(A57, kmax=1).families[0],
-        ("family", "direction", "limit", "k_listed"),
-        "FamilyInfo(family='Sk8', direction='increasing',"
-        " limit=QuadNum(Fraction(175922, 217), Fraction(-186822, 7595), 1085), k_listed=(1,))",
-    ),
     "SpectrumPoint": (
         lambda: spectrum_catalog(A39, kmax=1).points[0],
         ("cls", "m_star", "m", "kind", "direction"),
@@ -53,7 +47,7 @@ RECORDS = {
     ),
     "SpectrumCatalog": (
         lambda: spectrum_catalog(A39, kmax=1),
-        ("alpha", "kmax", "points", "first_limit_point", "families"),
+        ("alpha", "kmax", "points"),
         "SpectrumCatalog(alpha=PeriodTwoAlpha(a=3, b=9, N=621,"
         " eta=QuadNum(Fraction(9, 2), Fraction(-1, 6), 621),"
         " beta=QuadNum(Fraction(3, 2), Fraction(-1, 18), 621),"
@@ -68,10 +62,7 @@ RECORDS = {
         " SpectrumPoint(cls=ClassId(family='Sk1', k=1, t=None),"
         " m_star=QuadNum(Fraction(1082, 207), Fraction(-1082, 5589), 621),"
         " m=QuadNum(Fraction(0, 1), Fraction(541, 128547), 621),"
-        " kind='family_member', direction='increasing')),"
-        " first_limit_point=QuadNum(Fraction(840, 23), Fraction(-100, 69), 621),"
-        " families=(FamilyInfo(family='Sk1', direction='increasing',"
-        " limit=QuadNum(Fraction(840, 23), Fraction(-100, 69), 621), k_listed=(1,)),))",
+        " kind='family_member', direction='increasing')))",
     ),
     "VerifyResult": (
         lambda: verify_equivalence(A57, kmax=0)[0], ("cls", "closed_form", "evaluated"),

@@ -405,12 +405,10 @@ def test_catalog_5_10_second_value_is_the_limit():
     assert cat.points[1].cls.family == "Sk2"
     assert isolation_gap(cat) == cat.points[0].m_star - cat.points[1].m_star
     # increasing family sits below its limit
-    fam = cat.families[0]
-    assert fam.direction == "increasing"
-    assert all(
-        delta_closed_form(ClassId("Sk2", k=k), cat.alpha) < fam.limit
-        for k in fam.k_listed
-    )
+    members = [p for p in cat.points if p.kind == "family_member"]
+    assert {(p.cls.family, p.direction) for p in members} == {("Sk2", "increasing")}
+    assert sorted(p.cls.k for p in members) == list(range(1, 7))
+    assert all(delta_closed_form(p.cls, cat.alpha) < cat.first_limit_point for p in members)
 
 
 def test_catalog_3_4():
@@ -461,11 +459,9 @@ def test_catalog_json_schema():
     for pt in d["points"]:
         assert set(pt) == {"label", "k", "m_star", "m", "kind", "direction"}
         assert set(pt["m_star"]) == {"p", "q", "N", "approx"}
-    # rho* and the limit point reuse their points' rendering, or render anew
+    # rho* and the limit point render as the values of their points
     assert d["rho_star"] == cat.rho_star.m_star.to_json(10)
     assert d["first_limit_point"] == cat.first_limit_point.to_json(10)
-    top = _plain(cat._replace(points=cat.points[:1]).json_tree(), 10)
-    assert top["first_limit_point"] == cat.first_limit_point.to_json(10)
 
 
 def test_catalog_csv_rows():
@@ -481,10 +477,7 @@ def test_catalog_kmax_validation():
 
 def test_isolation_gap_needs_two_points():
     cat = spectrum_catalog(make_alpha(4, 8), kmax=2)
-    single = SpectrumCatalog(
-        alpha=cat.alpha, kmax=1, points=cat.points[:1],
-        first_limit_point=cat.first_limit_point, families=(),
-    )
+    single = SpectrumCatalog(alpha=cat.alpha, kmax=1, points=cat.points[:1])
     with pytest.raises(ValueError):
         isolation_gap(single)
 
@@ -513,19 +506,20 @@ def test_one_large_k_decides_whether_a_family_goes_on_forever():
 def _assert_matches_reference(a, b, kmax):
     al = make_alpha(a, b)
     cat = spectrum_catalog(al, kmax=kmax)
-    points, limit, families = reference_catalog(al, kmax)
+    points, limit = reference_catalog(al, kmax)
     got = [(p.cls, p.kind, p.direction, p.m_star) for p in cat.points]
     want = [(p.cls, p.kind, p.direction, p.m_star) for p in points]
     assert got == want, (a, b, kmax)
+    # the one limit point, whose value the property reads
+    assert [p.m_star for p in cat.points if p.kind == "limit_point"] == [limit], (a, b, kmax)
     assert cat.first_limit_point == limit, (a, b, kmax)
-    assert {f.family for f in cat.families} == set(families), (a, b, kmax)
     assert cat.rho_star.cls == expected_rho(al), (a, b, kmax)
 
 
 @pytest.mark.parametrize("kmax", [1, 8])
 def test_derived_catalog_matches_the_stated_layout(kmax):
-    # every point (class, kind, direction, exact value), the limit point and
-    # the listed families, against the layout stated pair by pair
+    # every point (class, kind, direction, exact value) and the limit point,
+    # against the layout stated pair by pair
     for a, b in covered_pairs(2, 39, 3, 40):
         _assert_matches_reference(a, b, kmax)
 
@@ -548,7 +542,7 @@ def test_structure_table_matches_the_abstract():
         cat = spectrum_catalog(make_alpha(a, b), kmax=2)
         assert isolation_gap(cat).sign() > 0, (a, b)
         rank = 1 + [p.kind for p in cat.points].index("limit_point")
-        above = any(f.direction == "decreasing" for f in cat.families)
+        above = any(p.direction == "decreasing" for p in cat.points)
         if a % 2 == 1:
             if above:
                 from_above.append((a, b))
@@ -659,7 +653,7 @@ def test_euclid_refuses_a_decreasing_member_above_the_threshold(monkeypatch, cap
     def with_member_above(alpha, kmax=8):
         cat = real(alpha, kmax)
         member = cat.points[0]._replace(
-            cls=ClassId(cat.families[0].family, k=1),
+            cls=ClassId(next(p.cls.family for p in cat.points if p.kind == "family_member"), k=1),
             kind="family_member", direction="decreasing")
         return cat._replace(points=(member,) + cat.points)
 
