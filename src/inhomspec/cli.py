@@ -15,14 +15,16 @@ ends in residual=, the closed form minus the evaluated value; or an
 `oracle` call without a window whose oracle_m differs from exact_m, with
 stdout as usual and one "FAIL: ..." line on stderr) or a catalogue
 self-check fails (a RuntimeError such as BranchDisagreement, printed as
-"error: ..."); 2 on bad usage, including an `ncf` expansion that finds no
-period within --max-terms, or a --max-terms below 1, a `verify` call with
---grid and --a or --b, an `oracle` call with an option its target ignores
-(--k or --t with --period, --align with --class) or a target gamma in
-Z + alpha*Z, and an option a subcommand does not read, such as `euclid
---kmax` or `sweep --kmax`; 2 also when stdout is closed before the output
-is written (`verify --grid ... | head -1`), since the output was not
-delivered and a `verify` cut short has not checked every case.
+"error: ..."); 2 on bad usage, including a missing --a or --b, an
+`oracle` call with both or neither of --class and --period (argparse's
+usage error), an `ncf` expansion that finds no period within --max-terms,
+or a --max-terms below 1, a `verify` call with --grid and --a or --b, an
+`oracle` call with --k or --t beside --period, which ignores them, a period
+with two adjacent maximal digits or a target gamma in Z + alpha*Z, and an
+option a subcommand does not read, such as `euclid --kmax` or `sweep
+--kmax`; 2 also when stdout is closed before the output is written
+(`verify --grid ... | head -1`), since the output was not delivered and a
+`verify` cut short has not checked every case.
 Output is byte-stable for fixed inputs: keys are sorted and decimal digit
 counts are fixed by --digits.  JSON is written as json.dumps(obj,
 sort_keys=True, indent=2) writes it, each exact value as QuadNum.to_json's
@@ -166,19 +168,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.period and args.cls is not None:
-        raise ValueError("--class and --period exclude each other")
-    if args.period and (args.k is not None or args.t is not None):
+    if args.period is not None and (args.k is not None or args.t is not None):
         raise ValueError("--k and --t apply to --class, not to --period")
-    if args.cls is not None and args.align is not None:
-        raise ValueError("--align applies to --period, not to --class")
     alpha = make_alpha(args.a, args.b)
-    if args.period:
-        tseq = parse_period(args.period, alpha, start=args.align or "odd")
+    if args.period is not None:
+        tseq = parse_period(args.period, alpha)
         label = str(tseq)
     else:
-        if args.cls is None:
-            raise ValueError("--class (or --period) is required here")
         cls = ClassId(args.cls, k=args.k, t=args.t)
         tseq = class_tsequence(cls, alpha)
         label = cls.delta_label
@@ -275,9 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, need_ab=True, kmax=8, fmt=False):
-        if need_ab:
-            sp.add_argument("--a", type=int, required=False)
-            sp.add_argument("--b", type=int, required=False)
+        # need_ab: --a/--b required (True), optional (False) or absent (None)
+        if need_ab is not None:
+            sp.add_argument("--a", type=int, required=need_ab)
+            sp.add_argument("--b", type=int, required=need_ab)
         if kmax is not None:
             sp.add_argument("--kmax", type=int, default=kmax)
         if fmt:
@@ -287,29 +284,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog", help="spectrum values above the first limit point")
     common(sp, fmt=True)
-    sp.set_defaults(fn=_cmd_catalog, need_ab=True)
+    sp.set_defaults(fn=_cmd_catalog)
 
     sp = sub.add_parser("verify", help="closed forms vs. the exact evaluator")
-    common(sp, kmax=4)
+    common(sp, need_ab=False, kmax=4)
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
-    sp.set_defaults(fn=_cmd_verify, need_ab=False)
+    sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("oracle", help="exact M, or a window minimum, for a class")
     common(sp, kmax=None)
-    sp.add_argument("--class", dest="cls", help="class family, e.g. S0, S-2, Sk1, S0t")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--class", dest="cls", help="class family, e.g. S0, S-2, Sk1, S0t")
+    target.add_argument("--period", help="block string 'A1 A1'' or raw 't:(2,-3)'")
     sp.add_argument("--k", type=int)
     sp.add_argument("--t", type=int)
-    sp.add_argument("--period", help="block string 'A1 A1'' or raw 't:(2,-3)'")
-    sp.add_argument("--align", choices=("odd", "even"),
-                    help="position of a period's first digit (default odd)")
     sp.add_argument("--nmin", type=int)
     sp.add_argument("--nmax", type=int)
-    sp.set_defaults(fn=_cmd_oracle, need_ab=True)
+    sp.set_defaults(fn=_cmd_oracle)
 
     sp = sub.add_parser("sweep", help="summary rows over an (a,b) grid")
-    common(sp, need_ab=False, kmax=None, fmt=True)
+    common(sp, need_ab=None, kmax=None, fmt=True)
     sp.add_argument("--grid", help="amin..amax,bmin..bmax")
-    sp.set_defaults(fn=_cmd_sweep, need_ab=False)
+    sp.set_defaults(fn=_cmd_sweep)
 
     sp = sub.add_parser("ncf", help="minus expansion of p + q*sqrt(N)")
     sp.add_argument("p", help="rational, e.g. 0 or 5/2; a negative fraction "
@@ -318,19 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("N", type=int)
     sp.add_argument("--max-terms", type=int, default=512)
     sp.add_argument("--digits", type=int, default=15)
-    sp.set_defaults(fn=_cmd_ncf, need_ab=False)
+    sp.set_defaults(fn=_cmd_ncf)
 
     sp = sub.add_parser("euclid", help="norm-Euclidean criterion for (a,b)")
     common(sp, kmax=None)
-    sp.set_defaults(fn=_cmd_euclid, need_ab=True)
+    sp.set_defaults(fn=_cmd_euclid)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "need_ab", False) and (args.a is None or args.b is None):
-        print("error: --a and --b are required", file=sys.stderr)
-        return 2
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

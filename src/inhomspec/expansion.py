@@ -210,55 +210,47 @@ class TSequence:
         return f"t:[{pre}|({per})*]" if pre else f"t:({per})"
 
 
-def _start_shift(start: str) -> int:
-    """Parity of the first position: 0 for 'odd', 1 for 'even'."""
-    if start not in ("odd", "even"):
-        raise ValueError("start must be 'odd' or 'even'")
-    return int(start == "even")
-
-
-def _odd_start(ts: list[int], shift: int) -> TSequence:
-    """Period of a word whose first digit sits at parity `shift`, unchecked.
-
-    An even-start word is rotated by one digit into the canonical odd-start
-    form, which leaves the bi-infinite sequence unchanged.
-    """
-    return TSequence(tuple(ts[shift:] + ts[:shift]))
-
-
 def tseq_from_blocks(
     blocks: Iterable[Block],
     alpha: PeriodTwoAlpha,
-    start: str = "odd",
 ) -> TSequence:
     """Concatenate blocks into a periodic TSequence.
 
     Each block must land on the parity its word starts with (G starts on an
-    even position, everything else on odd).  `start` gives the parity of the
-    first position; an even-start word is rotated into odd-start form.
-    block_tvalues checks each digit at the parity this alignment check gives
-    it, so the word is valid as built and is not validated a second time.
+    even position, everything else on odd), so the first block fixes the
+    parity of the first position.  A word that starts even is rotated by one
+    digit into the canonical odd-start form, which leaves the bi-infinite
+    sequence unchanged.  No block at all raises AlignmentError, as an empty
+    period does.  block_tvalues checks each digit at the parity this
+    alignment check gives it, so the word is valid as built and is not
+    validated a second time.
     """
-    shift = _start_shift(start)
     ts: list[int] = []
+    shift = False
     for blk in blocks:
         vals = block_tvalues(blk, alpha)
+        if not ts:
+            shift = vals[0][0] == "b"
         parity = "ab"[(len(ts) + shift) % 2]
         if vals[0][0] != parity:
             raise AlignmentError(
                 f"block {blk} starts on parity {vals[0][0]!r}, cursor is at {parity!r}"
             )
         ts.extend(t for _, t in vals)
-    return _odd_start(ts, shift)
+    return TSequence(tuple(ts[shift:] + ts[:shift]))
 
 
-def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSequence:
-    """Parse 'A1 A1' C3' block notation or a raw 't:(2,-3)' tuple."""
+def parse_period(text: str, alpha: PeriodTwoAlpha) -> TSequence:
+    """Parse 'A1 A1' C3' block notation or a raw 't:(2,-3)' tuple.
+
+    A block string starts on the parity of its first block (see
+    tseq_from_blocks); a raw word's first digit sits on an odd position.
+    """
     text = text.strip()
     if text.startswith("t:"):
         body = text[2:].strip().strip("()")
         ts = [int(v) for v in body.split(",") if v.strip()]
-        return _odd_start(ts, _start_shift(start)).validate(alpha)
+        return TSequence(tuple(ts)).validate(alpha)
     blocks = []
     for tok in text.split():
         name = tok
@@ -268,7 +260,7 @@ def parse_period(text: str, alpha: PeriodTwoAlpha, start: str = "odd") -> TSeque
         head = name.rstrip("-0123456789")
         tail = name[len(head):]
         blocks.append(Block(head + prime, int(tail) if tail else None))
-    return tseq_from_blocks(blocks, alpha, start=start)
+    return tseq_from_blocks(blocks, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -468,9 +460,12 @@ def _is_max(t: int, i: int, alpha: PeriodTwoAlpha) -> bool:
 
 def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
     """Digit sequence of 1 - alpha - gamma, up to a vector of Z + alpha Z,
-    when no two maximal digits are adjacent (the period read cyclically).
+    which leaves M unchanged.
 
-    That vector leaves M unchanged.  Away from maximal digits this is plain
+    Two adjacent maximal digits, the period read cyclically (t_{n+L} and
+    t_{n+1} are neighbours for a preperiod of length n and a period of
+    length L), raise DigitRangeError naming both positions: the carries
+    below do not reflect such a word.  Away from maximal digits this is plain
     negation of the t_i.  A maximal digit t_i = a_i stays maximal, and each
     neighbour adjacent to a maximal position picks up an extra -2 (the carry
     produced by reflecting the maximal digit).  Raises DigitRangeError if the
@@ -481,11 +476,16 @@ def reflect(tseq: TSequence, alpha: PeriodTwoAlpha) -> TSequence:
     local carry, [P] being 1 when P holds and 0 otherwise:
     d'+_i = -d+_i + 2[t_{i+1} maximal] - 2 alpha_i [t_i maximal] and
     d'-_i = -d-_i + 2[t_i maximal] - 2 alpha_{i-1} [t_{i+1} maximal], which
-    puts gamma + gamma' - (1 - eta) in Z + eta Z.  Two adjacent maxima stay
-    as they are and carry into no digit, and the result is then not
-    1 - alpha - gamma up to Z + alpha Z.
+    puts gamma + gamma' - (1 - eta) in Z + eta Z.  Two adjacent maxima
+    would stay as they are and carry into no digit, and the result would
+    not be 1 - alpha - gamma up to Z + alpha Z.
     """
     tseq.validate(alpha)
+    n, L = len(tseq.preperiod), len(tseq.period)
+    for i in range(1, n + L + 1):
+        j = i + 1 if i < n + L else n + 1
+        if _is_max(tseq.t_at(i), i, alpha) and _is_max(tseq.t_at(j), j, alpha):
+            raise DigitRangeError(f"t_{i} and t_{j} are adjacent maximal digits")
 
     def in_period(i: int) -> bool:  # read cyclically
         return _is_max(tseq.period_t(i), i, alpha)
@@ -514,7 +514,7 @@ def m_star(tseq: TSequence, alpha: PeriodTwoAlpha) -> QuadNum:
     and for its reflection.  That rests on reflect giving 1 - alpha - gamma
     up to Z + alpha Z, which holds only when no two maximal digits are
     adjacent, the period read cyclically; every catalogue word is such a
-    word, and on any other the result need not be the constant.
+    word, and on any other reflect raises DigitRangeError.
 
     Per variant the tails are four int walks of _tails (two to close the
     cycle, then d^+ and d^-) on reduced triples, two when the period is a

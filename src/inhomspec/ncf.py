@@ -8,7 +8,8 @@ purely periodic fractional values
 
 live in Q(sqrt(N)) with N = a*b*(a*b - 4); that choice of N clears every
 denominator, so no factorization is needed.  D = eta*beta.  The exact
-identities a*eta = 1 + D and b*beta = 1 + D are checked at construction time.
+identities a*eta = 1 + D and b*beta = 1 + D hold by construction (see
+:func:`make_alpha`).
 
 :func:`ncf_expand` recovers the minus expansion of an arbitrary quadratic,
 detecting the period by exact repetition of the QuadNum remainder.
@@ -72,7 +73,14 @@ class PeriodTwoAlpha(NamedTuple):
 
 @lru_cache(maxsize=None, typed=True)  # 4.0 == 4, but only an int is a quotient
 def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
-    """Exact constants for the period-two expansion with quotients (a, b)."""
+    """Exact constants for the period-two expansion with quotients (a, b).
+
+    With s = sqrt(N), eta = (ab - s)/(2a), beta = (ab - s)/(2b) and
+    D = eta*beta = (ab - s)^2/(4ab) = (ab - 2 - s)/2, since s^2 = ab(ab - 4).
+    So a*eta = b*beta = (ab - s)/2 = 1 + D.  As 0 < s < ab and a < b,
+    0 < beta < eta, and eta < 1 <=> ab - 2a < s <=> (ab - 2a)^2 < ab(ab - 4)
+    <=> (a - 1)(b - 1) > 1, true for 2 <= a < b; then D = eta*beta < 1.
+    """
     if not (isinstance(a, int) and isinstance(b, int)):
         raise TypeError("partial quotients must be ints")
     if not 2 <= a < b:
@@ -83,10 +91,6 @@ def make_alpha(a: int, b: int) -> PeriodTwoAlpha:
     eta = _make(ab, -1, 2 * a, N)
     beta = _make(ab, -1, 2 * b, N)
     D = eta * beta
-    if not (eta * a == 1 + D and beta * b == 1 + D):
-        raise RuntimeError(f"a*eta = b*beta = 1 + D fails at ({a}, {b})")
-    if not (0 < beta < eta < 1 and D < 1):
-        raise RuntimeError(f"0 < beta < eta < 1 and D < 1 fail at ({a}, {b})")
     return PeriodTwoAlpha(a=a, b=b, N=N, eta=eta, beta=beta, D=D)
 
 

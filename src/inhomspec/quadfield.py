@@ -93,9 +93,10 @@ def _sign(x: int, y: int, N: int) -> int:
     if y == 0:
         return (x > 0) - (x < 0)
     s = 1 if y > 0 else -1
-    if x == 0 or (x > 0) == (y > 0):
+    if (x > 0) == (y > 0):
         return s
-    # opposite signs: the larger square wins (never equal, N is no square)
+    # opposite signs, or x == 0 < y: the larger square wins (never equal, N is
+    # no square)
     return s if y * y * N > x * x else -s
 
 

@@ -14,7 +14,8 @@ def _is_max(word, alpha):
 
 
 def reflect(word, alpha):
-    """The reflected period, or None when a digit leaves its range.
+    """The reflected period, or None when two maximal digits are neighbours
+    or a digit leaves its range.
 
     A maximal digit stays; any other t_i becomes -t_i - 2 for each maximal
     neighbour, the word read cyclically.
@@ -22,6 +23,8 @@ def reflect(word, alpha):
     L, top = len(word), _is_max(word, alpha)
     out = []
     for k, t in enumerate(word):
+        if top[k] and top[(k + 1) % L]:
+            return None
         if not top[k]:
             q = alpha.partial_quotient(k + 1)
             t = -t - 2 * (top[k - 1] + top[(k + 1) % L])
@@ -79,7 +82,7 @@ def products(alpha, i, dm, dp):
 
 def m_star(word, alpha):
     """The least applicable s*-product over one period of the word, or None
-    when the word has a maximal digit and its reflection leaves the digit range.
+    when the word has a maximal digit and reflect refuses it.
 
     Without a maximal digit all four products of the word count; with one,
     s1*, s2* and s4* of the word and of its reflection.

@@ -166,7 +166,7 @@ def _argvs(draw):
         values["a"], values["b"] = map(str, draw(_PAIRS))
     if "cls" in actions and draw(st.booleans()):
         a, b, cls = draw(st.sampled_from(_TARGETS))
-        for d in ("cls", "k", "t", "period", "align"):
+        for d in ("cls", "k", "t", "period"):
             values.pop(d, None)
         values.update(a=str(a), b=str(b))
         if draw(st.booleans()):
@@ -189,8 +189,8 @@ def _argvs(draw):
 
 
 @given(_argvs())
-# an inadmissible word (ROADMAP item 8) exits 1 with its FAIL line; a lattice
-# target with a window, once exit 0, exits 2
+# a word with two adjacent maximal digits, once exit 1 with a FAIL line, exits
+# 2 with its error: line; a lattice target with a window, once exit 0, exits 2
 @example(["oracle", "--a", "4", "--b", "8", "--period", "t:(4,8)"])
 @example(["oracle", "--a", "4", "--b", "8", "--period", "t:(-2,-6)", "--nmin", "10", "--nmax", "100"])
 @settings(max_examples=600, deadline=None)
@@ -304,16 +304,26 @@ def test_oracle_windows_default(capsys):
     assert (doc["cycle_records"], doc["cycle_start_n"]) == (4, 16)
 
 
-def test_oracle_disagreement_exits_1(capsys):
-    # the evaluator returns minus the true constant on this inadmissible word;
-    # stdout stays as it was, and stderr names the two values
-    code, out, err = run(capsys, "oracle", "--a", "4", "--b", "8", "--period", "t:(4,8)")
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    # an evaluator that returns minus the true constant: stdout is printed as
+    # usual, and stderr names the two values
+    import inhomspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "m_star", lambda tseq, alpha: -m_star(tseq, alpha))
+    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0")
     assert code == 1
     doc = json.loads(out)
     assert QuadNum.from_json(doc["exact_m"]) == -QuadNum.from_json(doc["oracle_m"])
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cf6b5600d454aaa59f4cb28ff1d306d660e1a7ed1582aaf1aad3eb0ff34837e6")
-    assert err == "FAIL: oracle_m=0.052497743947083 exact_m=-0.052497743947083\n"
+    got = QuadNum.from_json(doc["oracle_m"])
+    assert err == f"FAIL: oracle_m={got.decimal(15)} exact_m={(-got).decimal(15)}\n"
+
+
+def test_oracle_adjacent_maximal_digits_is_usage_error(capsys):
+    # reflect cannot carry past two neighbouring maxima; the evaluator once
+    # returned minus the constant on this word and exited 1
+    code, out, err = run(capsys, "oracle", "--a", "4", "--b", "8", "--period", "t:(4,8)")
+    assert (code, out) == (2, "")
+    assert err == "error: t_1 and t_2 are adjacent maximal digits\n"
 
 
 def test_sweep(capsys):
@@ -363,9 +373,12 @@ def test_euclid_command(capsys):
     ("oracle", "--a", "5", "--class", "S0"),
     ("euclid", "--a", "5"),
 ], ids=["catalog", "oracle", "euclid"])
-def test_missing_ab_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: --a and --b are required\n")
+def test_missing_ab_is_usage_error(argv):
+    code, out, err = _main_text(list(argv))
+    assert (code, out) == (2, "")
+    missing = "--b" if "--a" in argv else "--a"
+    assert err.endswith(f"inhomspec {argv[0]}: error: the following arguments "
+                        f"are required: {missing}\n")
 
 
 def test_bad_subcommand_exits_2():
@@ -493,10 +506,11 @@ def test_oracle_lattice_period_is_usage_error_with_or_without_window(capsys, win
     assert err == "error: gamma lies in Z + alpha*Z, where M(alpha, gamma) is not defined\n"
 
 
-def test_oracle_without_class_or_period_is_usage_error(capsys):
-    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7")
+def test_oracle_without_class_or_period_is_usage_error():
+    code, out, err = _main_text(["oracle", "--a", "5", "--b", "7"])
     assert (code, out) == (2, "")
-    assert err == "error: --class (or --period) is required here\n"
+    assert err.endswith("inhomspec oracle: error: one of the arguments --class "
+                        "--period is required\n")
 
 
 def test_oracle_family_without_k_is_usage_error(capsys):
@@ -505,11 +519,12 @@ def test_oracle_family_without_k_is_usage_error(capsys):
     assert err == "error: S_{inf,1} designates a family limit; use family_limit()\n"
 
 
-def test_oracle_class_with_period_is_usage_error(capsys):
-    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
-                         "--period", "t:(1,-1)", "--nmin", "1000", "--nmax", "2000")
+def test_oracle_class_with_period_is_usage_error():
+    code, out, err = _main_text(["oracle", "--a", "5", "--b", "7", "--class", "S0",
+                                 "--period", "t:(1,-1)", "--nmin", "1000", "--nmax", "2000"])
     assert (code, out) == (2, "")
-    assert err == "error: --class and --period exclude each other\n"
+    assert err.endswith("inhomspec oracle: error: argument --period: not allowed "
+                        "with argument --class\n")
 
 
 @pytest.mark.parametrize("extra", [("--k", "3"), ("--t", "9"), ("--k", "3", "--t", "9")])
@@ -520,21 +535,15 @@ def test_oracle_period_with_k_or_t_is_usage_error(capsys, extra):
     assert err == "error: --k and --t apply to --class, not to --period\n"
 
 
-@pytest.mark.parametrize("align", ["odd", "even"])
-def test_oracle_class_with_align_is_usage_error(capsys, align):
-    code, out, err = run(capsys, "oracle", "--a", "5", "--b", "7", "--class", "S0",
-                         "--align", align, "--nmin", "1000", "--nmax", "2000")
-    assert (code, out) == (2, "")
-    assert err == "error: --align applies to --period, not to --class\n"
-
-
 def test_oracle_period_align_default_is_odd(capsys):
-    base = ("oracle", "--a", "4", "--b", "8", "--period", "t:(2,-2)",
-            "--nmin", "1000", "--nmax", "2000")
-    default = run(capsys, *base)
-    assert default[0] == 0
-    assert run(capsys, *base, "--align", "odd") == default
-    assert run(capsys, *base, "--align", "even") != default
+    # a raw word starts odd: t:(-2,2) prints what t:(2,-2) read from an even
+    # start printed, and t:(2,-2) is another word
+    base = ("oracle", "--a", "4", "--b", "8", "--nmin", "1000", "--nmax", "2000")
+    code, out, err = run(capsys, *base, "--period", "t:(-2,2)")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c156713645d58819343ce92a31c1d40145168b3c7ff0bcfc18df2727e90d8b7e")
+    assert run(capsys, *base, "--period", "t:(2,-2)")[1] != out
 
 
 @pytest.mark.parametrize("target, argv", [

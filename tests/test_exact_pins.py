@@ -191,8 +191,10 @@ def _evaluator_words():
 
 def test_evaluator_outcomes_are_pinned():
     # repr of m_star and gamma_value on every word, as the word makes it: 32
-    # m_star zeros (lattice targets), 316 negative m_star values (inadmissible
-    # words) and 1,292 DigitRangeErrors (a reflection's carry out of range)
+    # m_star zeros (lattice targets), no negative m_star value, and 1,608
+    # DigitRangeErrors: 600 words with two adjacent maximal digits, which
+    # reflect refuses (316 of them once gave a negative m_star, the other 284
+    # a carry error), and 1,008 whose reflection carries a digit out of range
     h = hashlib.sha256()
     n = 0
     for al, seq in _evaluator_words():
@@ -205,7 +207,7 @@ def test_evaluator_outcomes_are_pinned():
         n += 1
     assert n == 6341
     assert h.hexdigest() == (
-        "37e444383079833bde546633f21e07769329e388627dacfae13d2e3bd0cca50d"
+        "3f30ce1b040a0fbc0ded8f74a5344a5783f96f7122c5bcb25d5f73b9059b03b5"
     )
 
 

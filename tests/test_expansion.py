@@ -170,9 +170,10 @@ def test_tseq_from_blocks():
 
 def test_tseq_alignment_errors():
     al = make_alpha(3, 5)
-    # G starts on an even position; a bare G cannot open an odd-start word
-    with pytest.raises(AlignmentError):
-        tseq_from_blocks([Block("G", None)], al)
+    # a bare G has odd length, and no block at all makes no period
+    for blocks in ([Block("G", None)], []):
+        with pytest.raises(AlignmentError):
+            tseq_from_blocks(blocks, al)
     # H G has odd total length
     with pytest.raises(AlignmentError):
         tseq_from_blocks([Block("H", None)], al)
@@ -181,17 +182,16 @@ def test_tseq_alignment_errors():
 def test_parse_period():
     assert parse_period("A1 A1 A1' A1'", A47).period == (0, 1, 0, 1, 0, -1, 0, -1)
     assert parse_period("t:(2,-3)", make_alpha(2, 7)).period == (2, -3)
-    assert parse_period("t:(-3,2)", make_alpha(2, 7), start="even").period == (2, -3)
-    for text in ("A1 A1'", "t:(0,1,0,-1)"):
-        with pytest.raises(ValueError, match="start must be"):
-            parse_period(text, A47, start="bogus")
-    # a raw word is checked once, at the parities of its odd-start form
+    # a raw word starts odd and is checked once, at those parities
     with pytest.raises(DigitRangeError, match="t_2"):
         parse_period("t:(0,9)", A47)
-    assert parse_period("t:(1,0)", A47, start="even").period == (0, 1)
+    assert parse_period("t:(0,1)", A47).period == (0, 1)
     with pytest.raises(InvalidBlockError, match="t_1"):
-        parse_period("t:(0,1)", A47, start="even")
+        parse_period("t:(1,0)", A47)
+    # a G-first block string starts even: rotated by one digit into odd-start form
     al = make_alpha(3, 5)
+    word = (-1, 3, -1) + (1, -3, 3, -3, 1) + (-1, 3, -1) + (-1, 1, 3, 1, -1)
+    assert parse_period("G H G H'", al).period == word[1:] + word[:1]
     for text in ("H7 G9 H'2 G", "H G1 H' G", "H G H'0 G", "H G H2' G"):
         with pytest.raises(InvalidBlockError, match="takes no t parameter"):
             parse_period(text, al)
@@ -204,7 +204,7 @@ def test_even_start_rotation():
         [Block(n, None) for n in ("H", "G", "H'", "G")], al
     )
     rotated = tseq_from_blocks(
-        [Block(n, None) for n in ("G", "H", "G", "H'")], al, start="even"
+        [Block(n, None) for n in ("G", "H", "G", "H'")], al
     )
     assert m_star(direct, al) == m_star(rotated, al)
 
@@ -594,11 +594,14 @@ def test_catalog_work_on_the_grid_is_pinned(monkeypatch):
 
 
 def test_d_minus_undefined_in_preperiod():
-    seq = TSequence((0, 0), preperiod=(0, 2))
-    with pytest.raises(UndefinedTailError):
-        d_minus(seq, 1, A48)
+    seq = TSequence((2, -2), preperiod=(0, 2))
+    for i in (1, 2):  # 2 is the last preperiod index
+        with pytest.raises(UndefinedTailError):
+            d_minus(seq, i, A48)
     # d_plus is fine there
     assert d_plus(seq, 1, A48) is not None
+    # the first periodic index reads the bare period's d^- at its index 1
+    assert d_minus(seq, 3, A48) == d_minus(TSequence((2, -2)), 1, A48)
 
 
 # ---------------------------------------------------------------- s functions
@@ -649,14 +652,25 @@ def test_reflect_with_preperiod():
     # the period wraps round: its last digit b carries into its first
     assert reflect(TSequence((0, 1, 0, 7)), A47).period == (-2, -1, -2, 7)
     # left of the preperiod counts as non-maximal, though the period ends on b
-    r = reflect(TSequence((4, 7), preperiod=(0, 1)), A47)
-    assert (r.preperiod, r.period) == ((0, -3), (4, 7))
+    r = reflect(TSequence((0, 1, 0, 7), preperiod=(0, 1)), A47)
+    assert (r.preperiod, r.period) == ((0, -1), (-2, -1, -2, 7))
     # the period reads cyclically, so a maximal last preperiod digit carries
-    # only into its left neighbour, here out of range
-    r = reflect(TSequence((0, -1), preperiod=(2, 7)), al)
-    assert (r.preperiod, r.period) == ((2, 7), (0, 1))
-    with pytest.raises(DigitRangeError):
+    # only into its left neighbour, in range at (4,7) and out of range at (2,7)
+    r = reflect(TSequence((2, 1), preperiod=(0, 7)), A47)
+    assert (r.preperiod, r.period) == ((-2, 7), (-2, -1))
+    with pytest.raises(DigitRangeError, match="t_1: t=-2"):
         reflect(TSequence((0, -1), preperiod=(0, 7)), al)
+    # two neighbouring maxima are refused, in the preperiod, across its end,
+    # and in the period read cyclically; positions count from the preperiod
+    for seq, where in [
+        (TSequence((0, -1), preperiod=(2, 7)), "t_1 and t_2"),
+        (TSequence((2, -1), preperiod=(0, 7)), "t_2 and t_3"),
+        (TSequence((2, 1, 0, 7), preperiod=(0, 1)), "t_6 and t_3"),
+    ]:
+        with pytest.raises(DigitRangeError, match=f"^{where} are adjacent maximal digits$"):
+            reflect(seq, al)
+    with pytest.raises(DigitRangeError, match="^t_3 and t_4 are adjacent"):
+        reflect(TSequence((4, 7), preperiod=(0, 1)), A47)
     # H G H' G at (3,5) with its one-pair rotation as preperiod
     al = make_alpha(3, 5)
     seq = parse_period("H G H' G", al)

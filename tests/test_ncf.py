@@ -29,13 +29,16 @@ def test_norm_factor_is_four_times_one_minus_d():
 
 
 def test_a_eta_b_beta_identities_on_grid():
-    for a in range(2, 13):
-        for b in range(a + 1, 15):
+    # make_alpha's docstring derives these; nothing checks them at construction.
+    # Every pair 2 <= a < b <= 40: the covered ones and (2, 3), (2, 4)
+    for b in range(3, 41):
+        for a in range(2, b):
             al = make_alpha(a, b)
             one = al.one
             assert al.eta * a == one + al.D
             assert al.beta * b == one + al.D
             assert QuadNum(0, 0, al.N) < al.beta < al.eta < one
+            assert al.D < one
 
 
 def test_make_alpha_rejects_bad_quotients():
